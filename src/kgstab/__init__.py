@@ -6,7 +6,6 @@ linearized operators, and nonlinear time evolution — with a CLI front end
 (``kgstab``) over all of it.
 """
 
-from ._kernels import JIT_ENABLED, USING_NUMBA
 from .evolve import (BlowUpError, CFLError, Diagnostics, FieldState,
                      field_charge, field_energy, init_state, orbital_distance,
                      parse_perturbation, run, step)
@@ -25,7 +24,7 @@ from .stability import (OracleDisagreementError, StabilityReport, TauStarResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "JIT_ENABLED", "USING_NUMBA", "__version__",
+    "__version__",
     # model
     "ModelParams", "FrequencyWindow", "DomainError", "alpha_of_omega",
     "omega_of_alpha", "r_star", "g_derivatives",

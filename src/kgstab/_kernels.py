@@ -1,18 +1,6 @@
-"""Hot numerical kernels: numba-jitted with a pure-NumPy fallback.
-
-The backend is fixed at import time.  Set ``KGSTAB_JIT=0`` (or ``false``,
-``no``, ``off``) to force the pure-NumPy/Python implementations; anything else
-uses numba when it is importable.  Both families stay importable regardless of
-the selected backend so they can be cross-checked and benchmarked:
-
-    leapfrog_steps / sturm_count / tridiag_solve      selected backend
-    _leapfrog_steps_numpy / _sturm_count_py / ...     always pure
-    _leapfrog_steps_numba / _sturm_count_jit / ...    None when jit is off
-"""
+"""Hot numerical kernels: leapfrog stepping, Sturm counts and Thomas solves."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -20,20 +8,8 @@ import numpy as np
 # doubles for any off-diagonal magnitude.
 _SAFE_MIN = 2.2250738585072014e-308
 
-JIT_ENABLED = os.environ.get("KGSTAB_JIT", "1").strip().lower() not in (
-    "0", "false", "no", "off",
-)
 
-if JIT_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - exercised via KGSTAB_JIT builds
-        JIT_ENABLED = False
-
-USING_NUMBA = JIT_ENABLED
-
-
-def _leapfrog_steps_numpy(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
+def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
     """Advance the leapfrog scheme ``n_steps`` times in place (vectorized).
 
     phi/phi_prev are complex arrays over the full grid including the two
@@ -56,19 +32,20 @@ def _leapfrog_steps_numpy(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guar
     return n_steps
 
 
-def _sturm_count_py(diag, off, shift):
+def _pivot_floor(off) -> float:
+    """LAPACK-style pivot floor: the safe minimum scaled by max(1, off^2)."""
+    e2max = float(np.max(np.square(off), initial=0.0))
+    return _SAFE_MIN * max(1.0, e2max)
+
+
+def sturm_count(diag, off, shift):
     """Number of eigenvalues of the symmetric tridiagonal matrix below shift.
 
     Sturm sequence via the LDL^T pivot recurrence with a LAPACK-style pivot
     floor so near-singular shifts cannot divide by zero.
     """
     n = diag.shape[0]
-    e2max = 0.0
-    for i in range(n - 1):
-        e2 = off[i] * off[i]
-        if e2 > e2max:
-            e2max = e2
-    pivmin = _SAFE_MIN * max(1.0, e2max)
+    pivmin = _pivot_floor(off)
     count = 0
     q = diag[0] - shift
     for i in range(n):
@@ -81,7 +58,7 @@ def _sturm_count_py(diag, off, shift):
     return count
 
 
-def _tridiag_solve_py(diag, off, rhs):
+def tridiag_solve(diag, off, rhs):
     """Solve the symmetric tridiagonal system (Thomas algorithm).
 
     Pivots are floored in magnitude so shifted near-singular systems (the
@@ -91,12 +68,7 @@ def _tridiag_solve_py(diag, off, rhs):
     n = diag.shape[0]
     c = np.empty(n - 1)
     x = np.empty(n)
-    e2max = 0.0
-    for i in range(n - 1):
-        e2 = off[i] * off[i]
-        if e2 > e2max:
-            e2max = e2
-    pivmin = _SAFE_MIN * max(1.0, e2max)
+    pivmin = _pivot_floor(off)
 
     piv = diag[0]
     if abs(piv) <= pivmin:
@@ -111,45 +83,3 @@ def _tridiag_solve_py(diag, off, rhs):
     for i in range(n - 2, -1, -1):
         x[i] -= c[i] * x[i + 1]
     return x
-
-
-if JIT_ENABLED:
-
-    @njit(cache=True)
-    def _leapfrog_steps_numba(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
-        n = phi.shape[0]
-        inv_h2 = 1.0 / (step_x * step_x)
-        dt2 = step_t * step_t
-        for k in range(n_steps):
-            sup = 0.0
-            left = phi[0]
-            for i in range(1, n - 1):
-                cur = phi[i]
-                mag = abs(cur)
-                rhs = (phi[i + 1] - 2.0 * cur + left) * inv_h2
-                rhs += (-m2 + 3.0 * a * mag - 4.0 * b * mag * mag) * cur
-                new = 2.0 * cur - phi_prev[i] + dt2 * rhs
-                phi_prev[i] = cur
-                phi[i] = new
-                left = cur
-                amp = abs(new)
-                if amp > sup or amp != amp:
-                    sup = amp
-            if not sup <= guard:  # catches NaN as well as overshoot
-                return k + 1
-        return n_steps
-
-    _sturm_count_jit = njit(cache=True)(_sturm_count_py)
-    _tridiag_solve_jit = njit(cache=True)(_tridiag_solve_py)
-
-    leapfrog_steps = _leapfrog_steps_numba
-    sturm_count = _sturm_count_jit
-    tridiag_solve = _tridiag_solve_jit
-else:
-    _leapfrog_steps_numba = None
-    _sturm_count_jit = None
-    _tridiag_solve_jit = None
-
-    leapfrog_steps = _leapfrog_steps_numpy
-    sturm_count = _sturm_count_py
-    tridiag_solve = _tridiag_solve_py

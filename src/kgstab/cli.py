@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import evolve as evolve_mod
 from . import soliton, spectrum, stability
@@ -476,19 +474,6 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _sweep_workers(n_jobs: int) -> int:
-    env = os.environ.get("KGSTAB_THREADS", "").strip()
-    workers = None
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = None
-    if workers is None:
-        workers = min(8, os.cpu_count() or 1)
-    return max(1, min(workers, n_jobs))
-
-
 def _cmd_sweep(args) -> int:
     start = time.perf_counter()
     p = ModelParams(args.a, args.b, args.m)
@@ -498,16 +483,15 @@ def _cmd_sweep(args) -> int:
     omegas = [window.omega_star + (i + 1) * window.width / (args.n + 1)
               for i in range(args.n)]
 
-    def row(omega: float) -> dict:
-        return {
+    rows = [
+        {
             "omega": omega,
             "alpha": alpha_of_omega(p, omega),
             "sigma": stability.sigma_closed(p, omega),
             "d2_sign": stability.d_second_sign(p, omega),
         }
-
-    with ThreadPoolExecutor(max_workers=_sweep_workers(args.n)) as pool:
-        rows = list(pool.map(row, omegas))  # map preserves omega order
+        for omega in omegas
+    ]
 
     if args.json:
         payload = {"n": args.n, "rows": rows}

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
 from .model import ModelParams
-from .soliton import SolitonProfile, build_profile, closed_form_profile
+from .soliton import (SolitonProfile, build_profile, closed_form_profile,
+                      composite_simpson)
 
 # Amplitude guard: a run whose sup exceeds this many times R(0) has left any
 # neighbourhood of the orbit and is about to overflow; record and stop.
@@ -86,6 +88,16 @@ class FieldState:
     def x(self) -> np.ndarray:
         n_side = round(self.half_length / self.step_x)
         return (np.arange(self.phi.size) - n_side) * self.step_x
+
+    @cached_property
+    def velocity(self) -> np.ndarray:
+        """d/dt phi at the current level from the two-level leapfrog stagger.
+
+        Costs one probe step, taken once per state and shared by the
+        diagnostics.
+        """
+        ahead, _ = _advance(self, 1)
+        return (ahead.phi - self.phi_prev) / (2.0 * self.step_t)
 
 
 def _acceleration(phi: np.ndarray, step_x: float, p: ModelParams) -> np.ndarray:
@@ -160,42 +172,27 @@ def step(state: FieldState) -> FieldState:
     return new
 
 
-def _simpson(values: np.ndarray, step: float):
-    """Composite Simpson on an odd number of points; complex-safe."""
-    n = values.shape[-1]
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"Simpson rule needs an odd point count, got {n}")
-    acc = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() \
-        + 2.0 * values[2:-1:2].sum()
-    return acc * step / 3.0
-
-
-def _centered_velocity(state: FieldState) -> np.ndarray:
-    """d/dt phi at the current level from the two-level leapfrog stagger."""
-    ahead, _ = _advance(state, 1)
-    return (ahead.phi - state.phi_prev) / (2.0 * state.step_t)
-
-
 def field_energy(state: FieldState) -> float:
     """E = 1/2 ||psi||^2 + 1/2 ||phi'||^2 + 1/2 m^2 ||phi||^2 + int G(|phi|)."""
     p = state.params
     h = state.step_x
-    psi = _centered_velocity(state)
+    psi = state.velocity
     grad = np.gradient(state.phi, h)
     mag = np.abs(state.phi)
     g = -p.a * mag**3 + p.b * mag**4
     return float(
-        0.5 * _simpson(np.abs(psi)**2, h).real
-        + 0.5 * _simpson(np.abs(grad)**2, h).real
-        + 0.5 * p.m * p.m * _simpson(mag**2, h).real
-        + _simpson(g, h).real
+        0.5 * composite_simpson(np.abs(psi)**2, h)
+        + 0.5 * composite_simpson(np.abs(grad)**2, h)
+        + 0.5 * p.m * p.m * composite_simpson(mag**2, h)
+        + composite_simpson(g, h)
     )
 
 
 def field_charge(state: FieldState) -> float:
     """Q = -Im int psi conj(phi) dx."""
-    psi = _centered_velocity(state)
-    return float(-_simpson(psi * np.conj(state.phi), state.step_x).imag)
+    pairing = composite_simpson(state.velocity * np.conj(state.phi),
+                                state.step_x)
+    return float(-pairing.imag)
 
 
 def orbital_distance(state: FieldState, profile: SolitonProfile,
@@ -210,19 +207,20 @@ def orbital_distance(state: FieldState, profile: SolitonProfile,
     h = state.step_x
     x = state.x
     r = np.interp(np.abs(x), profile.x, profile.values, right=0.0)
-    psi = _centered_velocity(state)
+    psi = state.velocity
     phi_x = np.gradient(state.phi, h)
     r_x = np.gradient(r, h)
     m2 = p.m * p.m
 
-    norm_u = (m2 * _simpson(np.abs(state.phi)**2, h)
-              + _simpson(np.abs(phi_x)**2, h)
-              + _simpson(np.abs(psi)**2, h)).real
-    norm_v = (m2 * _simpson(r**2, h) + _simpson(r_x**2, h)
-              + omega * omega * _simpson(r**2, h))
-    z = (m2 * _simpson(state.phi * r, h)
-         + _simpson(phi_x * r_x, h)
-         + _simpson(psi * np.conj(-1j * omega * r), h))
+    norm_u = (m2 * composite_simpson(np.abs(state.phi)**2, h)
+              + composite_simpson(np.abs(phi_x)**2, h)
+              + composite_simpson(np.abs(psi)**2, h))
+    norm_v = (m2 * composite_simpson(r**2, h)
+              + composite_simpson(r_x**2, h)
+              + omega * omega * composite_simpson(r**2, h))
+    z = (m2 * composite_simpson(state.phi * r, h)
+         + composite_simpson(phi_x * r_x, h)
+         + composite_simpson(psi * np.conj(-1j * omega * r), h))
     return math.sqrt(max(0.0, norm_u + norm_v - 2.0 * abs(z)))
 
 

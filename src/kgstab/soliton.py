@@ -137,14 +137,17 @@ def build_profile(p: ModelParams, omega: float, step: float,
                           values=values, max_ode_residual=residual)
 
 
-def composite_simpson(values: np.ndarray, step: float) -> float:
-    """Composite Simpson rule; needs an odd number of points."""
+def composite_simpson(values: np.ndarray, step: float) -> float | complex:
+    """Composite Simpson rule; needs an odd number of points.
+
+    Real samples give a float and complex samples a complex.
+    """
     n = values.shape[-1]
     if n < 3 or n % 2 == 0:
         raise GridError(f"Simpson rule needs an odd point count, got {n}")
     acc = values[0] + values[-1] + 4.0 * values[1:-1:2].sum() \
         + 2.0 * values[2:-1:2].sum()
-    return float(acc) * step / 3.0
+    return (acc * step / 3.0).item()
 
 
 def _derivative(y: np.ndarray, h: float) -> np.ndarray:
