@@ -1,4 +1,10 @@
-"""Hot numerical kernels: leapfrog stepping, Sturm counts and Thomas solves."""
+"""Hot numerical kernels: leapfrog stepping, Sturm counts and Thomas solves.
+
+The Sturm and Thomas recurrences are sequential, so they run as scalar
+loops.  Each call converts its arrays to lists once and loops over Python
+floats, which cost far less per operation than NumPy scalars and round
+identically (both are IEEE doubles).
+"""
 
 from __future__ import annotations
 
@@ -18,40 +24,70 @@ def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
     """
     inv_h2 = 1.0 / (step_x * step_x)
     dt2 = step_t * step_t
+    inner = phi[1:-1]
+    prev_inner = phi_prev[1:-1]
+    # buffers reused by every step; the ufunc calls keep the operand order of
+    # the plain expressions, so the arithmetic is unchanged
+    rhs = np.empty_like(inner)
+    scratch = np.empty_like(inner)
+    mag = np.abs(inner)
+    coeff = np.empty_like(mag)
+    quartic = np.empty_like(mag)
     for k in range(n_steps):
-        inner = phi[1:-1]
-        mag = np.abs(inner)
-        rhs = (phi[2:] - 2.0 * inner + phi[:-2]) * inv_h2
-        rhs += (-m2 + 3.0 * a * mag - 4.0 * b * mag * mag) * inner
-        new_inner = 2.0 * inner - phi_prev[1:-1] + dt2 * rhs
-        phi_prev[1:-1] = inner
-        phi[1:-1] = new_inner
-        sup = np.abs(new_inner).max()
+        # rhs = (phi[2:] - 2 inner + phi[:-2]) / h^2
+        np.multiply(2.0, inner, out=scratch)
+        np.subtract(phi[2:], scratch, out=rhs)
+        np.add(rhs, phi[:-2], out=rhs)
+        np.multiply(rhs, inv_h2, out=rhs)
+        # rhs += (-m^2 + 3a|phi| - 4b|phi|^2) phi
+        np.multiply(3.0 * a, mag, out=coeff)
+        np.add(-m2, coeff, out=coeff)
+        np.multiply(4.0 * b, mag, out=quartic)
+        np.multiply(quartic, mag, out=quartic)
+        np.subtract(coeff, quartic, out=coeff)
+        np.multiply(coeff, inner, out=scratch)
+        np.add(rhs, scratch, out=rhs)
+        # new = 2 inner - prev + dt^2 rhs
+        np.multiply(2.0, inner, out=scratch)
+        np.subtract(scratch, prev_inner, out=scratch)
+        np.multiply(dt2, rhs, out=rhs)
+        np.add(scratch, rhs, out=scratch)
+        prev_inner[...] = inner
+        inner[...] = scratch
+        # |new| is the next step's |phi|
+        np.abs(scratch, out=mag)
+        sup = mag.max()
         if not sup <= guard:  # catches NaN as well as overshoot
             return k + 1
     return n_steps
 
 
-def _pivot_floor(off) -> float:
-    """LAPACK-style pivot floor: the safe minimum scaled by max(1, off^2)."""
-    e2max = float(np.max(np.square(off), initial=0.0))
-    return _SAFE_MIN * max(1.0, e2max)
+def _pivot_floor(e2) -> float:
+    """LAPACK-style pivot floor: the safe minimum scaled by max(1, off^2),
+    from the squared off-diagonal ``e2``."""
+    return _SAFE_MIN * max(1.0, float(np.max(e2, initial=0.0)))
 
 
 def sturm_count(diag, off, shift):
-    """Number of eigenvalues of the symmetric tridiagonal matrix below shift.
+    """Number of eigenvalues of the symmetric tridiagonal matrix at or below
+    ``shift``, within the pivot floor (LAPACK ``dstebz`` convention).
 
-    Sturm sequence via the LDL^T pivot recurrence with a LAPACK-style pivot
-    floor so near-singular shifts cannot divide by zero.
+    Sturm sequence via the LDL^T pivot recurrence.  A pivot inside
+    [-pivmin, pivmin] is replaced by -pivmin, so near-singular shifts cannot
+    divide by zero and an eigenvalue equal to ``shift`` is counted.
     """
-    n = diag.shape[0]
-    pivmin = _pivot_floor(off)
+    # squared off-diagonal with a leading 0: the first pivot is then
+    # d - shift - 0/1, which is exactly d - shift
+    e2 = np.empty(diag.shape[0])
+    e2[0] = 0.0
+    np.square(off, out=e2[1:])
+    pivmin = _pivot_floor(e2)
+    shift = float(shift)
     count = 0
-    q = diag[0] - shift
-    for i in range(n):
-        if i > 0:
-            q = diag[i] - shift - off[i - 1] * off[i - 1] / q
-        if abs(q) <= pivmin:
+    q = 1.0
+    for d, s in zip(diag.tolist(), e2.tolist()):
+        q = d - shift - s / q
+        if -pivmin <= q <= pivmin:
             q = -pivmin
         if q < 0.0:
             count += 1
@@ -65,21 +101,25 @@ def tridiag_solve(diag, off, rhs):
     inverse-iteration workload) return a huge but finite solution instead of
     dividing by zero.  Returns a new array.
     """
-    n = diag.shape[0]
-    c = np.empty(n - 1)
-    x = np.empty(n)
-    pivmin = _pivot_floor(off)
+    pivmin = _pivot_floor(np.square(off))
+    diag_it = iter(diag.tolist())
+    rhs_it = iter(rhs.tolist())
 
-    piv = diag[0]
-    if abs(piv) <= pivmin:
+    piv = next(diag_it)
+    if -pivmin <= piv <= pivmin:
         piv = -pivmin
-    x[0] = rhs[0] / piv
-    for i in range(1, n):
-        c[i - 1] = off[i - 1] / piv
-        piv = diag[i] - off[i - 1] * c[i - 1]
-        if abs(piv) <= pivmin:
+    xi = next(rhs_it) / piv
+    x = [xi]
+    c = []
+    for e, d, r in zip(off.tolist(), diag_it, rhs_it):
+        ci = e / piv
+        piv = d - e * ci
+        if -pivmin <= piv <= pivmin:
             piv = -pivmin
-        x[i] = (rhs[i] - off[i - 1] * x[i - 1]) / piv
-    for i in range(n - 2, -1, -1):
-        x[i] -= c[i] * x[i + 1]
-    return x
+        xi = (r - e * xi) / piv
+        c.append(ci)
+        x.append(xi)
+    for i in range(len(c) - 1, -1, -1):
+        xi = x[i] - c[i] * xi
+        x[i] = xi
+    return np.array(x)

@@ -89,19 +89,24 @@ def assemble(p: ModelParams, omega: float, step: float,
                                half_length=float(half_length), kind=kind)
 
 
+def _matvec(diag, off, v):
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
+
+
 def apply(op: TridiagonalOperator, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product of the discretized operator."""
     v = np.asarray(v, dtype=float)
     if v.shape != op.diagonal.shape:
         raise ValueError(f"vector length {v.shape} != operator {op.diagonal.shape}")
-    out = op.diagonal * v
-    out[:-1] += op.off_diagonal * v[1:]
-    out[1:] += op.off_diagonal * v[:-1]
-    return out
+    return _matvec(op.diagonal, op.off_diagonal, v)
 
 
 def eigenvalue_count_below(op: TridiagonalOperator, shift: float) -> int:
-    """Number of eigenvalues strictly below ``shift`` (Sturm sequence)."""
+    """Number of eigenvalues at or below ``shift``, within the pivot floor
+    (LAPACK ``dstebz`` convention; Sturm sequence)."""
     return int(_kernels.sturm_count(op.diagonal, op.off_diagonal, shift))
 
 
@@ -147,9 +152,7 @@ def _inverse_iteration(diag, off, eigenvalue, rng, neighbors) -> np.ndarray:
         raise EigensolverError(
             f"inverse iteration stalled at eigenvalue {eigenvalue!r}"
         )
-    residual = diag * v
-    residual[:-1] += off * v[1:]
-    residual[1:] += off * v[:-1]
+    residual = _matvec(diag, off, v)
     residual -= eigenvalue * v
     if np.linalg.norm(residual) > 1e-6:
         raise EigensolverError(

@@ -6,6 +6,10 @@ package: profiles come from Runge-Kutta integration of the defining ODE
 special functions from truncated series, extrema from golden-section search.
 Expected values in the tests are produced by these routines, not copied from
 the implementation under test.
+
+The exception is the last section: reference forms of the package's scalar
+kernels, written as plain index loops over NumPy arrays.  They do the same
+arithmetic in the same order, so the tests demand bitwise equality with them.
 """
 
 from __future__ import annotations
@@ -110,3 +114,69 @@ def centered_first(f, x: float, h: float) -> float:
 
 def centered_second(f, x: float, h: float) -> float:
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
+
+
+# --- reference kernels (bitwise oracles for kgstab._kernels) ---------------
+
+_SAFE_MIN = 2.2250738585072014e-308
+
+
+def _pivot_floor(off) -> float:
+    e2max = float(np.max(np.square(off), initial=0.0))
+    return _SAFE_MIN * max(1.0, e2max)
+
+
+def sturm_count(diag, off, shift):
+    """Pivots of the LDL^T recurrence at or below zero, floored at pivmin."""
+    n = diag.shape[0]
+    pivmin = _pivot_floor(off)
+    count = 0
+    q = diag[0] - shift
+    for i in range(n):
+        if i > 0:
+            q = diag[i] - shift - off[i - 1] * off[i - 1] / q
+        if abs(q) <= pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def tridiag_solve(diag, off, rhs):
+    """Thomas algorithm with the same pivot floor."""
+    n = diag.shape[0]
+    c = np.empty(n - 1)
+    x = np.empty(n)
+    pivmin = _pivot_floor(off)
+
+    piv = diag[0]
+    if abs(piv) <= pivmin:
+        piv = -pivmin
+    x[0] = rhs[0] / piv
+    for i in range(1, n):
+        c[i - 1] = off[i - 1] / piv
+        piv = diag[i] - off[i - 1] * c[i - 1]
+        if abs(piv) <= pivmin:
+            piv = -pivmin
+        x[i] = (rhs[i] - off[i - 1] * x[i - 1]) / piv
+    for i in range(n - 2, -1, -1):
+        x[i] -= c[i] * x[i + 1]
+    return x
+
+
+def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
+    """Leapfrog with fresh temporaries each step; returns the steps taken."""
+    inv_h2 = 1.0 / (step_x * step_x)
+    dt2 = step_t * step_t
+    for k in range(n_steps):
+        inner = phi[1:-1]
+        mag = np.abs(inner)
+        rhs = (phi[2:] - 2.0 * inner + phi[:-2]) * inv_h2
+        rhs += (-m2 + 3.0 * a * mag - 4.0 * b * mag * mag) * inner
+        new_inner = 2.0 * inner - phi_prev[1:-1] + dt2 * rhs
+        phi_prev[1:-1] = inner
+        phi[1:-1] = new_inner
+        sup = np.abs(new_inner).max()
+        if not sup <= guard:
+            return k + 1
+    return n_steps
