@@ -97,9 +97,11 @@ def sturm_count(diag, off, shift):
 def tridiag_solve(diag, off, rhs):
     """Solve the symmetric tridiagonal system (Thomas algorithm).
 
-    Pivots are floored in magnitude so shifted near-singular systems (the
-    inverse-iteration workload) return a huge but finite solution instead of
-    dividing by zero.  Returns a new array.
+    Pivots are floored in magnitude so a shifted near-singular system (the
+    inverse-iteration workload) never divides by zero.  A pivot that is
+    exactly zero becomes -pivmin, and an O(1) right-hand side then overflows
+    to inf (and NaN in back-substitution): callers must check the result is
+    finite.  Returns a new array.
     """
     pivmin = _pivot_floor(np.square(off))
     diag_it = iter(diag.tolist())

@@ -30,122 +30,71 @@ _NUM = {"type": "number"}
 _INT = {"type": "integer"}
 _MAYBE_NUM = {"type": ["number", "null"]}
 _NUM_ARRAY = {"type": "array", "items": _NUM}
-_PARAMS_SCHEMA = {
-    "type": "object",
-    "required": ["a", "b", "m"],
-    "properties": {"a": _NUM, "b": _NUM, "m": _NUM},
-}
+
+
+def _object(properties: dict, optional=()) -> dict:
+    """Object schema requiring every property except the ``optional`` ones."""
+    return {"type": "object",
+            "required": [key for key in properties if key not in optional],
+            "properties": properties}
+
 
 SCHEMAS = {
-    "tau-star": {
-        "type": "object",
-        "required": ["tau_star", "alpha_d"],
-        "properties": {"tau_star": _NUM, "alpha_d": _NUM},
-    },
-    "classify": {
-        "type": "object",
-        "required": ["params", "tau", "tau_star", "omega_window",
-                     "roots_alpha", "roots_omega", "intervals"],
-        "properties": {
-            "params": _PARAMS_SCHEMA,
-            "tau": _NUM,
-            "tau_star": _NUM,
-            "omega_window": {
-                "type": "object",
-                "required": ["omega_star", "m"],
-                "properties": {"omega_star": _NUM, "m": _NUM},
-            },
-            "roots_alpha": _NUM_ARRAY,
-            "roots_omega": _NUM_ARRAY,
-            "intervals": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["lo", "hi", "verdict"],
-                    "properties": {"lo": _NUM, "hi": _NUM,
-                                   "verdict": {"type": "string"}},
-                },
-            },
-        },
-    },
-    "profile": {
-        "type": "object",
-        "required": ["omega", "half_length", "step", "max_ode_residual",
-                     "x", "r"],
-        "properties": {"omega": _NUM, "half_length": _NUM, "step": _NUM,
-                       "max_ode_residual": _NUM, "x": _NUM_ARRAY,
-                       "r": _NUM_ARRAY},
-    },
-    "sigma": {
-        "type": "object",
-        "required": ["omega", "alpha", "sigma_closed"],
-        "properties": {"omega": _NUM, "alpha": _NUM, "sigma_closed": _NUM,
-                       "sigma_quadrature": _NUM, "relative_gap": _NUM},
-    },
-    "spectrum": {
-        "type": "object",
-        "required": ["omega", "grid", "lplus_eigenvalues",
-                     "lminus_eigenvalues", "lplus_kernel_match",
-                     "lminus_kernel_match", "negative_count_lplus",
-                     "negative_count_lminus"],
-        "properties": {
-            "omega": _NUM,
-            "grid": {
-                "type": "object",
-                "required": ["half_length", "step"],
-                "properties": {"half_length": _NUM, "step": _NUM},
-            },
-            "lplus_eigenvalues": _NUM_ARRAY,
-            "lminus_eigenvalues": _NUM_ARRAY,
-            "lplus_kernel_match": _NUM,
-            "lminus_kernel_match": _NUM,
-            "negative_count_lplus": _INT,
-            "negative_count_lminus": _INT,
-        },
-    },
-    "evolve": {
-        "type": "object",
-        "required": ["t_final", "relative_energy_drift",
-                     "relative_charge_drift", "initial_distance",
-                     "max_distance", "distance_ratio", "first_crossing_100x",
-                     "max_sup_amplitude", "truncated", "truncation_time",
-                     "tail_first_exceed"],
-        "properties": {
-            "t_final": _NUM,
-            "relative_energy_drift": _NUM,
-            "relative_charge_drift": _NUM,
-            "initial_distance": _NUM,
-            "max_distance": _NUM,
-            "distance_ratio": _MAYBE_NUM,
-            "first_crossing_100x": _MAYBE_NUM,
-            "max_sup_amplitude": _NUM,
-            "truncated": {"type": "boolean"},
-            "truncation_time": _MAYBE_NUM,
-            "tail_first_exceed": _MAYBE_NUM,
-        },
-    },
-    "sweep": {
-        "type": "object",
-        "required": ["n", "rows"],
-        "properties": {
-            "n": _INT,
-            "rows": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["omega", "alpha", "sigma", "d2_sign"],
-                    "properties": {"omega": _NUM, "alpha": _NUM,
-                                   "sigma": _NUM, "d2_sign": _INT},
-                },
-            },
-        },
-    },
+    "tau-star": _object({"tau_star": _NUM, "alpha_d": _NUM}),
+    "classify": _object({
+        "params": _object({"a": _NUM, "b": _NUM, "m": _NUM}),
+        "tau": _NUM,
+        "tau_star": _NUM,
+        "omega_window": _object({"omega_star": _NUM, "m": _NUM}),
+        "roots_alpha": _NUM_ARRAY,
+        "roots_omega": _NUM_ARRAY,
+        "intervals": {"type": "array", "items": _object(
+            {"lo": _NUM, "hi": _NUM, "verdict": {"type": "string"}})},
+    }),
+    "profile": _object({"omega": _NUM, "half_length": _NUM, "step": _NUM,
+                        "max_ode_residual": _NUM, "x": _NUM_ARRAY,
+                        "r": _NUM_ARRAY}),
+    "sigma": _object({"omega": _NUM, "alpha": _NUM, "sigma_closed": _NUM,
+                      "sigma_quadrature": _NUM, "relative_gap": _NUM},
+                     optional=("sigma_quadrature", "relative_gap")),
+    "spectrum": _object({
+        "omega": _NUM,
+        "grid": _object({"half_length": _NUM, "step": _NUM}),
+        "lplus_eigenvalues": _NUM_ARRAY,
+        "lminus_eigenvalues": _NUM_ARRAY,
+        "lplus_kernel_match": _NUM,
+        "lminus_kernel_match": _NUM,
+        "negative_count_lplus": _INT,
+        "negative_count_lminus": _INT,
+    }),
+    "evolve": _object({
+        "t_final": _NUM,
+        "relative_energy_drift": _NUM,
+        "relative_charge_drift": _NUM,
+        "initial_distance": _NUM,
+        "max_distance": _NUM,
+        "distance_ratio": _MAYBE_NUM,
+        "first_crossing_100x": _MAYBE_NUM,
+        "max_sup_amplitude": _NUM,
+        "truncated": {"type": "boolean"},
+        "truncation_time": _MAYBE_NUM,
+        "tail_first_exceed": _MAYBE_NUM,
+    }),
+    "sweep": _object({
+        "n": _INT,
+        "rows": {"type": "array", "items": _object(
+            {"omega": _NUM, "alpha": _NUM, "sigma": _NUM, "d2_sign": _INT})},
+    }),
 }
 
 # Relative gap between closed-form sigma and its quadrature oracle beyond
 # which `sigma --check` refuses to pass.
 _SIGMA_GAP_LIMIT = 1e-6
 _SIGMA_CHECK_STEP = 0.005
+
+# JSON string escapes: the quote, the backslash and the control characters.
+_ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\",
+                          **{chr(i): f"\\u{i:04x}" for i in range(0x20)}})
 
 
 def _format_float(value: float) -> str:
@@ -155,16 +104,7 @@ def _format_float(value: float) -> str:
 
 
 def _escape_string(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch in ('"', "\\"):
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + text.translate(_ESCAPES) + '"'
 
 
 def render_json(obj, indent: int = 0) -> str:
@@ -198,21 +138,29 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"no JSON encoding for {type(obj).__name__}")
 
 
-def _envelope(command: str, params, payload: dict, provenance: dict) -> dict:
-    return {
+def _envelope(command: str, p: ModelParams | None, payload: dict,
+              provenance: dict, start: float) -> str:
+    """The rendered envelope, with the wall time since ``start`` as the last
+    provenance key."""
+    provenance["wall_time_s"] = time.perf_counter() - start
+    return render_json({
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "params": params,
+        "params": None if p is None else {"a": p.a, "b": p.b, "m": p.m},
         "payload": payload,
         "provenance": provenance,
-    }
+    }) + "\n"
 
 
-def _params_dict(p: ModelParams) -> dict:
-    return {"a": p.a, "b": p.b, "m": p.m}
+def _csv(header, rows) -> str:
+    """CSV text: floats at 17 significant digits, anything else via str."""
+    lines = [",".join(header)]
+    lines += [",".join(_format_float(float(v)) if isinstance(v, float)
+                       else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path) -> None:
+def _emit(text: str, out_path=None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as stream:
             stream.write(text)
@@ -313,9 +261,8 @@ def _cmd_tau_star(args) -> int:
     crit = stability.tau_star()
     if args.json:
         payload = {"tau_star": crit.tau_star, "alpha_d": crit.alpha_d}
-        prov = {"tolerances": {"tol_alpha": 1e-12},
-                "wall_time_s": time.perf_counter() - start}
-        print(render_json(_envelope("tau-star", None, payload, prov)))
+        prov = {"tolerances": {"tol_alpha": 1e-12}}
+        _emit(_envelope("tau-star", None, payload, prov, start))
     else:
         print(f"tau_star = {_format_float(crit.tau_star)}")
         print(f"alpha_d = {_format_float(crit.alpha_d)}")
@@ -328,15 +275,10 @@ def _cmd_classify(args) -> int:
     report = stability.classify(p, check_oracle=not args.no_check)
     if args.json:
         prov = {"tolerances": {"alpha_tol": 1e-12, "sign_tol": 1e-10},
-                "oracle_checked": not args.no_check,
-                "wall_time_s": time.perf_counter() - start}
-        print(render_json(_envelope("classify", _params_dict(p),
-                                    report.to_dict(), prov)))
+                "oracle_checked": not args.no_check}
+        _emit(_envelope("classify", p, report.to_dict(), prov, start))
     elif args.csv:
-        lines = ["lo,hi,verdict"]
-        lines += [f"{_format_float(lo)},{_format_float(hi)},{verdict}"
-                  for (lo, hi, verdict) in report.intervals]
-        print("\n".join(lines))
+        _emit(_csv(["lo", "hi", "verdict"], report.intervals))
     else:
         print(f"tau = {_format_float(report.tau)}")
         print(f"tau_star = {_format_float(report.tau_star)}")
@@ -354,24 +296,15 @@ def _cmd_profile(args) -> int:
     start = time.perf_counter()
     p = ModelParams(args.a, args.b, args.m)
     prof = soliton.build_profile(p, args.omega, args.h, tail_tol=args.tail)
+    x, r = prof.x.tolist(), prof.values.tolist()
     if args.json:
-        payload = {
-            "omega": prof.omega,
-            "half_length": prof.half_length,
-            "step": prof.step,
-            "max_ode_residual": prof.max_ode_residual,
-            "x": [float(v) for v in prof.x],
-            "r": [float(v) for v in prof.values],
-        }
-        prov = {"grid": {"step": args.h, "tail_tol": args.tail},
-                "wall_time_s": time.perf_counter() - start}
-        text = render_json(_envelope("profile", _params_dict(p), payload,
-                                     prov)) + "\n"
+        payload = {"omega": prof.omega, "half_length": prof.half_length,
+                   "step": prof.step, "max_ode_residual": prof.max_ode_residual,
+                   "x": x, "r": r}
+        prov = {"grid": {"step": args.h, "tail_tol": args.tail}}
+        text = _envelope("profile", p, payload, prov, start)
     else:
-        lines = ["x,R"]
-        lines += [f"{_format_float(float(x))},{_format_float(float(r))}"
-                  for x, r in zip(prof.x, prof.values)]
-        text = "\n".join(lines) + "\n"
+        text = _csv(["x", "R"], zip(x, r))
     _emit(text, args.out)
     return 0
 
@@ -380,26 +313,24 @@ def _cmd_sigma(args) -> int:
     start = time.perf_counter()
     p = ModelParams(args.a, args.b, args.m)
     closed = stability.sigma_closed(p, args.omega)
-    alpha = alpha_of_omega(p, args.omega)
-    payload = {"omega": args.omega, "alpha": alpha, "sigma_closed": closed}
-    gap = None
+    payload = {"omega": args.omega, "alpha": alpha_of_omega(p, args.omega),
+               "sigma_closed": closed}
     if args.check:
         quad = soliton.charge(
             soliton.build_profile(p, args.omega, _SIGMA_CHECK_STEP))
-        gap = abs(closed - quad) / closed
         payload["sigma_quadrature"] = quad
-        payload["relative_gap"] = gap
+        payload["relative_gap"] = abs(closed - quad) / closed
     if args.json:
         prov = {"tolerances": {"check_gap": _SIGMA_GAP_LIMIT},
-                "grid": {"step": _SIGMA_CHECK_STEP} if args.check else None,
-                "wall_time_s": time.perf_counter() - start}
-        print(render_json(_envelope("sigma", _params_dict(p), payload, prov)))
+                "grid": {"step": _SIGMA_CHECK_STEP} if args.check else None}
+        _emit(_envelope("sigma", p, payload, prov, start))
     else:
         print(f"sigma_closed = {_format_float(closed)}")
         if args.check:
             print(f"sigma_quadrature = {_format_float(payload['sigma_quadrature'])}")
-            print(f"relative_gap = {_format_float(gap)}")
-    if gap is not None and not gap < _SIGMA_GAP_LIMIT:
+            print(f"relative_gap = {_format_float(payload['relative_gap'])}")
+    gap = payload.get("relative_gap", 0.0)
+    if not gap < _SIGMA_GAP_LIMIT:
         print(f"kgstab: oracle-disagreement: sigma quadrature gap {gap:.3e} "
               f"exceeds {_SIGMA_GAP_LIMIT:.0e}", file=sys.stderr)
         return 4
@@ -415,24 +346,18 @@ def _cmd_spectrum(args) -> int:
     report = spectrum.spectral_report(p, args.omega, args.h,
                                       half_length=args.L, k=args.k)
     if args.vectors:
-        header = ["x"]
-        header += [f"lplus_{i}" for i in range(args.k)]
-        header += [f"lminus_{i}" for i in range(args.k)]
-        lines = [",".join(header)]
-        for i, x in enumerate(report.x):
-            row = [x, *report.lplus_eigenvectors[i],
-                   *report.lminus_eigenvectors[i]]
-            lines.append(",".join(_format_float(float(v)) for v in row))
-        with open(args.vectors, "w", encoding="utf-8") as stream:
-            stream.write("\n".join(lines) + "\n")
+        header = ["x", *(f"{kind}_{i}" for kind in ("lplus", "lminus")
+                         for i in range(args.k))]
+        rows = ([x, *plus, *minus] for x, plus, minus in zip(
+            report.x.tolist(), report.lplus_eigenvectors.tolist(),
+            report.lminus_eigenvectors.tolist()))
+        _emit(_csv(header, rows), args.vectors)
     if args.json:
         prov = {"grid": {"step": args.h, "half_length": report.half_length,
                          "k": args.k},
                 "tolerances": {"eigenvalue_tol": 1e-10,
-                               "kernel_band": 10.0 * args.h * args.h},
-                "wall_time_s": time.perf_counter() - start}
-        print(render_json(_envelope("spectrum", _params_dict(p),
-                                    report.to_dict(), prov)))
+                               "kernel_band": 10.0 * args.h * args.h}}
+        _emit(_envelope("spectrum", p, report.to_dict(), prov, start))
     else:
         print(f"omega = {_format_float(report.omega)}")
         print("lplus_eigenvalues = "
@@ -450,10 +375,6 @@ def _cmd_evolve(args) -> int:
     start = time.perf_counter()
     p = ModelParams(args.a, args.b, args.m)
     kind, eps = args.perturb
-    if not args.t_final > 0.0:
-        raise DomainError(f"--t-final must be positive, got {args.t_final!r}")
-    if args.sample < 1:
-        raise DomainError(f"--sample must be >= 1, got {args.sample!r}")
     diag = evolve_mod.run(p, args.omega, args.perturb, args.t_final,
                           sample_every=args.sample, step_x=args.dx,
                           step_t=args.dt)
@@ -463,10 +384,8 @@ def _cmd_evolve(args) -> int:
                      "sample_every": args.sample,
                      "perturbation":
                          kind if kind == "none" else f"{kind}:{eps!r}"},
-            "out": args.out,
-            "wall_time_s": time.perf_counter() - start}
-    print(render_json(_envelope("evolve", _params_dict(p), diag.summary(),
-                                prov)))
+            "out": args.out}
+    _emit(_envelope("evolve", p, diag.summary(), prov, start))
     if diag.truncated:
         print(f"kgstab: blow-up: run truncated at t="
               f"{_format_float(diag.truncation_time)}", file=sys.stderr)
@@ -494,20 +413,22 @@ def _cmd_sweep(args) -> int:
     ]
 
     if args.json:
-        payload = {"n": args.n, "rows": rows}
-        prov = {"wall_time_s": time.perf_counter() - start}
-        text = render_json(_envelope("sweep", _params_dict(p), payload,
-                                     prov)) + "\n"
+        text = _envelope("sweep", p, {"n": args.n, "rows": rows}, {}, start)
     else:
-        lines = ["omega,alpha,sigma,d2_sign"]
-        lines += [
-            f"{_format_float(r['omega'])},{_format_float(r['alpha'])},"
-            f"{_format_float(r['sigma'])},{r['d2_sign']}"
-            for r in rows
-        ]
-        text = "\n".join(lines) + "\n"
+        text = _csv(["omega", "alpha", "sigma", "d2_sign"],
+                    (row.values() for row in rows))
     _emit(text, args.out)
     return 0
+
+
+# Exception family -> (stderr tag, exit code); the first isinstance match wins.
+_ERRORS = {
+    DomainError: ("domain-error", 3),
+    evolve_mod.CFLError: ("cfl-error", 3),
+    soliton.GridError: ("grid-error", 3),
+    stability.OracleDisagreementError: ("oracle-disagreement", 4),
+    spectrum.EigensolverError: ("eigensolver-error", 1),
+}
 
 
 def main(argv=None) -> int:
@@ -519,24 +440,11 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"kgstab: domain-error: {exc}", file=sys.stderr)
-        return 3
-    except evolve_mod.CFLError as exc:
-        print(f"kgstab: cfl-error: {exc}", file=sys.stderr)
-        return 3
-    except soliton.GridError as exc:
-        print(f"kgstab: grid-error: {exc}", file=sys.stderr)
-        return 3
-    except stability.OracleDisagreementError as exc:
-        print(f"kgstab: oracle-disagreement: {exc}", file=sys.stderr)
-        return 4
-    except evolve_mod.BlowUpError as exc:
-        print(f"kgstab: blow-up: {exc}", file=sys.stderr)
-        return 5
-    except spectrum.EigensolverError as exc:
-        print(f"kgstab: eigensolver-error: {exc}", file=sys.stderr)
-        return 1
+    except tuple(_ERRORS) as exc:
+        tag, code = next(entry for family, entry in _ERRORS.items()
+                         if isinstance(exc, family))
+        print(f"kgstab: {tag}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

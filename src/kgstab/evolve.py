@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .model import ModelParams
+from .model import DomainError, ModelParams
 from .soliton import (SolitonProfile, build_profile, closed_form_profile,
                       composite_simpson)
 
@@ -29,7 +29,8 @@ _TAIL_LEVEL = 1e-8
 
 
 class CFLError(ValueError):
-    """Time step too large for the spatial step (leapfrog stability)."""
+    """Time step not positive, or too large for the spatial step (leapfrog
+    stability)."""
 
 
 class BlowUpError(RuntimeError):
@@ -78,6 +79,8 @@ class FieldState:
     def __post_init__(self):
         if self.phi.shape != self.phi_prev.shape:
             raise ValueError("phi and phi_prev grids differ")
+        if not self.step_t > 0.0:
+            raise CFLError(f"step_t must be positive, got {self.step_t!r}")
         if not self.step_t <= 0.9 * self.step_x:
             raise CFLError(
                 f"step_t={self.step_t!r} violates step_t <= 0.9*step_x "
@@ -279,11 +282,15 @@ def run(p: ModelParams, omega: float, perturbation, t_final: float,
     final time).  A tripped amplitude guard truncates the run: the
     diagnostics collected so far come back with ``truncated`` set instead of
     an exception escaping.
+
+    Raises DomainError for a ``t_final`` that is not positive and finite or
+    a ``sample_every`` below 1.
     """
-    if not t_final > 0.0:
-        raise ValueError(f"t_final must be positive, got {t_final!r}")
+    if not 0.0 < t_final < math.inf:
+        raise DomainError(
+            f"t_final must be positive and finite, got {t_final!r}")
     if not sample_every >= 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
+        raise DomainError(f"sample_every must be >= 1, got {sample_every!r}")
     profile = build_profile(p, omega, step_x, half_length=half_length)
     state = init_state(profile, perturbation, step_t, extra_half_length)
 

@@ -76,6 +76,20 @@ class ModelParams:
         return FrequencyWindow(self.omega_star, self.m)
 
 
+def bisect(goes_up, lo: float, hi: float, tol: float) -> float:
+    """Halve [lo, hi] until it is at most ``tol`` wide; return its midpoint.
+
+    ``goes_up(mid)`` is true when the point sought lies above ``mid``.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if goes_up(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def alpha_of_omega(p: ModelParams, omega: float) -> float:
     """Shape parameter alpha = sqrt(2b(m^2 - omega^2))/a for omega in the window."""
     p.window.require(omega)

@@ -97,8 +97,9 @@ def build_profile(p: ModelParams, omega: float, step: float,
     c = p.m * p.m - omega * omega
     if half_length is None:
         half_length = max(40.0, -math.log(tail_tol) + 5.0) / math.sqrt(c)
-    elif not half_length > 0.0:
-        raise GridError(f"half_length must be positive, got {half_length!r}")
+    elif not 0.0 < half_length < math.inf:
+        raise GridError(
+            f"half_length must be positive and finite, got {half_length!r}")
 
     n_int = int(math.ceil(half_length / step - 1e-9))
     n_int += n_int % 2  # Simpson wants an even interval count

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .model import ModelParams
+from .model import DomainError, ModelParams, bisect
 from .soliton import GridError, closed_form_profile, closed_form_slope
 
 _KINDS = ("lplus", "lminus")
@@ -69,6 +69,9 @@ def assemble(p: ModelParams, omega: float, step: float,
         )
     if half_length is None:
         half_length = 40.0 / math.sqrt(c)
+    elif not 0.0 < half_length < math.inf:
+        raise GridError(
+            f"half_length must be positive and finite, got {half_length!r}")
     n_side = int(math.ceil(half_length / step - 1e-9))
     if n_side < 2:
         raise GridError("grid too small: needs at least 2 intervals per side")
@@ -110,36 +113,31 @@ def eigenvalue_count_below(op: TridiagonalOperator, shift: float) -> int:
     return int(_kernels.sturm_count(op.diagonal, op.off_diagonal, shift))
 
 
-def _bisect_eigenvalue(diag, off, index, lo, hi, tol) -> float:
-    """Smallest-index-th eigenvalue by bisecting the Sturm count."""
-    want = index + 1
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _kernels.sturm_count(diag, off, mid) >= want:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def _inverse_iteration(diag, off, eigenvalue, rng, neighbors) -> np.ndarray:
     """Eigenvector for a converged eigenvalue estimate.
 
     Thomas solves against the shifted matrix; the floored pivots turn the
     near-singular system into a strongly magnifying one, which is exactly
-    what inverse iteration wants.  ``neighbors`` are already-computed
-    eigenvectors of nearby eigenvalues to orthogonalize against.
+    what inverse iteration wants.  A shift that makes a pivot exactly zero
+    overflows the solve instead; it is then moved off by a few ulps of the
+    matrix scale (as LAPACK ``dstein`` perturbs tiny pivots) and the
+    iteration restarts.  ``neighbors`` are already-computed eigenvectors of
+    nearby eigenvalues to orthogonalize against.
     """
     n = diag.size
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     shifted = diag - eigenvalue
+    nudge = 4.0 * np.finfo(float).eps * float(
+        np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
     prev = v
     for _ in range(100):
         w = _kernels.tridiag_solve(shifted, off, prev)
         for u in neighbors:
             w = w - (u @ w) * u
         norm = np.linalg.norm(w)
+        if not np.isfinite(norm):
+            shifted = shifted - nudge
         if norm == 0.0 or not np.isfinite(norm):
             prev = rng.standard_normal(n)
             prev /= np.linalg.norm(prev)
@@ -170,7 +168,7 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int,
     """The k algebraically smallest eigenpairs, eigenvalues nondecreasing."""
     n = op.size
     if not 1 <= k <= n:
-        raise ValueError(f"k={k!r} out of range for matrix size {n}")
+        raise DomainError(f"k={k!r} out of range for matrix size {n}")
     diag, off = op.diagonal, op.off_diagonal
     radius = np.zeros(n)
     radius[:-1] += np.abs(off)
@@ -181,7 +179,11 @@ def lowest_eigenpairs(op: TridiagonalOperator, k: int,
     pairs: list[tuple[float, np.ndarray]] = []
     lo = lo_bound
     for j in range(k):
-        value = _bisect_eigenvalue(diag, off, j, lo, hi_bound, tol)
+        # the (j+1)-th eigenvalue lies above mid while fewer than j+1 are
+        # at or below it
+        value = bisect(
+            lambda mid: _kernels.sturm_count(diag, off, mid) <= j,
+            lo, hi_bound, tol)
         rng = np.random.default_rng(1234 + j)
         neighbors = [v for (ev, v) in pairs if abs(ev - value) < 1e-6]
         vector = _inverse_iteration(diag, off, value, rng, neighbors)

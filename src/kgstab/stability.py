@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import (DomainError, FrequencyWindow, ModelParams,
-                    alpha_of_omega, omega_of_alpha)
+                    alpha_of_omega, bisect, omega_of_alpha)
 from .soliton import d_second_numeric
 
 # Below this alpha the log/artanh differences are evaluated by series; the
@@ -134,13 +134,7 @@ def tau_star(tol_alpha: float = 1e-12) -> TauStarResult:
         prev_a, prev_s = a, s
     if lo is None:
         raise RuntimeError("no sign change of k2_prime found on (0, 1)")
-    while hi - lo > tol_alpha:
-        mid = 0.5 * (lo + hi)
-        if k2_prime(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    alpha_d = 0.5 * (lo + hi)
+    alpha_d = bisect(lambda mid: k2_prime(mid) > 0.0, lo, hi, tol_alpha)
     return TauStarResult(tau_star=k2(alpha_d), alpha_d=alpha_d)
 
 
@@ -185,18 +179,6 @@ class StabilityReport:
         }
 
 
-def _bisect_k2_root(tau: float, lo: float, hi: float, tol: float) -> float:
-    """Root of k2(alpha) = tau on a monotone bracket with a sign change."""
-    f_lo = k2(lo) - tau
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (k2(mid) - tau) * f_lo > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 # Tolerance below which tau is treated as exactly critical (touching root).
 _TOUCH_TOL = 1e-10
 
@@ -231,8 +213,13 @@ def classify(p: ModelParams, alpha_tol: float = 1e-12,
         for lo, hi in branches:
             if lo >= hi:
                 continue
-            if (k2(lo) - tau) * (k2(hi) - tau) < 0.0:
-                roots_alpha.append(_bisect_k2_root(tau, lo, hi, alpha_tol))
+            f_lo = k2(lo) - tau
+            if f_lo * (k2(hi) - tau) < 0.0:
+                # k2 is monotone on the branch: the root lies above any
+                # alpha where k2 - tau keeps the sign it has at lo
+                roots_alpha.append(bisect(
+                    lambda mid: (k2(mid) - tau) * f_lo > 0.0,
+                    lo, hi, alpha_tol))
 
     roots_alpha.sort(reverse=True)  # alpha decreasing <=> omega increasing
     roots_omega = [omega_of_alpha(p, a) for a in roots_alpha]

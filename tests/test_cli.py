@@ -1,13 +1,33 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kgstab
 from kgstab import ModelParams, build_profile, sigma_closed, tau_star
 from kgstab.cli import SCHEMAS, main, render_json
 
 _TAU11_M = math.sqrt(0.55)  # tau = 1.1: window splits into three intervals
+_EVOLVE = ["evolve", "--a", "1", "--b", "1", "--m", "1", "--omega", "0.9",
+           "--perturb", "none", "--out", os.devnull]
+_SPECTRUM = ["spectrum", "--a", "1", "--b", "1", "--m", "1", "--omega", "0.9"]
+# each input is rejected before any large grid is allocated
+_BAD_INPUTS = [
+    (_EVOLVE + ["--t-final", "1", "--dt", "0"], "cfl-error"),
+    (_EVOLVE + ["--t-final", "1", "--dt", "-0.01"], "cfl-error"),
+    (_EVOLVE + ["--t-final", "inf"], "domain-error"),
+    (_EVOLVE + ["--t-final", "nan"], "domain-error"),
+    (_EVOLVE + ["--t-final", "0"], "domain-error"),
+    (_EVOLVE + ["--t-final", "1", "--sample", "0"], "domain-error"),
+    (_SPECTRUM + ["--h", "0.2", "--L", "1", "--k", "50"], "domain-error"),
+    (_SPECTRUM + ["--L", "nan"], "grid-error"),
+    (_SPECTRUM + ["--L", "inf"], "grid-error"),
+]
 
 
 def _check_schema(obj, schema, path="payload"):
@@ -292,3 +312,69 @@ def test_render_json_formatting():
     text = render_json({"a": [1.5, None, True], "b": "x\"y"})
     assert json.loads(text) == {"a": [1.5, None, True], "b": 'x"y'}
     assert render_json(0.1) == "0.10000000000000001"
+    # quote, backslash and C0 controls are escaped; DEL and non-ASCII are not
+    raw = 'a"b\\c\nd\x01e\x1ff\x7fg\u00e9'
+    assert render_json(raw) == '"a\\"b\\\\c\\u000ad\\u0001e\\u001ff\x7fg\u00e9"'
+    assert json.loads(render_json(raw)) == raw
+
+
+def _required_lists(schema, path):
+    """Every ``required`` list in ``schema``, keyed by its property path."""
+    found = {path: schema["required"]} if "required" in schema else {}
+    for key, sub in schema.get("properties", {}).items():
+        found.update(_required_lists(sub, f"{path}.{key}"))
+    if "items" in schema:
+        found.update(_required_lists(schema["items"], f"{path}[]"))
+    return found
+
+
+def test_schema_required_keys():
+    found = {}
+    for command, schema in SCHEMAS.items():
+        found.update(_required_lists(schema, command))
+    assert found == {
+        "tau-star": ["tau_star", "alpha_d"],
+        "classify": ["params", "tau", "tau_star", "omega_window",
+                     "roots_alpha", "roots_omega", "intervals"],
+        "classify.params": ["a", "b", "m"],
+        "classify.omega_window": ["omega_star", "m"],
+        "classify.intervals[]": ["lo", "hi", "verdict"],
+        "profile": ["omega", "half_length", "step", "max_ode_residual",
+                    "x", "r"],
+        "sigma": ["omega", "alpha", "sigma_closed"],
+        "spectrum": ["omega", "grid", "lplus_eigenvalues",
+                     "lminus_eigenvalues", "lplus_kernel_match",
+                     "lminus_kernel_match", "negative_count_lplus",
+                     "negative_count_lminus"],
+        "spectrum.grid": ["half_length", "step"],
+        "evolve": ["t_final", "relative_energy_drift",
+                   "relative_charge_drift", "initial_distance",
+                   "max_distance", "distance_ratio", "first_crossing_100x",
+                   "max_sup_amplitude", "truncated", "truncation_time",
+                   "tail_first_exceed"],
+        "sweep": ["n", "rows"],
+        "sweep.rows[]": ["omega", "alpha", "sigma", "d2_sign"],
+    }
+
+
+@pytest.mark.parametrize("argv, tag", _BAD_INPUTS)
+def test_bad_input_exit_code(capsys, argv, tag):
+    code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"kgstab: {tag}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_entry_point_exit_codes():
+    # a fresh interpreter shows what in-process calls cannot: an uncaught
+    # exception would end in a traceback
+    src = Path(kgstab.__file__).resolve().parent.parent
+    cases = [(["tau-star"], 0), (_BAD_INPUTS[0][0], 3), (_BAD_INPUTS[-1][0], 3)]
+    for argv, expected in cases:
+        result = subprocess.run(
+            [sys.executable, "-m", "kgstab.cli", *argv], capture_output=True,
+            text=True, env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert result.returncode == expected, result.stderr
+        assert "Traceback" not in result.stderr

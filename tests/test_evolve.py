@@ -29,8 +29,9 @@ def test_parse_perturbation_forms():
 
 def test_cfl_guard(p111):
     prof = build_profile(p111, 0.9, 0.02)
-    with pytest.raises(CFLError):
-        init_state(prof, "none", step_t=0.02)  # dt > 0.9 dx
+    for step_t in (0.02, 0.0, -0.01):  # dt > 0.9 dx, or not positive
+        with pytest.raises(CFLError):
+            init_state(prof, "none", step_t=step_t)
     init_state(prof, "none", step_t=0.018)  # right at the limit is fine
 
 

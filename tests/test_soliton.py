@@ -89,6 +89,9 @@ def test_build_profile_rejects_bad_grid(p111):
         build_profile(p111, 0.9, -0.01)
     with pytest.raises(GridError):
         build_profile(p111, 0.9, 0.01, tail_tol=2.0)
+    for half_length in (0.0, math.inf, math.nan):
+        with pytest.raises(GridError):
+            build_profile(p111, 0.9, 0.01, half_length=half_length)
 
 
 def test_first_integral_identity(p111):

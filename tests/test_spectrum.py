@@ -8,6 +8,7 @@ from kgstab import (GridError, TridiagonalOperator, apply, assemble,
                     closed_form_profile, closed_form_slope,
                     eigenvalue_count_below, lowest_eigenpairs, r_star,
                     spectral_report)
+from kgstab.spectrum import _inverse_iteration, _matvec
 
 
 def _dense_reference(op):
@@ -188,3 +189,14 @@ def test_report_eigenvectors_shape(p111):
     unit = profile / np.linalg.norm(profile)
     cosine = abs(float(unit @ report.lminus_eigenvectors[:, 0]))
     assert cosine > 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 50])
+def test_inverse_iteration_at_exact_zero_pivot(n):
+    # 1 is an exact eigenvalue of tridiag(-1, 2, -1) for n = 2 and n = 50,
+    # and the shift makes the second Thomas pivot exactly zero
+    diag = np.full(n, 2.0)
+    off = np.full(n - 1, -1.0)
+    with np.errstate(over="ignore"):  # the overflowing solve's norm
+        v = _inverse_iteration(diag, off, 1.0, np.random.default_rng(0), [])
+    assert np.linalg.norm(_matvec(diag, off, v) - v) < 1e-12
