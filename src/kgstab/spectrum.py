@@ -8,9 +8,14 @@ Sturm-Liouville operators on the line,
 
 whose negative/zero eigenvalue counts feed the stability theory.  Both are
 discretized by second-order centered differences on [-L, L] with Dirichlet
-ends, and the lowest eigenpairs are extracted by Sturm-sequence bisection
-plus inverse iteration — deliberately self-contained so library results can
-be compared against external eigensolvers in the tests.
+ends.  The profile is even, so each operator splits exactly into an even
+block on the nodes x >= 0 and an odd block on the nodes x > 0, and
+``spectral_report`` solves both blocks at half the size.  On each, the
+lowest eigenpairs come from Sturm-sequence counts that bracket an eigenvalue
+and bisect it to a width of about 1e-3, inverse iteration with a
+Rayleigh-quotient shift that refines it, and two more Sturm counts that
+confirm its index — deliberately self-contained so library results can be
+compared against external eigensolvers in the tests.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ from .model import DomainError, ModelParams, bisect
 from .soliton import GridError, closed_form_profile, closed_form_slope
 
 _KINDS = ("lplus", "lminus")
+# bisection width that isolates an eigenvalue for refinement
+_COARSE_WIDTH = 1e-3
+# inverse iteration stops at a residual of this many ulps of the matrix scale
+_RESIDUAL_ULPS = 100.0
 
 
 class EigensolverError(RuntimeError):
@@ -113,82 +122,144 @@ def eigenvalue_count_below(op: TridiagonalOperator, shift: float) -> int:
     return int(_kernels.sturm_count(op.diagonal, op.off_diagonal, shift))
 
 
-def _inverse_iteration(diag, off, eigenvalue, rng, neighbors) -> np.ndarray:
-    """Eigenvector for a converged eigenvalue estimate.
+def _positive_peak(v: np.ndarray) -> np.ndarray:
+    """``v`` or ``-v``, whichever is positive at its first largest entry."""
+    peak = np.argmax(np.abs(v))
+    return -v if v[peak] < 0.0 else v
 
-    Thomas solves against the shifted matrix; the floored pivots turn the
-    near-singular system into a strongly magnifying one, which is exactly
-    what inverse iteration wants.  A shift that makes a pivot exactly zero
-    overflows the solve instead; it is then moved off by a few ulps of the
-    matrix scale (as LAPACK ``dstein`` perturbs tiny pivots) and the
-    iteration restarts.  ``neighbors`` are already-computed eigenvectors of
-    nearby eigenvalues to orthogonalize against.
+
+def _inverse_iteration(diag, off, eigenvalue, rng, neighbors) -> np.ndarray:
+    """Eigenvector for an eigenvalue estimate, by Rayleigh-quotient iteration.
+
+    The first Thomas solve is shifted by ``eigenvalue``, each later one by
+    the Rayleigh quotient of the current vector.  The iteration stops when
+    the residual |Tv - rho v| is down to the rounding level of the matrix
+    scale; inside a cluster the vector can keep turning in the invariant
+    subspace, so a test on its movement would never stop.  The floored
+    pivots turn the near-singular system into a strongly magnifying one,
+    which is exactly what inverse iteration wants.  A shift that makes a
+    pivot exactly zero overflows the solve instead; it is then moved off by
+    a few ulps of the matrix scale (as LAPACK ``dstein`` perturbs tiny
+    pivots) and the iteration restarts.  ``neighbors`` are already-computed
+    eigenvectors to orthogonalize against.
     """
     n = diag.size
+    scale = float(np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
+    nudge = 4.0 * np.finfo(float).eps * scale
+    converged = _RESIDUAL_ULPS * np.finfo(float).eps * scale
+    shift = eigenvalue
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    shifted = diag - eigenvalue
-    nudge = 4.0 * np.finfo(float).eps * float(
-        np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
-    prev = v
     for _ in range(100):
-        w = _kernels.tridiag_solve(shifted, off, prev)
-        for u in neighbors:
-            w = w - (u @ w) * u
-        norm = np.linalg.norm(w)
+        w = _kernels.tridiag_solve(diag - shift, off, v)
+        # scaled to a unit peak, so the norm of a finite solve cannot
+        # overflow; a solve that overflowed to inf or nan fails the
+        # finiteness test below, without a warning on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = w / np.abs(w).max()
+            for u in neighbors:
+                w = w - (u @ w) * u
+            norm = np.linalg.norm(w)
         if not np.isfinite(norm):
-            shifted = shifted - nudge
+            shift += nudge
         if norm == 0.0 or not np.isfinite(norm):
-            prev = rng.standard_normal(n)
-            prev /= np.linalg.norm(prev)
+            v = rng.standard_normal(n)
+            v /= np.linalg.norm(v)
             continue
         v = w / norm
-        if 1.0 - abs(prev @ v) < 1e-13:
+        residual = _matvec(diag, off, v)
+        rho = float(v @ residual)
+        residual -= rho * v
+        if np.linalg.norm(residual) <= converged:
             break
-        prev = v
+        shift = rho
     else:
         raise EigensolverError(
             f"inverse iteration stalled at eigenvalue {eigenvalue!r}"
         )
-    residual = _matvec(diag, off, v)
-    residual -= eigenvalue * v
-    if np.linalg.norm(residual) > 1e-6:
-        raise EigensolverError(
-            f"inverse iteration residual {np.linalg.norm(residual)!r} too "
-            f"large at eigenvalue {eigenvalue!r}"
-        )
-    peak = np.argmax(np.abs(v))
-    if v[peak] < 0.0:
-        v = -v
-    return v
+    return _positive_peak(v)
+
+
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise DomainError(f"k={k!r} out of range for matrix size {n}")
 
 
 def lowest_eigenpairs(op: TridiagonalOperator, k: int,
                       tol: float = 1e-10) -> list[tuple[float, np.ndarray]]:
-    """The k algebraically smallest eigenpairs, eigenvalues nondecreasing."""
+    """The k algebraically smallest eigenpairs, eigenvalues nondecreasing.
+
+    The j-th eigenvalue is bracketed upward from the previous one (from the
+    Gershgorin lower bound for the first) by doubling a step, at first the
+    mean eigenvalue spacing, until the Sturm count passes j, and bisected
+    only until the bracket is about 1e-3 wide.  Inverse iteration with a
+    Rayleigh-quotient shift then refines the vector, and the eigenvalue is
+    its Rayleigh quotient.  Two Sturm counts accept it when
+    ``count(value - tol) <= j < count(value + tol)``.  When they do not, or
+    the refinement stalls, the bisection width shrinks 1000-fold, down to
+    ``tol``, and the refinement is repeated; :class:`EigensolverError` is
+    raised only after that.
+
+    So every returned value lies within ``tol`` of the matrix's j-th
+    eigenvalue, as Sturm counts (LAPACK ``dstebz`` convention) place it, and
+    the vectors are orthonormal: each is orthogonalized against the earlier
+    ones, which keeps apart the members of a cluster that the bracket
+    cannot split.  Each vector is positive at its first largest entry.
+    """
     n = op.size
-    if not 1 <= k <= n:
-        raise DomainError(f"k={k!r} out of range for matrix size {n}")
+    _check_k(k, n)
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     diag, off = op.diagonal, op.off_diagonal
     radius = np.zeros(n)
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
-    lo_bound = float((diag - radius).min())
+    lo = float((diag - radius).min())
     hi_bound = float((diag + radius).max())
+    first_step = max(_COARSE_WIDTH, (hi_bound - lo) / n)
 
     pairs: list[tuple[float, np.ndarray]] = []
-    lo = lo_bound
     for j in range(k):
-        # the (j+1)-th eigenvalue lies above mid while fewer than j+1 are
-        # at or below it
-        value = bisect(
-            lambda mid: _kernels.sturm_count(diag, off, mid) <= j,
-            lo, hi_bound, tol)
+        # the (j+1)-th eigenvalue lies above x while at most j are at or
+        # below it
+        def goes_up(x):
+            return _kernels.sturm_count(diag, off, x) <= j
+
+        step = first_step
+        hi = lo + step
+        while hi < hi_bound and goes_up(hi):
+            lo, step = hi, 2.0 * step
+            hi = lo + step
+        hi = min(hi, hi_bound)
+
         rng = np.random.default_rng(1234 + j)
-        neighbors = [v for (ev, v) in pairs if abs(ev - value) < 1e-6]
-        vector = _inverse_iteration(diag, off, value, rng, neighbors)
+        # every earlier vector, not only those of a cluster: projecting out
+        # an eigenvector of a distant eigenvalue costs one dot product and
+        # changes nothing, while a missed cluster member skews the vectors
+        earlier = [v for _, v in pairs]
+        width = max(_COARSE_WIDTH, tol)
+        while True:
+            shift = bisect(goes_up, lo, hi, width)
+            try:
+                vector = _inverse_iteration(diag, off, shift, rng, earlier)
+            except EigensolverError as exc:
+                failure = exc
+            else:
+                value = float(vector @ _matvec(diag, off, vector))
+                if goes_up(value - tol) and not goes_up(value + tol):
+                    break
+                failure = EigensolverError(
+                    f"eigenpair {j} not confirmed by Sturm counts near "
+                    f"{value!r}")
+            if width <= tol:
+                raise failure
+            # the last bisection bracket lies within width / 2 of shift
+            lo, hi = max(lo, shift - width), min(hi, shift + width)
+            width = max(1e-3 * width, tol)
         pairs.append((value, vector))
         lo = value - tol  # eigenvalues are nondecreasing
+    # members of a cluster narrower than tol may come out of order
+    pairs.sort(key=lambda pair: pair[0])
     return pairs
 
 
@@ -223,6 +294,57 @@ class SpectrumReport:
         }
 
 
+def _parity_blocks(op: TridiagonalOperator):
+    """The even and odd blocks of an operator with a mirror-symmetric
+    diagonal and off-diagonal, as ``assemble`` builds it.
+
+    The even block acts on the nodes x >= 0 of even vectors, in the
+    coordinates (v(0), sqrt(2) v(h), sqrt(2) v(2h), ...), where it is
+    symmetric with its first off-diagonal scaled by sqrt(2).  The odd block
+    acts on the nodes x > 0 of odd vectors, which vanish at x = 0.  Every
+    eigenvalue of the operator is an eigenvalue of exactly one block.  The
+    blocks' ``x`` is meaningless; they never leave this module.
+    """
+    mid = op.size // 2
+    even_off = op.off_diagonal[mid:].copy()
+    even_off[0] *= math.sqrt(2.0)
+    even = TridiagonalOperator(op.diagonal[mid:], even_off, op.step,
+                               op.half_length, op.kind)
+    odd = TridiagonalOperator(op.diagonal[mid + 1:],
+                              op.off_diagonal[mid + 1:], op.step,
+                              op.half_length, op.kind)
+    return even, odd
+
+
+def _mirror(u: np.ndarray, odd: bool) -> np.ndarray:
+    """Full-grid unit vector of a unit eigenvector of a parity block."""
+    half = u / math.sqrt(2.0)
+    if odd:
+        return np.concatenate([-half[::-1], [0.0], half])
+    half[0] = u[0]  # the centre node is not doubled
+    return np.concatenate([half[:0:-1], half])
+
+
+def _parity_eigenpairs(op: TridiagonalOperator, k: int):
+    """``lowest_eigenpairs(op, k)`` for an operator from ``assemble``, solved
+    on its parity blocks.
+
+    The j-th eigenvector of a mirror-symmetric Jacobi matrix of odd size has
+    j sign changes, so it is even for even j and odd for odd j: pair j is
+    pair j // 2 of the even or the odd block.  Mirrored vectors are exactly
+    even or odd, and positive at their first largest entry (for an odd
+    vector, the x < 0 one of the two).
+    """
+    even, odd = _parity_blocks(op)
+    halves = (lowest_eigenpairs(even, (k + 1) // 2),
+              lowest_eigenpairs(odd, k // 2) if k >= 2 else [])
+    pairs = []
+    for j in range(k):
+        value, u = halves[j % 2][j // 2]
+        pairs.append((value, _positive_peak(_mirror(u, odd=j % 2 == 1))))
+    return pairs
+
+
 def _cosine_match(v: np.ndarray, u: np.ndarray) -> float:
     return float(abs(v @ u) / (np.linalg.norm(v) * np.linalg.norm(u)))
 
@@ -232,6 +354,13 @@ def spectral_report(p: ModelParams, omega: float, step: float,
                     k: int = 4) -> SpectrumReport:
     """Assemble both operators and report their lowest k eigenpairs.
 
+    The eigenpairs are solved on the operators' parity blocks: pair j is
+    even for even j and odd for odd j.  Each eigenvalue lies within 1e-10,
+    the default ``tol`` of ``lowest_eigenpairs``, of the operator's own.
+    Each eigenvector is exactly even or odd, has unit norm and is positive
+    at its largest entry; an odd vector's largest entries come in a mirror
+    pair, and the one at x < 0 is positive.
+
     Negative counts use the Sturm sequence at -10 h^2: eigenvalues inside the
     band (-10h^2, 10h^2) are discrete-kernel candidates, not signs of genuine
     negative directions.  Kernel matches compare the relevant eigenvector
@@ -239,8 +368,9 @@ def spectral_report(p: ModelParams, omega: float, step: float,
     """
     lplus = assemble(p, omega, step, half_length, kind="lplus")
     lminus = assemble(p, omega, step, half_length, kind="lminus")
-    pairs_plus = lowest_eigenpairs(lplus, k)
-    pairs_minus = lowest_eigenpairs(lminus, k)
+    _check_k(k, lplus.size)
+    pairs_plus = _parity_eigenpairs(lplus, k)
+    pairs_minus = _parity_eigenpairs(lminus, k)
 
     band = 10.0 * step * step
     neg_plus = eigenvalue_count_below(lplus, -band)

@@ -7,9 +7,11 @@ special functions from truncated series, extrema from golden-section search.
 Expected values in the tests are produced by these routines, not copied from
 the implementation under test.
 
-The exception is the last section: reference forms of the package's scalar
-kernels, written as plain index loops over NumPy arrays.  They do the same
-arithmetic in the same order, so the tests demand bitwise equality with them.
+The exceptions are the last two sections.  One holds reference forms of the
+package's scalar kernels, written as plain index loops over NumPy arrays.
+They do the same arithmetic in the same order, so the tests demand bitwise
+equality with them.  The other keeps the package's earlier eigen path, the
+reference for the stated tolerance of its faster one.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from kgstab import _kernels
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-14,
@@ -180,3 +184,67 @@ def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
         if not sup <= guard:
             return k + 1
     return n_steps
+
+
+# --- the eigen path before the parity split ---------------------------------
+#
+# Full-grid Sturm bisection to ``tol`` and inverse iteration that stops when
+# the vector stops moving: the path whose values the package's payload
+# tolerance is stated against.  It calls the package's kernels, which the
+# tests pin bitwise to the reference loops above, so that it runs in
+# a fraction of a second; only the algorithm around them is the reference.
+
+def _bisection_vector(diag, off, eigenvalue, rng, neighbors):
+    n = diag.size
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    shifted = diag - eigenvalue
+    nudge = 4.0 * np.finfo(float).eps * float(
+        np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
+    prev = v
+    for _ in range(100):
+        w = _kernels.tridiag_solve(shifted, off, prev)
+        for u in neighbors:
+            w = w - (u @ w) * u
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.linalg.norm(w)
+        if not np.isfinite(norm):
+            shifted = shifted - nudge
+        if norm == 0.0 or not np.isfinite(norm):
+            prev = rng.standard_normal(n)
+            prev /= np.linalg.norm(prev)
+            continue
+        v = w / norm
+        if 1.0 - abs(prev @ v) < 1e-13:
+            break
+        prev = v
+    else:
+        raise RuntimeError(f"inverse iteration stalled at {eigenvalue!r}")
+    peak = np.argmax(np.abs(v))
+    return -v if v[peak] < 0.0 else v
+
+
+def bisection_eigenpairs(diag, off, k: int, tol: float = 1e-10):
+    """The k lowest eigenpairs by Sturm bisection of the Gershgorin interval
+    to width ``tol``, then inverse iteration at the bisected value."""
+    radius = np.zeros(diag.size)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lo = float((diag - radius).min())
+    hi_bound = float((diag + radius).max())
+    pairs = []
+    for j in range(k):
+        hi = hi_bound
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if _kernels.sturm_count(diag, off, mid) <= j:
+                lo = mid
+            else:
+                hi = mid
+        value = 0.5 * (lo + hi)
+        neighbors = [v for ev, v in pairs if abs(ev - value) < 1e-6]
+        vector = _bisection_vector(diag, off, value,
+                                   np.random.default_rng(1234 + j), neighbors)
+        pairs.append((value, vector))
+        lo = value - tol
+    return pairs

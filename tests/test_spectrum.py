@@ -1,14 +1,23 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from kgstab import (GridError, TridiagonalOperator, apply, assemble,
-                    closed_form_profile, closed_form_slope,
-                    eigenvalue_count_below, lowest_eigenpairs, r_star,
-                    spectral_report)
-from kgstab.spectrum import _inverse_iteration, _matvec
+import oracles
+from kgstab import (DomainError, EigensolverError, GridError, ModelParams,
+                    TridiagonalOperator, apply, assemble, closed_form_profile,
+                    closed_form_slope, eigenvalue_count_below,
+                    lowest_eigenpairs, r_star, spectral_report, spectrum)
+from kgstab.spectrum import (_cosine_match, _inverse_iteration, _matvec,
+                             _mirror, _parity_blocks)
+
+# one wave per tau regime: tau = 2 (all stable), 1.1 (mixed window) and 0.98
+WAVES = [((1.0, 1.0, 1.0), 0.9), ((1.0, 1.0, math.sqrt(0.55)), 0.6),
+         ((1.0, 1.0, 0.7), 0.55)]
 
 
 def _dense_reference(op):
@@ -66,6 +75,18 @@ def test_operator_annihilates_its_kernel_sample(p111):
             sups.append(float(np.abs(residual).max()))
             assert sups[-1] < 10.0 * h**2 * r_star(p111, 0.9)
         assert sups[0] / sups[1] == pytest.approx(4.0, rel=0.25)
+
+
+def test_lowest_eigenpairs_rejects_bad_arguments(p111):
+    op = assemble(p111, 0.9, 0.1)
+    for k in (0, op.size + 1):
+        with pytest.raises(DomainError):
+            lowest_eigenpairs(op, k)
+    for tol in (0.0, -1e-10, float("nan")):
+        with pytest.raises(DomainError):
+            lowest_eigenpairs(op, 1, tol=tol)
+    with pytest.raises(DomainError):
+        spectral_report(p111, 0.9, 0.1, k=op.size + 1)
 
 
 def test_free_operator_ground_state():
@@ -200,3 +221,178 @@ def test_inverse_iteration_at_exact_zero_pivot(n):
     with np.errstate(over="ignore"):  # the overflowing solve's norm
         v = _inverse_iteration(diag, off, 1.0, np.random.default_rng(0), [])
     assert np.linalg.norm(_matvec(diag, off, v) - v) < 1e-12
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (50, 17)])
+def test_exact_zero_pivot_prints_no_warning(n, k):
+    # the overflowing solve's norm must stay quiet inside the library; the
+    # exact eigenvalue 1 of tridiag(-1, 2, -1) is the k-th lowest
+    diag = np.full(n, 2.0)
+    off = np.full(n - 1, -1.0)
+    op = TridiagonalOperator(diagonal=diag, off_diagonal=off, step=1.0,
+                             half_length=(n + 1) / 2.0, kind="lplus")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = _inverse_iteration(diag, off, 1.0, np.random.default_rng(0), [])
+        pairs = lowest_eigenpairs(op, k)
+    assert np.linalg.norm(_matvec(diag, off, v) - v) < 1e-12
+    assert pairs[-1][0] == pytest.approx(1.0, abs=1e-12)
+
+
+def _minus_wilkinson():
+    # -W21+: its two lowest eigenvalues differ by about 1e-14
+    diag = -np.abs(np.arange(-10, 11)).astype(float)
+    off = -np.ones(20)
+    return TridiagonalOperator(diagonal=diag, off_diagonal=off, step=1.0,
+                               half_length=11.0, kind="lplus")
+
+
+def test_near_degenerate_cluster(monkeypatch):
+    op = _minus_wilkinson()
+    refinements = []
+
+    def counted(*args):
+        refinements.append(args[2])
+        return _inverse_iteration(*args)
+
+    monkeypatch.setattr(spectrum, "_inverse_iteration", counted)
+    pairs = lowest_eigenpairs(op, 6)
+    ref = scipy.linalg.eigh_tridiagonal(op.diagonal, op.off_diagonal,
+                                        eigvals_only=True, select="i",
+                                        select_range=(0, 5))
+    values = np.array([val for val, _ in pairs])
+    assert np.abs(values - ref).max() < 1e-8
+    vecs = np.column_stack([vec for _, vec in pairs])
+    assert np.abs(vecs.T @ vecs - np.eye(6)).max() < 1e-8
+    # the third pair, about 7e-9 apart, needs brackets finer than 1e-3
+    # and 1e-6 before the lower member is refined
+    assert len(refinements) > 6
+
+
+def _wave_operators(wave, step):
+    coefficients, omega = wave
+    p = ModelParams(*coefficients)
+    return p, omega, [assemble(p, omega, step, kind=kind)
+                      for kind in ("lplus", "lminus")]
+
+
+@pytest.mark.parametrize("wave", WAVES)
+def test_parity_block_counts_add_up(wave):
+    h = 0.04
+    p, omega, ops = _wave_operators(wave, h)
+    c = p.m * p.m - omega * omega
+    for op in ops:
+        even, odd = _parity_blocks(op)
+        assert even.size + odd.size == op.size
+        for shift in (-0.3, -10.0 * h * h, 0.0, c, 10.0):
+            assert (eigenvalue_count_below(op, shift)
+                    == eigenvalue_count_below(even, shift)
+                    + eigenvalue_count_below(odd, shift))
+
+
+@pytest.mark.parametrize("wave", WAVES)
+def test_kernels_land_in_expected_blocks(wave):
+    p, omega, (lplus, lminus) = _wave_operators(wave, 0.04)
+    x = lplus.x
+    # R is the ground state of L- (even); R' the ground state of the odd
+    # block of L+, which is pair 1 of L+
+    r = _mirror(lowest_eigenpairs(_parity_blocks(lminus)[0], 1)[0][1], False)
+    r_slope = _mirror(lowest_eigenpairs(_parity_blocks(lplus)[1], 1)[0][1],
+                      True)
+    assert _cosine_match(r, closed_form_profile(p, omega, x)) > 1.0 - 1e-6
+    assert _cosine_match(r_slope, closed_form_slope(p, omega, x)) > 1.0 - 1e-6
+
+
+def test_mirrored_vectors_exactly_even_or_odd(p111):
+    report = spectral_report(p111, 0.9, 0.04, k=4)
+    mid = report.x.size // 2
+    for vecs in (report.lplus_eigenvectors, report.lminus_eigenvectors):
+        for j in range(4):
+            v = vecs[:, j]
+            assert abs(np.linalg.norm(v) - 1.0) < 1e-14
+            peak = np.argmax(np.abs(v))
+            assert v[peak] > 0.0
+            if j % 2 == 0:
+                assert np.array_equal(v[::-1], v)
+            else:
+                assert np.array_equal(v[::-1], -v)
+                assert v[mid] == 0.0
+                assert peak < mid  # the tie goes to the x < 0 node
+
+
+@pytest.mark.parametrize("wave", WAVES)
+def test_report_within_stated_tolerance_of_bisection_path(wave):
+    # the payload tolerance against full-grid bisection to 1e-10
+    h = 0.04
+    p, omega, ops = _wave_operators(wave, h)
+    report = spectral_report(p, omega, h, k=4)
+    band = 10.0 * h * h
+    x = ops[0].x
+    fields = {"lplus": (1, closed_form_slope(p, omega, x)),
+              "lminus": (0, closed_form_profile(p, omega, x))}
+    for op in ops:
+        ref = oracles.bisection_eigenpairs(op.diagonal, op.off_diagonal, 4)
+        values = getattr(report, f"{op.kind}_eigenvalues")
+        vecs = getattr(report, f"{op.kind}_eigenvectors")
+        for j, (ref_val, ref_vec) in enumerate(ref):
+            assert abs(values[j] - ref_val) <= 1e-10
+            assert abs(float(vecs[:, j] @ ref_vec)) >= 1.0 - 1e-9
+        j, field = fields[op.kind]
+        match = getattr(report, f"{op.kind}_kernel_match")
+        assert abs(match - _cosine_match(ref[j][1], field)) <= 1e-9
+        negatives = sum(val < -band for val, _ in ref)
+        assert getattr(report, f"negative_count_{op.kind}") == negatives
+
+
+_ENTRIES = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def _tridiagonals(draw):
+    n = draw(st.integers(1, 40))
+    diag = np.array(draw(st.lists(_ENTRIES, min_size=n, max_size=n)))
+    off = np.array(draw(st.lists(_ENTRIES, min_size=n - 1, max_size=n - 1)))
+    return diag, off, draw(st.integers(1, n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_tridiagonals())
+def test_lowest_eigenpairs_random_tridiagonal(case):
+    diag, off, k = case
+    op = TridiagonalOperator(diagonal=diag, off_diagonal=off, step=1.0,
+                             half_length=1.0, kind="lplus")
+    try:
+        pairs = lowest_eigenpairs(op, k)
+    except EigensolverError:
+        return
+    ref = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True,
+                                        select="i", select_range=(0, k - 1))
+    values = np.array([val for val, _ in pairs])
+    assert np.abs(values - ref).max() <= 1e-9
+    vecs = np.column_stack([vec for _, vec in pairs])
+    assert np.abs(vecs.T @ vecs - np.eye(k)).max() < 1e-8
+    for val, vec in pairs:
+        assert np.linalg.norm(_matvec(diag, off, vec) - val * vec) < 1e-8
+
+
+@st.composite
+def _even_tridiagonals(draw):
+    side = draw(st.integers(1, 19))
+    diag = draw(st.lists(_ENTRIES, min_size=side + 1, max_size=side + 1))
+    off = draw(st.lists(_ENTRIES, min_size=side, max_size=side))
+    return (np.array(diag[:0:-1] + diag), np.array(off[::-1] + off),
+            draw(st.floats(-40.0, 40.0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_even_tridiagonals())
+def test_parity_block_counts_random_even(case):
+    diag, off, shift = case
+    values = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+    assume(np.abs(values - shift).min() > 1e-9)
+    op = TridiagonalOperator(diagonal=diag, off_diagonal=off, step=1.0,
+                             half_length=1.0, kind="lplus")
+    even, odd = _parity_blocks(op)
+    assert (eigenvalue_count_below(op, shift)
+            == eigenvalue_count_below(even, shift)
+            + eigenvalue_count_below(odd, shift))
