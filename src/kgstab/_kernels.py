@@ -18,14 +18,16 @@ _SAFE_MIN = 2.2250738585072014e-308
 def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
     """Advance the leapfrog scheme ``n_steps`` times in place (vectorized).
 
-    phi/phi_prev are complex arrays over the full grid including the two
-    Dirichlet endpoints, which are never touched.  Returns the number of steps
-    actually taken; fewer than ``n_steps`` means the amplitude guard tripped.
+    phi/phi_prev are complex arrays over the half-line x_i = i*h of an even
+    field: node 0 is the symmetry centre, whose left neighbour phi(-h) is its
+    mirror phi(h), and the last node is a Dirichlet end that is never
+    touched.  Returns the number of steps actually taken; fewer than
+    ``n_steps`` means the amplitude guard tripped.
     """
     inv_h2 = 1.0 / (step_x * step_x)
     dt2 = step_t * step_t
-    inner = phi[1:-1]
-    prev_inner = phi_prev[1:-1]
+    inner = phi[:-1]
+    prev_inner = phi_prev[:-1]
     # buffers reused by every step; the ufunc calls keep the operand order of
     # the plain expressions, so the arithmetic is unchanged
     rhs = np.empty_like(inner)
@@ -34,10 +36,12 @@ def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
     coeff = np.empty_like(mag)
     quartic = np.empty_like(mag)
     for k in range(n_steps):
-        # rhs = (phi[2:] - 2 inner + phi[:-2]) / h^2
+        # rhs = (right - 2 inner + left) / h^2, where the centre's left
+        # neighbour is its mirror phi[1]
         np.multiply(2.0, inner, out=scratch)
-        np.subtract(phi[2:], scratch, out=rhs)
-        np.add(rhs, phi[:-2], out=rhs)
+        np.subtract(phi[1:], scratch, out=rhs)
+        np.add(rhs[1:], phi[:-2], out=rhs[1:])
+        rhs[0] += phi[1]
         np.multiply(rhs, inv_h2, out=rhs)
         # rhs += (-m^2 + 3a|phi| - 4b|phi|^2) phi
         np.multiply(3.0 * a, mag, out=coeff)

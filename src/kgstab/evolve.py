@@ -1,24 +1,27 @@
 """Time evolution of the full nonlinear field from standing-wave data.
 
 A leapfrog scheme (time-symmetric, second order, matching the second-order
-PDE) advances complex field values on a Dirichlet-truncated grid.  Runs
-record conserved quantities and the phase-minimized distance to the standing
-wave orbit, which is the empirical counterpart of the stability verdicts
-from the classifier.
+PDE) advances complex field values on a Dirichlet-truncated grid.  The data
+is even in x and the equation preserves evenness, so only the half-line
+x >= 0 is stored and stepped, with the mirror condition phi(-h) = phi(h) at
+the centre.  Runs record conserved quantities and the phase-minimized
+distance to the standing wave orbit, which is the empirical counterpart of
+the stability verdicts from the classifier.  Their integrals are full-line
+Simpson sums folded onto x >= 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import _kernels
 from .model import DomainError, ModelParams
-from .soliton import (SolitonProfile, build_profile, closed_form_profile,
-                      composite_simpson)
+from .soliton import (GridError, SolitonProfile, build_profile,
+                      closed_form_profile, require_node_budget)
 
 # Amplitude guard: a run whose sup exceeds this many times R(0) has left any
 # neighbourhood of the orbit and is about to overflow; record and stop.
@@ -26,6 +29,9 @@ _GUARD_FACTOR = 1e3
 # Tail sensor distance from the boundary and its trigger level.
 _TAIL_MARGIN = 5.0
 _TAIL_LEVEL = 1e-8
+# Most leapfrog steps one run may take (t_final / step_t); a longer run is
+# refused before it starts.
+MAX_STEPS = 1_000_000
 
 
 class CFLError(ValueError):
@@ -43,7 +49,11 @@ class BlowUpError(RuntimeError):
 
 
 def parse_perturbation(spec) -> tuple[str, float]:
-    """Parse 'none', 'scale:EPS', or 'bump:EPS' into (kind, eps)."""
+    """Parse 'none', 'scale:EPS', or 'bump:EPS' into (kind, eps).
+
+    Each kind gives even initial data: the profile, the profile scaled by
+    1 + EPS, or the profile plus EPS exp(-x^2).
+    """
     if isinstance(spec, tuple):
         kind, eps = spec
         spec = kind if kind == "none" else f"{kind}:{eps}"
@@ -65,7 +75,12 @@ def parse_perturbation(spec) -> tuple[str, float]:
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """Two consecutive time levels of the field on a uniform grid."""
+    """Two consecutive time levels of an even field on the half-line.
+
+    ``phi[i]`` is the field at x_i = i*step_x for i = 0 .. half_length/step_x.
+    Node 0 is the symmetry centre, with the mirror condition
+    phi(-h) = phi(h), and the last node is the Dirichlet end x = half_length.
+    """
 
     time: float
     phi: np.ndarray
@@ -89,8 +104,7 @@ class FieldState:
 
     @property
     def x(self) -> np.ndarray:
-        n_side = round(self.half_length / self.step_x)
-        return (np.arange(self.phi.size) - n_side) * self.step_x
+        return np.arange(self.phi.size) * self.step_x
 
     @cached_property
     def velocity(self) -> np.ndarray:
@@ -102,45 +116,95 @@ class FieldState:
         ahead, _ = _advance(self, 1)
         return (ahead.phi - self.phi_prev) / (2.0 * self.step_t)
 
+    @cached_property
+    def phi_x(self) -> np.ndarray:
+        """d/dx phi, shared by the diagnostics."""
+        return _gradient(self.phi, self.step_x)
+
+
+def _gradient(values: np.ndarray, step: float) -> np.ndarray:
+    """Centred first derivative of an even function sampled on x >= 0; it
+    vanishes at the centre, as the mirror requires."""
+    grad = np.gradient(values, step)
+    grad[0] = 0.0
+    return grad
+
+
+@lru_cache(maxsize=4)
+def _fold_weights(n_nodes: int) -> np.ndarray:
+    """Composite-Simpson weights of the full grid -N..N folded onto 0..N.
+
+    The centre keeps its full-grid weight, 2 for even N and 4 for odd N; every
+    other node stands for itself and its mirror, so its weight doubles.
+    """
+    n = n_nodes - 1
+    full = np.where(np.arange(n, 2 * n + 1) % 2 == 1, 4.0, 2.0)
+    full[-1] = 1.0
+    full[1:] *= 2.0
+    full.setflags(write=False)
+    return full
+
+
+def _integral(values: np.ndarray, step: float) -> float | complex:
+    """Full-line Simpson integral of an even integrand sampled on x >= 0."""
+    return (_fold_weights(values.size) @ values).item() * step / 3.0
+
 
 def _acceleration(phi: np.ndarray, step_x: float, p: ModelParams) -> np.ndarray:
-    """Discrete phi_tt from the field equation (Dirichlet, zero at ends)."""
+    """Discrete phi_tt from the field equation (mirror centre, Dirichlet
+    end)."""
     acc = np.zeros_like(phi)
-    inner = phi[1:-1]
+    inner = phi[:-1]
+    left = np.concatenate((phi[1:2], phi[:-2]))
     mag = np.abs(inner)
-    acc[1:-1] = (phi[2:] - 2.0 * inner + phi[:-2]) / (step_x * step_x)
-    acc[1:-1] += (-p.m * p.m + 3.0 * p.a * mag - 4.0 * p.b * mag * mag) * inner
+    acc[:-1] = (phi[1:] - 2.0 * inner + left) / (step_x * step_x)
+    acc[:-1] += (-p.m * p.m + 3.0 * p.a * mag - 4.0 * p.b * mag * mag) * inner
     return acc
+
+
+def _initial_field(kind: str, eps: float, profile: SolitonProfile,
+                   x: np.ndarray) -> np.ndarray:
+    """The perturbed profile at the nodes ``x``, as complex values."""
+    r = closed_form_profile(profile.params, profile.omega, np.abs(x))
+    if kind == "scale":
+        return (1.0 + eps) * r.astype(complex)
+    if kind == "bump":
+        return (r + eps * np.exp(-x * x)).astype(complex)
+    return r.astype(complex)
 
 
 def init_state(profile: SolitonProfile, perturbation, step_t: float,
                extra_half_length: float = 20.0) -> FieldState:
-    """Perturbed standing-wave data on a widened grid.
+    """Perturbed standing-wave data on a widened half-line grid.
 
-    The grid extends the profile's half-length by ``extra_half_length``
-    (lattice-aligned) so radiation reflected off the Dirichlet ends arrives
-    late.  phi_prev comes from a second-order Taylor start, which makes the
-    centered time difference at t = 0 reproduce the exact initial velocity.
+    The data is even in x (each perturbation kind is), so only x >= 0 is
+    stored.  The grid extends the profile's half-length by
+    ``extra_half_length`` (lattice-aligned) so radiation reflected off the
+    Dirichlet end arrives late.  phi_prev comes from a second-order Taylor
+    start, which makes the centered time difference at t = 0 reproduce the
+    exact initial velocity.  Raises GridError for an ``extra_half_length``
+    that is negative or not finite, or a grid beyond MAX_NODES.
     """
     kind, eps = parse_perturbation(perturbation)
     p = profile.params
     h = profile.step
-    n_side = round(profile.half_length / h) + int(math.ceil(extra_half_length / h))
-    x = (np.arange(2 * n_side + 1) - n_side) * h
-    r = closed_form_profile(p, profile.omega, np.abs(x))
+    if not 0.0 <= extra_half_length < math.inf:
+        raise GridError("extra_half_length must be non-negative and finite, "
+                        f"got {extra_half_length!r}")
+    require_node_budget(profile.half_length + extra_half_length, h)
+    n_side = (round(profile.half_length / h)
+              + int(math.ceil(extra_half_length / h)))
+    x = np.arange(n_side + 1) * h
 
-    if kind == "scale":
-        phi0 = (1.0 + eps) * r.astype(complex)
-    elif kind == "bump":
-        phi0 = (r + eps * np.exp(-x * x)).astype(complex)
-    else:
-        phi0 = r.astype(complex)
-    phi0[0] = phi0[-1] = 0.0
+    phi0 = _initial_field(kind, eps, profile, x)
+    assert np.array_equal(phi0, _initial_field(kind, eps, profile, -x)), \
+        "initial data must be even"
+    phi0[-1] = 0.0
 
     psi0 = -1j * profile.omega * phi0
     phi_prev = phi0 - step_t * psi0 \
         + 0.5 * step_t * step_t * _acceleration(phi0, h, p)
-    phi_prev[0] = phi_prev[-1] = 0.0
+    phi_prev[-1] = 0.0
 
     return FieldState(
         time=0.0, phi=phi0, phi_prev=phi_prev, step_x=h, step_t=float(step_t),
@@ -178,24 +242,57 @@ def step(state: FieldState) -> FieldState:
 def field_energy(state: FieldState) -> float:
     """E = 1/2 ||psi||^2 + 1/2 ||phi'||^2 + 1/2 m^2 ||phi||^2 + int G(|phi|)."""
     p = state.params
-    h = state.step_x
-    psi = state.velocity
-    grad = np.gradient(state.phi, h)
     mag = np.abs(state.phi)
-    g = -p.a * mag**3 + p.b * mag**4
-    return float(
-        0.5 * composite_simpson(np.abs(psi)**2, h)
-        + 0.5 * composite_simpson(np.abs(grad)**2, h)
-        + 0.5 * p.m * p.m * composite_simpson(mag**2, h)
-        + composite_simpson(g, h)
-    )
+    density = (0.5 * np.abs(state.velocity)**2
+               + 0.5 * np.abs(state.phi_x)**2
+               + 0.5 * p.m * p.m * mag**2
+               + (-p.a * mag**3 + p.b * mag**4))
+    return float(_integral(density, state.step_x))
 
 
 def field_charge(state: FieldState) -> float:
     """Q = -Im int psi conj(phi) dx."""
-    pairing = composite_simpson(state.velocity * np.conj(state.phi),
-                                state.step_x)
+    pairing = _integral(state.velocity * np.conj(state.phi), state.step_x)
     return float(-pairing.imag)
+
+
+@dataclass(frozen=True, eq=False)
+class _Orbit:
+    """The standing wave's side of the orbital distance on one grid.
+
+    It depends only on the profile, the frequency and the grid, so a run
+    builds it once.
+    """
+
+    m2: float
+    r: np.ndarray
+    r_x: np.ndarray
+    psi: np.ndarray  # the orbit's velocity conjugated: conj(-i omega R)
+    norm: float      # m^2 ||R||^2 + ||R'||^2 + omega^2 ||R||^2
+
+
+def _orbit(state: FieldState, profile: SolitonProfile,
+           omega: float) -> _Orbit:
+    h = state.step_x
+    p = state.params
+    m2 = p.m * p.m
+    r = np.interp(state.x, profile.x, profile.values, right=0.0)
+    r_x = _gradient(r, h)
+    norm = _integral((m2 + omega * omega) * r**2 + r_x**2, h)
+    return _Orbit(m2=m2, r=r, r_x=r_x, psi=np.conj(-1j * omega * r),
+                  norm=norm)
+
+
+def _distance(state: FieldState, orbit: _Orbit) -> float:
+    """``orbital_distance`` with the orbit side already built."""
+    h = state.step_x
+    psi = state.velocity
+    phi_x = state.phi_x
+    norm_u = _integral(orbit.m2 * np.abs(state.phi)**2 + np.abs(phi_x)**2
+                       + np.abs(psi)**2, h)
+    z = _integral(orbit.m2 * state.phi * orbit.r + phi_x * orbit.r_x
+                  + psi * orbit.psi, h)
+    return math.sqrt(max(0.0, norm_u + orbit.norm - 2.0 * abs(z)))
 
 
 def orbital_distance(state: FieldState, profile: SolitonProfile,
@@ -206,25 +303,7 @@ def orbital_distance(state: FieldState, profile: SolitonProfile,
     norm m^2||.||^2 + ||.'||^2 + ||.||^2; the minimum is closed-form:
     sqrt(||u||^2 + ||v||^2 - 2|z|) with z the mixed pairing.
     """
-    p = state.params
-    h = state.step_x
-    x = state.x
-    r = np.interp(np.abs(x), profile.x, profile.values, right=0.0)
-    psi = state.velocity
-    phi_x = np.gradient(state.phi, h)
-    r_x = np.gradient(r, h)
-    m2 = p.m * p.m
-
-    norm_u = (m2 * composite_simpson(np.abs(state.phi)**2, h)
-              + composite_simpson(np.abs(phi_x)**2, h)
-              + composite_simpson(np.abs(psi)**2, h))
-    norm_v = (m2 * composite_simpson(r**2, h)
-              + composite_simpson(r_x**2, h)
-              + omega * omega * composite_simpson(r**2, h))
-    z = (m2 * composite_simpson(state.phi * r, h)
-         + composite_simpson(phi_x * r_x, h)
-         + composite_simpson(psi * np.conj(-1j * omega * r), h))
-    return math.sqrt(max(0.0, norm_u + norm_v - 2.0 * abs(z)))
+    return _distance(state, _orbit(state, profile, omega))
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,18 +362,24 @@ def run(p: ModelParams, omega: float, perturbation, t_final: float,
     diagnostics collected so far come back with ``truncated`` set instead of
     an exception escaping.
 
-    Raises DomainError for a ``t_final`` that is not positive and finite or
-    a ``sample_every`` below 1.
+    Raises DomainError for a ``t_final`` that is not positive and finite, a
+    ``sample_every`` below 1, or more than MAX_STEPS steps.
     """
     if not 0.0 < t_final < math.inf:
         raise DomainError(
             f"t_final must be positive and finite, got {t_final!r}")
     if not sample_every >= 1:
         raise DomainError(f"sample_every must be >= 1, got {sample_every!r}")
+    # a step_t that is not positive is refused by FieldState
+    if step_t > 0.0 and not t_final / step_t - 1e-9 <= MAX_STEPS:
+        raise DomainError(
+            f"t_final={t_final!r} at step_t={step_t!r} needs more than "
+            f"the {MAX_STEPS} steps one run may take")
     profile = build_profile(p, omega, step_x, half_length=half_length)
     state = init_state(profile, perturbation, step_t, extra_half_length)
+    orbit = _orbit(state, profile, omega)
 
-    tail_nodes = np.abs(state.x) >= state.half_length - _TAIL_MARGIN
+    tail_nodes = state.x >= state.half_length - _TAIL_MARGIN
     total_steps = int(math.ceil(t_final / step_t - 1e-9))
 
     times, energies, charges, dists, sups = [], [], [], [], []
@@ -307,7 +392,7 @@ def run(p: ModelParams, omega: float, perturbation, t_final: float,
         times.append(state.time)
         energies.append(field_energy(state))
         charges.append(field_charge(state))
-        dists.append(orbital_distance(state, profile, omega))
+        dists.append(_distance(state, orbit))
         sups.append(float(np.abs(state.phi).max()))
         if tail_first is None:
             if float(np.abs(state.phi[tail_nodes]).max()) > _TAIL_LEVEL:

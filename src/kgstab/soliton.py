@@ -23,10 +23,28 @@ from .model import DomainError, ModelParams, alpha_of_omega, g_derivatives
 # cosh argument cap: cosh(700) is near the top of double range, and once the
 # argument is this large the profile value underflows to 0 anyway.
 _COSH_ARG_MAX = 700.0
+# Most nodes the half-line x >= 0 of any grid may hold, counted as
+# length / step: the profile, each parity block of L+ and L-, and the evolved
+# field.  About 40/sqrt(m^2 - omega^2)/h nodes are needed, which grows without
+# bound as omega -> m.
+MAX_NODES = 2_000_000
 
 
 class GridError(ValueError):
     """A spatial grid cannot support the requested construction."""
+
+
+def require_node_budget(length: float, step: float) -> None:
+    """Raise GridError when [0, length] at ``step`` exceeds MAX_NODES nodes.
+
+    Called before the grid is sized, so an infinite or huge ratio is refused
+    before any array is allocated.
+    """
+    nodes = length / step
+    if not nodes <= MAX_NODES:
+        raise GridError(
+            f"grid of {nodes:.6g} nodes on x >= 0 exceeds the budget of "
+            f"{MAX_NODES} (length {length!r}, step {step!r})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +104,9 @@ def build_profile(p: ModelParams, omega: float, step: float,
     The number of grid intervals is forced even so Simpson quadrature applies
     directly to the stored values.  When ``half_length`` is omitted it follows
     the decay-rate rule L = 40/sqrt(c) (stretched if ``tail_tol`` demands
-    more).  Raises GridError if the tail at L is not below ``tail_tol``
-    relative to R(0), or if the measured ODE residual is out of bounds.
+    more).  Raises GridError if the grid exceeds MAX_NODES, if the tail at L
+    is not below ``tail_tol`` relative to R(0), or if the measured ODE
+    residual is out of bounds.
     """
     p.window.require(omega)
     if not step > 0.0:
@@ -100,6 +119,7 @@ def build_profile(p: ModelParams, omega: float, step: float,
     elif not 0.0 < half_length < math.inf:
         raise GridError(
             f"half_length must be positive and finite, got {half_length!r}")
+    require_node_budget(half_length, step)
 
     n_int = int(math.ceil(half_length / step - 1e-9))
     n_int += n_int % 2  # Simpson wants an even interval count

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import _kernels
 from .model import DomainError, ModelParams, bisect
-from .soliton import GridError, closed_form_profile, closed_form_slope
+from .soliton import (GridError, closed_form_profile, closed_form_slope,
+                      require_node_budget)
 
 _KINDS = ("lplus", "lminus")
 # bisection width that isolates an eigenvalue for refinement
@@ -64,7 +65,11 @@ class TridiagonalOperator:
 def assemble(p: ModelParams, omega: float, step: float,
              half_length: float | None = None,
              kind: str = "lplus") -> TridiagonalOperator:
-    """Discretize L_plus or L_minus on [-L, L] with Dirichlet ends."""
+    """Discretize L_plus or L_minus on [-L, L] with Dirichlet ends.
+
+    Raises GridError for a step too coarse for the profile, a half-length
+    that is not positive and finite, or more than MAX_NODES nodes on x >= 0.
+    """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     p.window.require(omega)
@@ -81,6 +86,7 @@ def assemble(p: ModelParams, omega: float, step: float,
     elif not 0.0 < half_length < math.inf:
         raise GridError(
             f"half_length must be positive and finite, got {half_length!r}")
+    require_node_budget(half_length, step)
     n_side = int(math.ceil(half_length / step - 1e-9))
     if n_side < 2:
         raise GridError("grid too small: needs at least 2 intervals per side")

@@ -7,11 +7,12 @@ special functions from truncated series, extrema from golden-section search.
 Expected values in the tests are produced by these routines, not copied from
 the implementation under test.
 
-The exceptions are the last two sections.  One holds reference forms of the
-package's scalar kernels, written as plain index loops over NumPy arrays.
+The exceptions are the last three sections.  One holds reference forms of
+the package's scalar kernels, written as plain index loops over NumPy arrays.
 They do the same arithmetic in the same order, so the tests demand bitwise
-equality with them.  The other keeps the package's earlier eigen path, the
-reference for the stated tolerance of its faster one.
+equality with them.  The other two keep the package's earlier eigen path and
+its earlier full-grid evolution, the references for the stated tolerances of
+the faster paths that replaced them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import math
 
 import numpy as np
 
-from kgstab import _kernels
+from kgstab import (_kernels, build_profile, closed_form_profile,
+                    composite_simpson, parse_perturbation)
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-14,
@@ -169,17 +171,22 @@ def tridiag_solve(diag, off, rhs):
 
 
 def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
-    """Leapfrog with fresh temporaries each step; returns the steps taken."""
+    """Half-line leapfrog with fresh temporaries each step; node 0 is the
+    mirror centre, phi(-h) = phi(h), and the last node stays fixed.  Returns
+    the steps taken."""
     inv_h2 = 1.0 / (step_x * step_x)
     dt2 = step_t * step_t
     for k in range(n_steps):
-        inner = phi[1:-1]
+        inner = phi[:-1]
         mag = np.abs(inner)
-        rhs = (phi[2:] - 2.0 * inner + phi[:-2]) * inv_h2
+        rhs = np.empty_like(inner)
+        rhs[0] = (phi[1] - 2.0 * inner[0]) + phi[1]
+        rhs[1:] = phi[2:] - 2.0 * inner[1:] + phi[:-2]
+        rhs *= inv_h2
         rhs += (-m2 + 3.0 * a * mag - 4.0 * b * mag * mag) * inner
-        new_inner = 2.0 * inner - phi_prev[1:-1] + dt2 * rhs
-        phi_prev[1:-1] = inner
-        phi[1:-1] = new_inner
+        new_inner = 2.0 * inner - phi_prev[:-1] + dt2 * rhs
+        phi_prev[:-1] = inner
+        phi[:-1] = new_inner
         sup = np.abs(new_inner).max()
         if not sup <= guard:
             return k + 1
@@ -248,3 +255,129 @@ def bisection_eigenpairs(diag, off, k: int, tol: float = 1e-10):
         pairs.append((value, vector))
         lo = value - tol
     return pairs
+
+
+# --- the evolution before the half-line split ------------------------------
+#
+# The package's earlier ``run``: both halves of [-L, L] stepped with Dirichlet
+# ends, and composite Simpson over the full grid.  It is the reference for
+# the stated tolerance of the half-line path.
+
+def full_grid_leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a,
+                             b, guard):
+    """Full-grid leapfrog; both end nodes stay fixed."""
+    inv_h2 = 1.0 / (step_x * step_x)
+    dt2 = step_t * step_t
+    for k in range(n_steps):
+        inner = phi[1:-1]
+        mag = np.abs(inner)
+        rhs = (phi[2:] - 2.0 * inner + phi[:-2]) * inv_h2
+        rhs += (-m2 + 3.0 * a * mag - 4.0 * b * mag * mag) * inner
+        new_inner = 2.0 * inner - phi_prev[1:-1] + dt2 * rhs
+        phi_prev[1:-1] = inner
+        phi[1:-1] = new_inner
+        sup = np.abs(new_inner).max()
+        if not sup <= guard:
+            return k + 1
+    return n_steps
+
+
+def _full_grid_start(profile, perturbation, step_t, extra_half_length):
+    kind, eps = parse_perturbation(perturbation)
+    p = profile.params
+    h = profile.step
+    n_side = round(profile.half_length / h) \
+        + int(math.ceil(extra_half_length / h))
+    x = (np.arange(2 * n_side + 1) - n_side) * h
+    r = closed_form_profile(p, profile.omega, np.abs(x))
+    if kind == "scale":
+        phi0 = (1.0 + eps) * r.astype(complex)
+    elif kind == "bump":
+        phi0 = (r + eps * np.exp(-x * x)).astype(complex)
+    else:
+        phi0 = r.astype(complex)
+    phi0[0] = phi0[-1] = 0.0
+    inner = phi0[1:-1]
+    mag = np.abs(inner)
+    acc = np.zeros_like(phi0)
+    acc[1:-1] = (phi0[2:] - 2.0 * inner + phi0[:-2]) / (h * h)
+    acc[1:-1] += (-p.m * p.m + 3.0 * p.a * mag - 4.0 * p.b * mag * mag) \
+        * inner
+    psi0 = -1j * profile.omega * phi0
+    phi_prev = phi0 - step_t * psi0 + 0.5 * step_t * step_t * acc
+    phi_prev[0] = phi_prev[-1] = 0.0
+    return x, n_side * h, phi0, phi_prev
+
+
+def _full_grid_sample(phi, prev, x, profile, omega, steps):
+    """(energy, charge, orbital distance, sup, the orbit's squared norm) of
+    one full-grid state."""
+    p = profile.params
+    h = profile.step
+    ahead, ahead_prev = phi.copy(), prev.copy()
+    full_grid_leapfrog_steps(ahead, ahead_prev, 1, *steps)
+    psi = (ahead - prev) / (2.0 * steps[1])
+    grad = np.gradient(phi, h)
+    mag = np.abs(phi)
+    m2 = p.m * p.m
+    energy = (0.5 * composite_simpson(np.abs(psi)**2, h)
+              + 0.5 * composite_simpson(np.abs(grad)**2, h)
+              + 0.5 * m2 * composite_simpson(mag**2, h)
+              + composite_simpson(-p.a * mag**3 + p.b * mag**4, h))
+    charge = -composite_simpson(psi * np.conj(phi), h).imag
+    r = np.interp(np.abs(x), profile.x, profile.values, right=0.0)
+    r_x = np.gradient(r, h)
+    norm_u = (m2 * composite_simpson(mag**2, h)
+              + composite_simpson(np.abs(grad)**2, h)
+              + composite_simpson(np.abs(psi)**2, h))
+    norm_v = (m2 * composite_simpson(r**2, h)
+              + composite_simpson(r_x**2, h)
+              + omega * omega * composite_simpson(r**2, h))
+    z = (m2 * composite_simpson(phi * r, h)
+         + composite_simpson(grad * r_x, h)
+         + composite_simpson(psi * np.conj(-1j * omega * r), h))
+    distance = math.sqrt(max(0.0, norm_u + norm_v - 2.0 * abs(z)))
+    return energy, charge, distance, float(mag.max()), norm_v
+
+
+def full_grid_run(p, omega, perturbation, t_final, sample_every=50,
+                  step_x=0.02, step_t=0.01, extra_half_length=20.0):
+    """The full-grid run as a dict of the ``Diagnostics`` fields, plus
+    ``norm_v``, the orbit's squared norm."""
+    profile = build_profile(p, omega, step_x)
+    x, half_length, phi, prev = _full_grid_start(profile, perturbation,
+                                                 step_t, extra_half_length)
+    guard = 1e3 * float(profile.values[0])
+    steps = (step_x, step_t, p.m * p.m, p.a, p.b, guard)
+    tail = np.abs(x) >= half_length - 5.0
+    total = int(math.ceil(t_final / step_t - 1e-9))
+    out = {"times": [], "energy": [], "charge": [], "orbital_distance": [],
+           "sup_amplitude": [], "truncated": False, "truncation_time": None,
+           "tail_first_exceed": None}
+    time = 0.0
+    done = 0
+    while True:
+        energy, charge, distance, sup, norm_v = _full_grid_sample(
+            phi, prev, x, profile, omega, steps)
+        for key, value in zip(("times", "energy", "charge",
+                               "orbital_distance", "sup_amplitude"),
+                              (time, energy, charge, distance, sup)):
+            out[key].append(value)
+        if (out["tail_first_exceed"] is None
+                and float(np.abs(phi[tail]).max()) > 1e-8):
+            out["tail_first_exceed"] = time
+        if done >= total:
+            break
+        batch = min(sample_every, total - done)
+        taken = full_grid_leapfrog_steps(phi, prev, batch, *steps)
+        time += taken * step_t
+        done += taken
+        if taken < batch:
+            out["truncated"] = True
+            out["truncation_time"] = time
+            break
+    for key in ("times", "energy", "charge", "orbital_distance",
+                "sup_amplitude"):
+        out[key] = np.asarray(out[key])
+    out["norm_v"] = norm_v
+    return out

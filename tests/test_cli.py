@@ -27,6 +27,15 @@ _BAD_INPUTS = [
     (_SPECTRUM + ["--h", "0.2", "--L", "1", "--k", "50"], "domain-error"),
     (_SPECTRUM + ["--L", "nan"], "grid-error"),
     (_SPECTRUM + ["--L", "inf"], "grid-error"),
+    # the step budget: 1e302 steps, and 1,000,001 at the default dt
+    (_EVOLVE + ["--t-final", "1e300"], "domain-error"),
+    (_EVOLVE + ["--t-final", "10000.01"], "domain-error"),
+    # the node budget: about 2.8e7 nodes on x >= 0 at omega = m(1 - 1e-8)
+    (["profile", "--a", "1", "--b", "1", "--m", "1", "--omega", "0.99999999"],
+     "grid-error"),
+    (_SPECTRUM[:-1] + ["0.99999999", "--h", "0.01"], "grid-error"),
+    (_EVOLVE[:-5] + ["0.99999999", "--perturb", "none", "--t-final", "1",
+                     "--dx", "0.01", "--out", os.devnull], "grid-error"),
 ]
 
 
@@ -370,7 +379,8 @@ def test_entry_point_exit_codes():
     # a fresh interpreter shows what in-process calls cannot: an uncaught
     # exception would end in a traceback
     src = Path(kgstab.__file__).resolve().parent.parent
-    cases = [(["tau-star"], 0), (_BAD_INPUTS[0][0], 3), (_BAD_INPUTS[-1][0], 3)]
+    cases = [(["tau-star"], 0), (_BAD_INPUTS[0][0], 3), (_BAD_INPUTS[8][0], 3),
+             (_BAD_INPUTS[-1][0], 3)]
     for argv, expected in cases:
         result = subprocess.run(
             [sys.executable, "-m", "kgstab.cli", *argv], capture_output=True,

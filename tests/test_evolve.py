@@ -1,15 +1,18 @@
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kgstab import (BlowUpError, CFLError, FieldState, ModelParams,
-                    build_profile, closed_form_profile, energy, field_charge,
+import oracles
+from kgstab import (BlowUpError, CFLError, DomainError, FieldState, GridError,
+                    ModelParams, build_profile, closed_form_profile,
+                    composite_simpson, energy, evolve, field_charge,
                     field_energy, init_state, orbital_distance,
                     parse_perturbation, run, sigma_closed, step)
-from kgstab.evolve import _advance
+from kgstab.evolve import _advance, _integral
 
 
 def _fresh_state(p, omega, perturbation="none", step_x=0.02, step_t=0.01):
@@ -37,11 +40,12 @@ def test_cfl_guard(p111):
 
 def test_initial_data_matches_profile(p111):
     state = _fresh_state(p111, 0.9)
-    inner = slice(1, -1)
-    expected = closed_form_profile(p111, 0.9, np.abs(state.x))
+    inner = slice(0, -1)  # the centre and every node short of the end
+    expected = closed_form_profile(p111, 0.9, state.x)
     assert np.abs(state.phi.real[inner] - expected[inner]).max() < 1e-14
     assert np.abs(state.phi.imag).max() == 0.0
-    assert state.phi[0] == 0.0 and state.phi[-1] == 0.0
+    assert state.phi[0] == expected[0]  # the centre carries R(0)
+    assert state.phi[-1] == 0.0
 
 
 def test_initial_velocity_recovered(p111):
@@ -81,8 +85,9 @@ def test_single_step_phase_accuracy(p111):
     state = _fresh_state(p111, 0.9)
     ahead, _ = _advance(state, 1)
     exact = state.phi * np.exp(-1j * 0.9 * state.step_t)
-    # interior only; the boundary pins a ~1e-12 amplitude to zero
-    gap = np.abs(ahead.phi[1:-1] - exact[1:-1]).max()
+    # the centre and the interior; the boundary pins a ~1e-12 amplitude to
+    # zero
+    gap = np.abs(ahead.phi[:-1] - exact[:-1]).max()
     assert gap < 2e-8
 
 
@@ -103,9 +108,9 @@ def test_second_order_convergence_in_time(p111):
     for step_x, step_t in ((0.04, 0.02), (0.02, 0.01)):
         state = _fresh_state(p111, 0.9, step_x=step_x, step_t=step_t)
         ahead, _ = _advance(state, round(1.0 / step_t))
-        exact = closed_form_profile(p111, 0.9, np.abs(ahead.x)) \
+        exact = closed_form_profile(p111, 0.9, ahead.x) \
             * np.exp(-1j * 0.9 * 1.0)
-        exact[0] = exact[-1] = 0.0
+        exact[-1] = 0.0
         errors.append(np.abs(ahead.phi - exact).max())
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.2)
 
@@ -233,5 +238,123 @@ def test_state_exposes_grid(p111):
     state = _fresh_state(p111, 0.9)
     assert isinstance(state, FieldState)
     assert state.x.size == state.phi.size
-    assert state.x[0] == -state.half_length
+    assert state.x[0] == 0.0
     assert state.x[-1] == state.half_length
+
+
+@pytest.mark.parametrize("n_nodes", [2, 3, 4, 5, 1000, 1001])
+def test_folded_simpson_equals_full_grid(n_nodes):
+    # the half-line sum is the full-grid composite Simpson of the even
+    # extension, for an even and an odd interval count N = n_nodes - 1
+    rng = np.random.default_rng(n_nodes)
+    half = rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes)
+    full = np.concatenate((half[:0:-1], half))
+    want = composite_simpson(full, 0.03)
+    assert abs(_integral(half, 0.03) - want) <= 1e-13 * abs(want)
+    want_real = composite_simpson(full.real, 0.03)
+    got_real = _integral(half.real, 0.03)
+    assert isinstance(got_real, float)
+    assert abs(got_real - want_real) <= 1e-13 * abs(want_real)
+
+
+def test_state_phi_x_vanishes_at_centre(p111):
+    state = _fresh_state(p111, 0.9, "bump:0.3")
+    assert state.phi_x[0] == 0.0
+    assert state.phi_x is state.phi_x  # computed once per state
+    interior = np.gradient(state.phi, state.step_x)[1:]
+    assert np.array_equal(state.phi_x[1:], interior)
+
+
+def _assert_matches_full_grid(diag, ref):
+    # the stated tolerance of the half-line path against the full grid
+    assert np.array_equal(diag.times, ref["times"])
+    assert diag.truncated == ref["truncated"]
+    assert diag.truncation_time == ref["truncation_time"]
+    assert diag.tail_first_exceed == ref["tail_first_exceed"]
+    for key in ("energy", "charge", "sup_amplitude"):
+        got, want = getattr(diag, key), ref[key]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), key
+    # d is the square root of a cancelling difference: compare d^2 on the
+    # scale of the orbit's own squared norm
+    gap = np.abs(diag.orbital_distance**2 - ref["orbital_distance"]**2)
+    assert gap.max() <= 1e-12 * ref["norm_v"]
+
+
+@pytest.mark.parametrize("step_x, n_parity", [(0.02, 0), (0.03, 1)])
+@pytest.mark.parametrize("perturbation", ["scale:0.01", "bump:0.01", "none"])
+def test_half_line_matches_full_grid_run(p111, perturbation, step_x,
+                                         n_parity):
+    state = _fresh_state(p111, 0.9, step_x=step_x)
+    assert (state.phi.size - 1) % 2 == n_parity  # even and odd N
+    diag = run(p111, 0.9, perturbation, 10.0, sample_every=50,
+               step_x=step_x)
+    ref = oracles.full_grid_run(p111, 0.9, perturbation, 10.0,
+                                sample_every=50, step_x=step_x)
+    _assert_matches_full_grid(diag, ref)
+
+
+def test_half_line_matches_full_grid_truncation(p111):
+    diag = run(p111, 0.9, "bump:-200", 1.0, sample_every=10)
+    ref = oracles.full_grid_run(p111, 0.9, "bump:-200", 1.0, sample_every=10)
+    assert diag.truncated
+    _assert_matches_full_grid(diag, ref)
+
+
+def test_half_line_matches_full_grid_tail_sensor(p212):
+    # no margin beyond the profile: the bump's radiation trips the sensor
+    kwargs = dict(sample_every=20, step_x=0.03, extra_half_length=0.0)
+    diag = run(p212, 1.5, "bump:0.5", 30.0, **kwargs)
+    ref = oracles.full_grid_run(p212, 1.5, "bump:0.5", 30.0, **kwargs)
+    assert diag.tail_first_exceed is not None
+    _assert_matches_full_grid(diag, ref)
+
+
+def test_run_distance_equals_public_orbital_distance(p111):
+    prof = build_profile(p111, 0.9, 0.02)
+    state = init_state(prof, "bump:0.05", 0.01)
+    diag = run(p111, 0.9, "bump:0.05", 0.5, sample_every=50)
+    assert diag.orbital_distance[0] == orbital_distance(state, prof, 0.9)
+    ahead, _ = _advance(state, 50)
+    assert diag.orbital_distance[1] == orbital_distance(ahead, prof, 0.9)
+
+
+def test_init_state_rejects_bad_extra_half_length(p111):
+    prof = build_profile(p111, 0.9, 0.02)
+    for extra in (-1.0, math.inf, math.nan, 1e9):
+        with pytest.raises(GridError):
+            init_state(prof, "none", 0.01, extra_half_length=extra)
+
+
+def test_step_budget(p111, monkeypatch):
+    tracemalloc.start()
+    try:
+        for t_final in (1e300, 10_000.01):
+            with pytest.raises(DomainError, match="steps"):
+                run(p111, 0.9, "none", t_final)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before the grid is built
+    # the budget counts the steps a run takes: exactly at it is accepted
+    monkeypatch.setattr(evolve, "MAX_STEPS", 20)
+    assert run(p111, 0.9, "none", 0.2, sample_every=10).times[-1] \
+        == pytest.approx(0.2)
+    with pytest.raises(DomainError):
+        run(p111, 0.9, "none", 0.21, sample_every=10)
+
+
+def test_node_budget_before_allocation(p111):
+    prof = build_profile(p111, 0.9, 0.02)
+    near_edge = 1.0 - 1e-8  # about 2.8e7 nodes on x >= 0 at h = 0.01
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match="budget"):
+            build_profile(p111, near_edge, 0.01)
+        with pytest.raises(GridError, match="budget"):
+            run(p111, near_edge, "none", 1.0, step_x=0.01, step_t=0.005)
+        with pytest.raises(GridError, match="budget"):
+            init_state(prof, "none", 0.01, extra_half_length=1e6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -11,9 +11,11 @@ from kgstab import _kernels
 
 
 def _standing_wave_arrays(n=101):
-    x = np.linspace(-10.0, 10.0, n)
+    # an even wave on the half-line [0, 10]: the centre first, the Dirichlet
+    # end last
+    x = np.linspace(0.0, 10.0, n)
     phi = (0.1 / np.cosh(x)).astype(complex)
-    phi[0] = phi[-1] = 0.0
+    phi[-1] = 0.0
     phi_prev = phi * np.exp(1j * 0.9 * 0.01)
     return phi, phi_prev
 
@@ -118,7 +120,7 @@ def test_leapfrog_equals_reference(n):
     phi *= 5.0  # amplitude 0.5: the nonlinear terms are not negligible
     prev *= 5.0
     ref_phi, ref_prev = phi.copy(), prev.copy()
-    step_x = 20.0 / (n - 1)
+    step_x = 10.0 / (n - 1)
     # coefficients that are not powers of two, so a reordered product rounds
     # differently
     args = (300, step_x, 0.01, 0.81, 1.3, 0.7, 1e3)
@@ -126,6 +128,29 @@ def test_leapfrog_equals_reference(n):
     assert taken == oracles.leapfrog_steps(ref_phi, ref_prev, *args) == 300
     assert _same_bits(phi, ref_phi)
     assert _same_bits(prev, ref_prev)
+
+
+def test_leapfrog_mirrors_full_grid():
+    # the half-line with its mirror centre advances the x >= 0 half of the
+    # full-grid scheme; the two differ only by the rounding of the full
+    # grid's left half, whose rows add their neighbours in the other order
+    phi, prev = _standing_wave_arrays(1001)
+    phi *= 5.0
+    prev *= 5.0
+    full_phi = np.concatenate((phi[:0:-1], phi))
+    full_prev = np.concatenate((prev[:0:-1], prev))
+    args = (300, 0.01, 0.01, 0.81, 1.3, 0.7, 1e3)
+    assert _kernels.leapfrog_steps(phi, prev, *args) == 300
+    assert oracles.full_grid_leapfrog_steps(full_phi, full_prev, *args) == 300
+    assert np.abs(full_phi[1000:] - phi).max() < 1e-14 * np.abs(phi).max()
+    assert np.abs(full_prev[1000:] - prev).max() < 1e-14 * np.abs(prev).max()
+    # the centre row itself: the first step is bitwise the full grid's
+    phi, prev = _standing_wave_arrays(1001)
+    full_phi = np.concatenate((phi[:0:-1], phi))
+    full_prev = np.concatenate((prev[:0:-1], prev))
+    _kernels.leapfrog_steps(phi, prev, 1, *args[1:])
+    oracles.full_grid_leapfrog_steps(full_phi, full_prev, 1, *args[1:])
+    assert _same_bits(full_phi[1000:], phi)
 
 
 def test_leapfrog_guard_trips_at_reference_step():

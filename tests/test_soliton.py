@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import oracles
 from kgstab import (DomainError, GridError, ModelParams, build_profile,
                     charge, closed_form_profile, closed_form_slope,
                     composite_simpson, d_second_numeric, energy, r_star,
-                    sigma_closed)
+                    sigma_closed, soliton)
 
 
 def test_closed_form_at_origin_equals_peak_amplitude(p111):
@@ -92,6 +93,25 @@ def test_build_profile_rejects_bad_grid(p111):
     for half_length in (0.0, math.inf, math.nan):
         with pytest.raises(GridError):
             build_profile(p111, 0.9, 0.01, half_length=half_length)
+
+
+def test_build_profile_node_budget(p111, monkeypatch):
+    tracemalloc.start()
+    try:
+        # about 2.8e7 nodes, and a length/step ratio that overflows to inf
+        for omega, step in ((1.0 - 1e-8, 0.01), (0.9, 1e-320)):
+            with pytest.raises(GridError, match="budget"):
+                build_profile(p111, omega, step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before the grid is allocated
+    # the budget counts length / step: a grid right at it is built
+    monkeypatch.setattr(soliton, "MAX_NODES", 2000)
+    assert build_profile(p111, 0.9, 0.05, half_length=100.0).values.size \
+        == 2001
+    with pytest.raises(GridError, match="budget"):
+        build_profile(p111, 0.9, 0.05, half_length=100.05)
 
 
 def test_first_integral_identity(p111):

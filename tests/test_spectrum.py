@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +34,21 @@ def test_assemble_rejects_bad_inputs(p111):
         assemble(p111, 0.9, 0.5)  # h > 0.1 / sqrt(c)
     with pytest.raises(GridError):
         assemble(p111, 0.9, -0.02)
+
+
+def test_assemble_node_budget(p111):
+    # about 2.8e7 nodes per side at omega = m(1 - 1e-8) and h = 0.01
+    tracemalloc.start()
+    try:
+        for kind in ("lplus", "lminus"):
+            with pytest.raises(GridError, match="budget"):
+                assemble(p111, 1.0 - 1e-8, 0.01, kind=kind)
+        with pytest.raises(GridError, match="budget"):
+            spectral_report(p111, 1.0 - 1e-8, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before the operator is allocated
 
 
 def test_assemble_matrix_structure(p111):
