@@ -6,9 +6,9 @@ linearized operators, and nonlinear time evolution — with a CLI front end
 (``kgstab``) over all of it.
 """
 
-from .evolve import (BlowUpError, CFLError, Diagnostics, FieldState,
-                     field_charge, field_energy, init_state, orbital_distance,
-                     parse_perturbation, run, step)
+from .evolve import (CFLError, Diagnostics, FieldState, field_charge,
+                     field_energy, init_state, orbital_distance,
+                     parse_perturbation, run)
 from .model import (DomainError, FrequencyWindow, ModelParams, alpha_of_omega,
                     g_derivatives, omega_of_alpha, r_star)
 from .soliton import (GridError, SolitonProfile, build_profile, charge,
@@ -39,7 +39,6 @@ __all__ = [
     "EigensolverError", "TridiagonalOperator", "SpectrumReport", "assemble",
     "apply", "eigenvalue_count_below", "lowest_eigenpairs", "spectral_report",
     # evolve
-    "CFLError", "BlowUpError", "FieldState", "Diagnostics",
-    "parse_perturbation", "init_state", "step", "field_energy",
-    "field_charge", "orbital_distance", "run",
+    "CFLError", "FieldState", "Diagnostics", "parse_perturbation",
+    "init_state", "field_energy", "field_charge", "orbital_distance", "run",
 ]

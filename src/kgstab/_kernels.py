@@ -21,8 +21,9 @@ def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
     phi/phi_prev are complex arrays over the half-line x_i = i*h of an even
     field: node 0 is the symmetry centre, whose left neighbour phi(-h) is its
     mirror phi(h), and the last node is a Dirichlet end that is never
-    touched.  Returns the number of steps actually taken; fewer than
-    ``n_steps`` means the amplitude guard tripped.
+    touched.  Returns the number of steps actually taken, stopping after the
+    step whose new level exceeds the amplitude guard; a trip on the last
+    step also returns ``n_steps``, so callers test the end state themselves.
     """
     inv_h2 = 1.0 / (step_x * step_x)
     dt2 = step_t * step_t

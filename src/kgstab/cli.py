@@ -261,7 +261,7 @@ def _cmd_tau_star(args) -> int:
     crit = stability.tau_star()
     if args.json:
         payload = {"tau_star": crit.tau_star, "alpha_d": crit.alpha_d}
-        prov = {"tolerances": {"tol_alpha": 1e-12}}
+        prov = {"tolerances": {"tol_alpha": stability.ALPHA_TOL}}
         _emit(_envelope("tau-star", None, payload, prov, start))
     else:
         print(f"tau_star = {_format_float(crit.tau_star)}")
@@ -274,7 +274,8 @@ def _cmd_classify(args) -> int:
     p = ModelParams(args.a, args.b, args.m)
     report = stability.classify(p, check_oracle=not args.no_check)
     if args.json:
-        prov = {"tolerances": {"alpha_tol": 1e-12, "sign_tol": 1e-10},
+        prov = {"tolerances": {"alpha_tol": stability.ALPHA_TOL,
+                               "sign_tol": stability.SIGN_TOL},
                 "oracle_checked": not args.no_check}
         _emit(_envelope("classify", p, report.to_dict(), prov, start))
     elif args.csv:
@@ -340,9 +341,6 @@ def _cmd_sigma(args) -> int:
 def _cmd_spectrum(args) -> int:
     start = time.perf_counter()
     p = ModelParams(args.a, args.b, args.m)
-    if args.k < 2:
-        raise DomainError("--k must be at least 2 (kernel match needs the "
-                          "second eigenpair)")
     report = spectrum.spectral_report(p, args.omega, args.h,
                                       half_length=args.L, k=args.k)
     if args.vectors:
@@ -355,8 +353,9 @@ def _cmd_spectrum(args) -> int:
     if args.json:
         prov = {"grid": {"step": args.h, "half_length": report.half_length,
                          "k": args.k},
-                "tolerances": {"eigenvalue_tol": 1e-10,
-                               "kernel_band": 10.0 * args.h * args.h}}
+                "tolerances": {"eigenvalue_tol": spectrum.EIGENVALUE_TOL,
+                               "kernel_band":
+                                   spectrum.KERNEL_BAND * args.h * args.h}}
         _emit(_envelope("spectrum", p, report.to_dict(), prov, start))
     else:
         print(f"omega = {_format_float(report.omega)}")
@@ -375,15 +374,15 @@ def _cmd_evolve(args) -> int:
     start = time.perf_counter()
     p = ModelParams(args.a, args.b, args.m)
     kind, eps = args.perturb
-    diag = evolve_mod.run(p, args.omega, args.perturb, args.t_final,
+    perturbation = kind if kind == "none" else f"{kind}:{eps!r}"
+    diag = evolve_mod.run(p, args.omega, perturbation, args.t_final,
                           sample_every=args.sample, step_x=args.dx,
                           step_t=args.dt)
     with open(args.out, "w", encoding="utf-8") as stream:
         diag.to_csv(stream)
     prov = {"grid": {"step_x": args.dx, "step_t": args.dt,
                      "sample_every": args.sample,
-                     "perturbation":
-                         kind if kind == "none" else f"{kind}:{eps!r}"},
+                     "perturbation": perturbation},
             "out": args.out}
     _emit(_envelope("evolve", p, diag.summary(), prov, start))
     if diag.truncated:

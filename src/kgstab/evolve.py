@@ -13,7 +13,7 @@ Simpson sums folded onto x >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -39,24 +39,12 @@ class CFLError(ValueError):
     stability)."""
 
 
-class BlowUpError(RuntimeError):
-    """Amplitude guard tripped during stepping."""
-
-    def __init__(self, time: float, sup: float):
-        self.time = time
-        self.sup = sup
-        super().__init__(f"amplitude {sup!r} exceeded the guard at t={time!r}")
-
-
-def parse_perturbation(spec) -> tuple[str, float]:
+def parse_perturbation(spec: str) -> tuple[str, float]:
     """Parse 'none', 'scale:EPS', or 'bump:EPS' into (kind, eps).
 
     Each kind gives even initial data: the profile, the profile scaled by
     1 + EPS, or the profile plus EPS exp(-x^2).
     """
-    if isinstance(spec, tuple):
-        kind, eps = spec
-        spec = kind if kind == "none" else f"{kind}:{eps}"
     text = str(spec).strip()
     if text == "none":
         return ("none", 0.0)
@@ -108,13 +96,16 @@ class FieldState:
 
     @cached_property
     def velocity(self) -> np.ndarray:
-        """d/dt phi at the current level from the two-level leapfrog stagger.
+        """d/dt phi at the current level, shared by the diagnostics.
 
-        Costs one probe step, taken once per state and shared by the
-        diagnostics.
+        The centred difference (phi^{n+1} - phi^{n-1}) / 2dt with the
+        leapfrog's phi^{n+1} substituted: (phi^n - phi^{n-1}) / dt
+        + (dt/2) phi_tt(phi^n).  It reads the two stored levels and steps
+        nothing.
         """
-        ahead, _ = _advance(self, 1)
-        return (ahead.phi - self.phi_prev) / (2.0 * self.step_t)
+        dt = self.step_t
+        return ((self.phi - self.phi_prev) / dt
+                + 0.5 * dt * _acceleration(self.phi, self.step_x, self.params))
 
     @cached_property
     def phi_x(self) -> np.ndarray:
@@ -173,7 +164,7 @@ def _initial_field(kind: str, eps: float, profile: SolitonProfile,
     return r.astype(complex)
 
 
-def init_state(profile: SolitonProfile, perturbation, step_t: float,
+def init_state(profile: SolitonProfile, perturbation: str, step_t: float,
                extra_half_length: float = 20.0) -> FieldState:
     """Perturbed standing-wave data on a widened half-line grid.
 
@@ -222,21 +213,9 @@ def _advance(state: FieldState, n_steps: int) -> tuple[FieldState, int]:
         phi, prev, n_steps, state.step_x, state.step_t,
         p.m * p.m, p.a, p.b, state.guard,
     ))
-    new = FieldState(
-        time=state.time + taken * state.step_t, phi=phi, phi_prev=prev,
-        step_x=state.step_x, step_t=state.step_t,
-        half_length=state.half_length, params=p, guard=state.guard,
-    )
+    new = replace(state, time=state.time + taken * state.step_t, phi=phi,
+                  phi_prev=prev)
     return new, taken
-
-
-def step(state: FieldState) -> FieldState:
-    """One leapfrog step; raises BlowUpError if the amplitude guard trips."""
-    new, taken = _advance(state, 1)
-    sup = float(np.abs(new.phi).max())
-    if taken == 1 and sup > state.guard:
-        raise BlowUpError(new.time, sup)
-    return new
 
 
 def field_energy(state: FieldState) -> float:
@@ -292,7 +271,8 @@ def _distance(state: FieldState, orbit: _Orbit) -> float:
                        + np.abs(psi)**2, h)
     z = _integral(orbit.m2 * state.phi * orbit.r + phi_x * orbit.r_x
                   + psi * orbit.psi, h)
-    return math.sqrt(max(0.0, norm_u + orbit.norm - 2.0 * abs(z)))
+    # max(d2, 0.0) passes a NaN on, where max(0.0, d2) would return 0.0
+    return math.sqrt(max(norm_u + orbit.norm - 2.0 * abs(z), 0.0))
 
 
 def orbital_distance(state: FieldState, profile: SolitonProfile,
@@ -351,9 +331,16 @@ class Diagnostics:
             stream.write(",".join(f"{value:.17g}" for value in row) + "\n")
 
 
-def run(p: ModelParams, omega: float, perturbation, t_final: float,
+def _sample(state: FieldState, orbit: _Orbit, tail: np.ndarray) -> tuple:
+    """(time, energy, charge, orbital distance, sup |phi|, sup |phi| over
+    the ``tail`` nodes) of one state."""
+    mag = np.abs(state.phi)
+    return (state.time, field_energy(state), field_charge(state),
+            _distance(state, orbit), float(mag.max()), float(mag[tail].max()))
+
+
+def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
         sample_every: int = 50, step_x: float = 0.02, step_t: float = 0.01,
-        half_length: float | None = None,
         extra_half_length: float = 20.0) -> Diagnostics:
     """Evolve perturbed standing-wave data to t_final, sampling diagnostics.
 
@@ -363,7 +350,9 @@ def run(p: ModelParams, omega: float, perturbation, t_final: float,
     an exception escaping.
 
     Raises DomainError for a ``t_final`` that is not positive and finite, a
-    ``sample_every`` below 1, or more than MAX_STEPS steps.
+    ``sample_every`` below 1, more than MAX_STEPS steps, or initial data
+    whose t = 0 energy, charge or orbital distance is not finite, or whose
+    energy or charge is zero.
     """
     if not 0.0 < t_final < math.inf:
         raise DomainError(
@@ -375,41 +364,39 @@ def run(p: ModelParams, omega: float, perturbation, t_final: float,
         raise DomainError(
             f"t_final={t_final!r} at step_t={step_t!r} needs more than "
             f"the {MAX_STEPS} steps one run may take")
-    profile = build_profile(p, omega, step_x, half_length=half_length)
-    state = init_state(profile, perturbation, step_t, extra_half_length)
-    orbit = _orbit(state, profile, omega)
+    profile = build_profile(p, omega, step_x)
+    # huge data overflows to inf or NaN here; the check below refuses it,
+    # so the NumPy warnings would only add noise to stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = init_state(profile, perturbation, step_t, extra_half_length)
+        orbit = _orbit(state, profile, omega)
+        tail_nodes = state.x >= state.half_length - _TAIL_MARGIN
+        samples = [_sample(state, orbit, tail_nodes)]
+    _, e0, q0, d0, *_ = samples[0]
+    if not all(map(math.isfinite, samples[0])) or e0 == 0.0 or q0 == 0.0:
+        raise DomainError(
+            f"perturbation {perturbation!r} gives t = 0 energy {e0!r}, "
+            f"charge {q0!r} and distance {d0!r}; all must be finite, and "
+            "energy and charge nonzero")
 
-    tail_nodes = state.x >= state.half_length - _TAIL_MARGIN
     total_steps = int(math.ceil(t_final / step_t - 1e-9))
-
-    times, energies, charges, dists, sups = [], [], [], [], []
-    truncated = False
     truncation_time = None
-    tail_first = None
-
     done = 0
-    while True:
-        times.append(state.time)
-        energies.append(field_energy(state))
-        charges.append(field_charge(state))
-        dists.append(_distance(state, orbit))
-        sups.append(float(np.abs(state.phi).max()))
-        if tail_first is None:
-            if float(np.abs(state.phi[tail_nodes]).max()) > _TAIL_LEVEL:
-                tail_first = state.time
-        if done >= total_steps:
-            break
+    while done < total_steps:
         batch = min(sample_every, total_steps - done)
         state, taken = _advance(state, batch)
         done += taken
-        if taken < batch:
-            truncated = True
+        # the guard may trip on a batch's last step, where taken == batch
+        if not np.abs(state.phi).max() <= state.guard:
             truncation_time = state.time
             break
+        samples.append(_sample(state, orbit, tail_nodes))
 
+    times, energy, charge, dist, sup, tail = map(np.asarray, zip(*samples))
+    exceeded = np.flatnonzero(tail > _TAIL_LEVEL)
     return Diagnostics(
-        times=np.asarray(times), energy=np.asarray(energies),
-        charge=np.asarray(charges), orbital_distance=np.asarray(dists),
-        sup_amplitude=np.asarray(sups), truncated=truncated,
-        truncation_time=truncation_time, tail_first_exceed=tail_first,
+        times=times, energy=energy, charge=charge, orbital_distance=dist,
+        sup_amplitude=sup, truncated=truncation_time is not None,
+        truncation_time=truncation_time,
+        tail_first_exceed=float(times[exceeded[0]]) if exceeded.size else None,
     )

@@ -35,6 +35,10 @@ _KINDS = ("lplus", "lminus")
 _COARSE_WIDTH = 1e-3
 # inverse iteration stops at a residual of this many ulps of the matrix scale
 _RESIDUAL_ULPS = 100.0
+# default distance of each returned eigenvalue from the matrix's own
+EIGENVALUE_TOL = 1e-10
+# eigenvalues within KERNEL_BAND * step^2 of zero are kernel candidates
+KERNEL_BAND = 10.0
 
 
 class EigensolverError(RuntimeError):
@@ -191,8 +195,9 @@ def _check_k(k: int, n: int) -> None:
         raise DomainError(f"k={k!r} out of range for matrix size {n}")
 
 
-def lowest_eigenpairs(op: TridiagonalOperator, k: int,
-                      tol: float = 1e-10) -> list[tuple[float, np.ndarray]]:
+def lowest_eigenpairs(
+        op: TridiagonalOperator, k: int, tol: float = EIGENVALUE_TOL,
+) -> list[tuple[float, np.ndarray]]:
     """The k algebraically smallest eigenpairs, eigenvalues nondecreasing.
 
     The j-th eigenvalue is bracketed upward from the previous one (from the
@@ -332,8 +337,8 @@ def _mirror(u: np.ndarray, odd: bool) -> np.ndarray:
 
 
 def _parity_eigenpairs(op: TridiagonalOperator, k: int):
-    """``lowest_eigenpairs(op, k)`` for an operator from ``assemble``, solved
-    on its parity blocks.
+    """``lowest_eigenpairs(op, k)`` for an operator from ``assemble`` and
+    k >= 2, solved on its parity blocks.
 
     The j-th eigenvector of a mirror-symmetric Jacobi matrix of odd size has
     j sign changes, so it is even for even j and odd for odd j: pair j is
@@ -343,7 +348,7 @@ def _parity_eigenpairs(op: TridiagonalOperator, k: int):
     """
     even, odd = _parity_blocks(op)
     halves = (lowest_eigenpairs(even, (k + 1) // 2),
-              lowest_eigenpairs(odd, k // 2) if k >= 2 else [])
+              lowest_eigenpairs(odd, k // 2))
     pairs = []
     for j in range(k):
         value, u = halves[j % 2][j // 2]
@@ -361,24 +366,29 @@ def spectral_report(p: ModelParams, omega: float, step: float,
     """Assemble both operators and report their lowest k eigenpairs.
 
     The eigenpairs are solved on the operators' parity blocks: pair j is
-    even for even j and odd for odd j.  Each eigenvalue lies within 1e-10,
-    the default ``tol`` of ``lowest_eigenpairs``, of the operator's own.
-    Each eigenvector is exactly even or odd, has unit norm and is positive
-    at its largest entry; an odd vector's largest entries come in a mirror
-    pair, and the one at x < 0 is positive.
+    even for even j and odd for odd j.  Each eigenvalue lies within
+    EIGENVALUE_TOL (1e-10), the default ``tol`` of ``lowest_eigenpairs``, of
+    the operator's own.  Each eigenvector is exactly even or odd, has unit
+    norm and is positive at its largest entry; an odd vector's largest
+    entries come in a mirror pair, and the one at x < 0 is positive.
 
-    Negative counts use the Sturm sequence at -10 h^2: eigenvalues inside the
-    band (-10h^2, 10h^2) are discrete-kernel candidates, not signs of genuine
-    negative directions.  Kernel matches compare the relevant eigenvector
-    with the sampled profile (L_minus vs R) or its slope (L_plus vs R').
+    Negative counts use the Sturm sequence at -b with b = KERNEL_BAND h^2
+    (10 h^2): eigenvalues inside the band (-b, b) are discrete-kernel
+    candidates, not signs of genuine negative directions.  Kernel matches
+    compare the relevant eigenvector with the sampled profile (L_minus vs R)
+    or its slope (L_plus vs R', the second pair, so a ``k`` below 2 raises
+    DomainError).
     """
+    if k < 2:
+        raise DomainError(f"k must be at least 2, got {k!r}: the L+ kernel "
+                          "match needs the second eigenpair")
     lplus = assemble(p, omega, step, half_length, kind="lplus")
     lminus = assemble(p, omega, step, half_length, kind="lminus")
     _check_k(k, lplus.size)
     pairs_plus = _parity_eigenpairs(lplus, k)
     pairs_minus = _parity_eigenpairs(lminus, k)
 
-    band = 10.0 * step * step
+    band = KERNEL_BAND * step * step
     neg_plus = eigenvalue_count_below(lplus, -band)
     neg_minus = eigenvalue_count_below(lminus, -band)
 
@@ -386,7 +396,7 @@ def spectral_report(p: ModelParams, omega: float, step: float,
     r = closed_form_profile(p, omega, x)
     r_slope = closed_form_slope(p, omega, x)
     match_minus = _cosine_match(pairs_minus[0][1], r)
-    match_plus = _cosine_match(pairs_plus[1][1], r_slope) if k >= 2 else 0.0
+    match_plus = _cosine_match(pairs_plus[1][1], r_slope)
 
     return SpectrumReport(
         omega=float(omega),

@@ -29,8 +29,10 @@ from .soliton import d_second_numeric
 # Below this alpha the log/artanh differences are evaluated by series; the
 # direct expressions lose digits to cancellation.
 _SERIES_CUTOFF = 1e-2
-# artanh-series evaluation of the log ratio itself for very small alpha.
-_LOG_SERIES_CUTOFF = 1e-4
+# Bisection width in alpha of tau_star's argmax and of classify's roots.
+ALPHA_TOL = 1e-12
+# |tau - k2| below which d_second_sign reports 0.
+SIGN_TOL = 1e-10
 
 TauStarResult = namedtuple("TauStarResult", "tau_star alpha_d")
 
@@ -54,10 +56,8 @@ def _require_open_unit(alpha: float) -> None:
 
 
 def _log_ratio(alpha: float) -> float:
-    """ln((1+alpha)/(1-alpha)) = 2 artanh(alpha), series-stabilized near 0."""
-    if alpha < _LOG_SERIES_CUTOFF:
-        a2 = alpha * alpha
-        return 2.0 * alpha * (1.0 + a2 * (1.0 / 3.0 + a2 * (0.2 + a2 / 7.0)))
+    """ln((1+alpha)/(1-alpha)) = 2 artanh(alpha).  Callers take their own
+    series below _SERIES_CUTOFF, so alpha is never small here."""
     return math.log((1.0 + alpha) / (1.0 - alpha))
 
 
@@ -115,7 +115,7 @@ def k2_prime(alpha: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def tau_star(tol_alpha: float = 1e-12) -> TauStarResult:
+def tau_star(tol_alpha: float = ALPHA_TOL) -> TauStarResult:
     """Critical coupling tau_star = sup k2 and its argmax alpha_d.
 
     k2_prime changes sign exactly once on (0, 1): bracket the change on a
@@ -138,7 +138,7 @@ def tau_star(tol_alpha: float = 1e-12) -> TauStarResult:
     return TauStarResult(tau_star=k2(alpha_d), alpha_d=alpha_d)
 
 
-def d_second_sign(p: ModelParams, omega: float, tol: float = 1e-10) -> int:
+def d_second_sign(p: ModelParams, omega: float, tol: float = SIGN_TOL) -> int:
     """Sign of d''(omega) from the closed form: sign(tau - k2(alpha)).
 
     Returns +1 (stable side), -1 (unstable side), or 0 when |tau - k2| < tol.
@@ -183,7 +183,7 @@ class StabilityReport:
 _TOUCH_TOL = 1e-10
 
 
-def classify(p: ModelParams, alpha_tol: float = 1e-12,
+def classify(p: ModelParams, alpha_tol: float = ALPHA_TOL,
              check_oracle: bool = False) -> StabilityReport:
     """Partition the frequency window by the sign of d''.
 

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgstab
-from kgstab import ModelParams, build_profile, sigma_closed, tau_star
+from kgstab import (ModelParams, build_profile, sigma_closed, soliton,
+                    spectral_report, spectrum, stability, tau_star)
 from kgstab.cli import SCHEMAS, main, render_json
 
 _TAU11_M = math.sqrt(0.55)  # tau = 1.1: window splits into three intervals
@@ -388,3 +394,101 @@ def test_entry_point_exit_codes():
         )
         assert result.returncode == expected, result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_tolerances_in_provenance_are_the_library_defaults(capsys):
+    envelope = _run_json(capsys, ["tau-star", "--json"], "tau-star")
+    assert envelope["provenance"]["tolerances"] == {
+        "tol_alpha": stability.ALPHA_TOL}
+    argv = ["classify", "--a", "1", "--b", "1", "--m", "2", "--no-check",
+            "--json"]
+    envelope = _run_json(capsys, argv, "classify")
+    assert envelope["provenance"]["tolerances"] == {
+        "alpha_tol": stability.ALPHA_TOL, "sign_tol": stability.SIGN_TOL}
+    argv = _SPECTRUM + ["--h", "0.1", "--k", "2", "--json"]
+    envelope = _run_json(capsys, argv, "spectrum")
+    assert envelope["provenance"]["tolerances"] == {
+        "eigenvalue_tol": spectrum.EIGENVALUE_TOL,
+        "kernel_band": spectrum.KERNEL_BAND * 0.1 * 0.1}
+
+
+def test_sigma_check_gap_exit_code(capsys, monkeypatch):
+    closed = sigma_closed(ModelParams(1, 1, 1), 0.9)
+    monkeypatch.setattr(soliton, "charge", lambda prof: 1.01 * closed)
+    code, out, err = _run(capsys, ["sigma", "--a", "1", "--b", "1", "--m",
+                                   "1", "--omega", "0.9", "--check"])
+    assert code == 4
+    values = dict(line.split(" = ") for line in out.strip().splitlines())
+    assert list(values) == ["sigma_closed", "sigma_quadrature",
+                            "relative_gap"]
+    assert float(values["sigma_quadrature"]) == 1.01 * closed
+    assert float(values["relative_gap"]) == pytest.approx(0.01)
+    assert err == ("kgstab: oracle-disagreement: sigma quadrature gap "
+                   "1.000e-02 exceeds 1e-06\n")
+
+
+def test_spectrum_plain(capsys):
+    code, out, err = _run(capsys, _SPECTRUM + ["--h", "0.05"])
+    assert code == 0, err
+    values = dict(line.split(" = ") for line in out.strip().splitlines())
+    report = spectral_report(ModelParams(1, 1, 1), 0.9, 0.05)
+    assert float(values["omega"]) == 0.9
+    for kind in ("lplus", "lminus"):
+        listed = [float(v) for v in values[f"{kind}_eigenvalues"].split()]
+        assert listed == list(getattr(report, f"{kind}_eigenvalues"))
+        assert int(values[f"negative_count_{kind}"]) \
+            == getattr(report, f"negative_count_{kind}")
+        assert float(values[f"{kind}_kernel_match"]) \
+            == getattr(report, f"{kind}_kernel_match")
+
+
+def test_eigensolver_failure_exit_code(capsys, monkeypatch):
+    # a solve that always overflows: every refinement stalls
+    monkeypatch.setattr(spectrum._kernels, "tridiag_solve",
+                        lambda diag, off, rhs: np.full(rhs.shape, np.inf))
+    code, out, err = _run(capsys, _SPECTRUM + ["--h", "0.2", "--L", "5"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("kgstab: eigensolver-error: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_sweep_rejects_empty_grid(capsys):
+    code, out, err = _run(capsys, ["sweep", "--a", "1", "--b", "1", "--m",
+                                   "2", "--n", "0"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("kgstab: domain-error: ")
+
+
+@pytest.mark.parametrize("perturbation", ["scale:1e300", "bump:1e200",
+                                          "scale:-1"])
+def test_degenerate_initial_data_exit_code(capsys, tmp_path, perturbation):
+    # overflowing data must not add NumPy warnings to the tagged line
+    out_path = tmp_path / "diag.csv"
+    argv = _EVOLVE[:-3] + [perturbation, "--t-final", "0.1",
+                           "--out", str(out_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    kind = perturbation.partition(":")[0]
+    assert err.startswith(f"kgstab: domain-error: perturbation '{kind}:")
+    assert len(err.splitlines()) == 1
+    assert not out_path.exists()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["scale", "bump"]),
+       magnitude=st.floats(0.0, 1e300), sign=st.sampled_from([1.0, -1.0]))
+def test_evolve_exit_codes_and_payloads(kind, magnitude, sign):
+    argv = ["evolve", "--a", "1", "--b", "1", "--m", "1", "--omega", "0.9",
+            "--perturb", f"{kind}:{sign * magnitude!r}", "--t-final", "0.2",
+            "--dx", "0.1", "--dt", "0.05", "--out", os.devnull]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3, 5), err.getvalue()
+    if code in (0, 5):
+        _check_schema(json.loads(out.getvalue())["payload"], SCHEMAS["evolve"])

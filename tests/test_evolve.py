@@ -5,13 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from kgstab import (BlowUpError, CFLError, DomainError, FieldState, GridError,
-                    ModelParams, build_profile, closed_form_profile,
-                    composite_simpson, energy, evolve, field_charge,
-                    field_energy, init_state, orbital_distance,
-                    parse_perturbation, run, sigma_closed, step)
+from kgstab import (CFLError, DomainError, FieldState, GridError, ModelParams,
+                    build_profile, closed_form_profile, composite_simpson,
+                    energy, evolve, field_charge, field_energy, init_state,
+                    orbital_distance, parse_perturbation, run, sigma_closed)
 from kgstab.evolve import _advance, _integral
 
 
@@ -24,8 +25,7 @@ def test_parse_perturbation_forms():
     assert parse_perturbation("none") == ("none", 0.0)
     assert parse_perturbation("scale:0.01") == ("scale", 0.01)
     assert parse_perturbation("bump:-0.5") == ("bump", -0.5)
-    assert parse_perturbation(("scale", 0.25)) == ("scale", 0.25)
-    for bad in ("wiggle:0.1", "scale", "scale:zero", ("none", 0.0, 1)):
+    for bad in ("wiggle:0.1", "scale", "scale:zero", "bump:inf"):
         with pytest.raises(ValueError):
             parse_perturbation(bad)
 
@@ -55,6 +55,33 @@ def test_initial_velocity_recovered(p111):
     velocity = state.velocity
     expected = -1j * 0.9 * state.phi
     assert np.abs(velocity - expected).max() < 1e-15
+
+
+def test_velocity_is_the_probe_step_difference(p111):
+    # the leapfrog identity reads the centred difference around one step
+    # ahead from the two stored levels, without taking that step
+    state = _fresh_state(p111, 0.9, "bump:0.3")
+    later, _ = _advance(state, 37)
+    ahead, _ = _advance(later, 1)
+    probe = (ahead.phi - later.phi_prev) / (2.0 * later.step_t)
+    scale = np.abs(probe).max()
+    assert np.abs(later.velocity - probe).max() <= 1e-13 * scale
+    assert later.velocity is later.velocity  # computed once per state
+
+
+def test_sampling_takes_no_kernel_step(p111, monkeypatch):
+    batches = []
+    kernel = evolve._kernels.leapfrog_steps
+
+    def counted(*args):
+        batches.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(evolve._kernels, "leapfrog_steps", counted)
+    diag = run(p111, 0.9, "scale:0.01", 1.0, sample_every=30)
+    # 100 steps in batches of 30, 30, 30 and 10; one sample after each
+    assert batches == [30, 30, 30, 10]
+    assert diag.times.size == 5
 
 
 def test_scaled_start_amplitude(p111):
@@ -194,15 +221,6 @@ def test_field_functionals_on_exact_data(p111):
     assert field_energy(state) == pytest.approx(energy(prof), rel=5e-3)
 
 
-def test_blow_up_error_from_guard(p111):
-    state = _fresh_state(p111, 0.9)
-    tiny_guard = dataclasses.replace(state, guard=1e-6)
-    with pytest.raises(BlowUpError) as exc_info:
-        step(tiny_guard)
-    assert exc_info.value.time > 0.0
-    assert exc_info.value.sup > 1e-6
-
-
 def test_run_truncates_on_blow_up(p111):
     diag = run(p111, 0.9, "bump:-200", 1.0, sample_every=10)
     assert diag.truncated is True
@@ -210,6 +228,18 @@ def test_run_truncates_on_blow_up(p111):
     assert diag.truncation_time < 1.0
     summary = diag.summary()
     assert summary["truncated"] is True
+
+
+def test_guard_trip_on_a_batch_end_truncates(p111):
+    # with one step per batch every trip lands on a batch's last step; the
+    # truncation time does not depend on the batching
+    coarse = run(p111, 0.9, "bump:-200", 1.0, sample_every=10)
+    fine = run(p111, 0.9, "bump:-200", 1.0, sample_every=1)
+    assert fine.truncated
+    assert fine.truncation_time == coarse.truncation_time
+    big = run(p111, 0.9, "scale:512", 0.2, sample_every=1, step_x=0.1,
+              step_t=0.05)
+    assert big.truncated and big.times.size == 1
 
 
 def test_unstable_regime_distance_grows(p_tau098):
@@ -358,3 +388,40 @@ def test_node_budget_before_allocation(p111):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# inputs whose t = 0 energy is not finite, or whose field is zero
+_DEGENERATE = ["scale:1e300", "bump:1e200", "scale:-1"]
+
+
+@pytest.mark.parametrize("perturbation", _DEGENERATE)
+def test_degenerate_initial_data_refused(p111, perturbation):
+    with pytest.raises(DomainError, match="perturbation"):
+        run(p111, 0.9, perturbation, 0.1)
+
+
+def test_distance_of_non_finite_state_is_nan(p111):
+    prof = build_profile(p111, 0.9, 0.02)
+    state = init_state(prof, "none", 0.01)
+    for bad in (math.nan, math.inf):
+        broken = dataclasses.replace(state, phi=state.phi + bad)
+        with np.errstate(invalid="ignore"):  # inf - inf in the velocity
+            assert math.isnan(orbital_distance(broken, prof, 0.9))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["scale", "bump"]),
+       magnitude=st.floats(0.0, 1e300), sign=st.sampled_from([1.0, -1.0]))
+def test_run_finite_or_domain_error(kind, magnitude, sign):
+    p = ModelParams(1.0, 1.0, 1.0)
+    try:
+        diag = run(p, 0.9, f"{kind}:{sign * magnitude!r}", 0.2,
+                   sample_every=1, step_x=0.1, step_t=0.05)
+    except DomainError:
+        return
+    for series in (diag.times, diag.energy, diag.charge,
+                   diag.orbital_distance, diag.sup_amplitude):
+        assert np.all(np.isfinite(series))
+    summary = diag.summary()
+    assert all(math.isfinite(value) for value in summary.values()
+               if isinstance(value, float))

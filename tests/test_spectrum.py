@@ -105,6 +105,35 @@ def test_lowest_eigenpairs_rejects_bad_arguments(p111):
         spectral_report(p111, 0.9, 0.1, k=op.size + 1)
 
 
+def test_spectral_report_needs_two_pairs(p111):
+    # the L+ kernel match reads the second eigenpair
+    with pytest.raises(DomainError, match="at least 2"):
+        spectral_report(p111, 0.9, 0.1, k=1)
+
+
+def test_overflowing_solve_nudges_the_shift(p111, monkeypatch):
+    # the first solve overflows, as at an exact zero pivot: the shift moves
+    # by a few ulps, the iteration restarts, and the pair is still right
+    op = assemble(p111, 0.9, 0.05, kind="lplus")
+    solve = spectrum._kernels.tridiag_solve
+    shifted = []
+
+    def overflow_once(diag, off, rhs):
+        shifted.append(diag)
+        if len(shifted) == 1:
+            return np.full(rhs.shape, np.inf)
+        return solve(diag, off, rhs)
+
+    monkeypatch.setattr(spectrum._kernels, "tridiag_solve", overflow_once)
+    (value, vector), = lowest_eigenpairs(op, 1)
+    assert len(shifted) > 2
+    move = shifted[0] - shifted[1]  # the nudge: a few ulps of the scale
+    assert 0.0 < move.min() and move.max() < 1e-9
+    ref_vals, ref_vecs = _dense_reference(op)
+    assert abs(value - ref_vals[0]) <= 1e-10
+    assert abs(float(vector @ ref_vecs[:, 0])) > 1.0 - 1e-8
+
+
 def test_free_operator_ground_state():
     # with no potential the smallest eigenvalue sits at the mass shell m^2
     h = 0.05
