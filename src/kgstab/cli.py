@@ -378,8 +378,10 @@ def _cmd_evolve(args) -> int:
     diag = evolve_mod.run(p, args.omega, perturbation, args.t_final,
                           sample_every=args.sample, step_x=args.dx,
                           step_t=args.dt)
-    with open(args.out, "w", encoding="utf-8") as stream:
-        diag.to_csv(stream)
+    columns = (diag.times, diag.energy, diag.charge, diag.orbital_distance,
+               diag.sup_amplitude)
+    _emit(_csv(["time", "energy", "charge", "orbital_distance",
+                "sup_amplitude"], zip(*columns)), args.out)
     prov = {"grid": {"step_x": args.dx, "step_t": args.dt,
                      "sample_every": args.sample,
                      "perturbation": perturbation},

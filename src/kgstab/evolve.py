@@ -6,22 +6,24 @@ is even in x and the equation preserves evenness, so only the half-line
 x >= 0 is stored and stepped, with the mirror condition phi(-h) = phi(h) at
 the centre.  Runs record conserved quantities and the phase-minimized
 distance to the standing wave orbit, which is the empirical counterpart of
-the stability verdicts from the classifier.  Their integrals are full-line
-Simpson sums folded onto x >= 0.
+the stability verdicts from the classifier.  The grid, its integrals and the
+field operator are the profile's (see ``soliton``): an even interval count,
+half-line Simpson sums doubled, and R read from the profile's samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
 from .model import DomainError, ModelParams
 from .soliton import (GridError, SolitonProfile, build_profile,
-                      closed_form_profile, require_node_budget)
+                      composite_simpson, field_acceleration,
+                      require_node_budget)
 
 # Amplitude guard: a run whose sup exceeds this many times R(0) has left any
 # neighbourhood of the orbit and is about to overflow; record and stop.
@@ -65,12 +67,13 @@ def parse_perturbation(spec: str) -> tuple[str, float]:
 class FieldState:
     """Two consecutive time levels of an even field on the half-line.
 
-    ``phi[i]`` is the field at x_i = i*step_x for i = 0 .. half_length/step_x.
-    Node 0 is the symmetry centre, with the mirror condition
-    phi(-h) = phi(h), and the last node is the Dirichlet end x = half_length.
+    ``phi[i]`` is the field at x_i = i*step_x for i = 0 .. half_length/step_x,
+    an even interval count.  Node 0 is the symmetry centre, with the mirror
+    condition phi(-h) = phi(h), and the last node is the Dirichlet end
+    x = half_length.  ``steps`` counts the leapfrog steps taken since t = 0.
     """
 
-    time: float
+    steps: int
     phi: np.ndarray
     phi_prev: np.ndarray
     step_x: float
@@ -91,6 +94,11 @@ class FieldState:
             )
 
     @property
+    def time(self) -> float:
+        """steps * step_t, so sample times do not accumulate rounding."""
+        return self.steps * self.step_t
+
+    @property
     def x(self) -> np.ndarray:
         return np.arange(self.phi.size) * self.step_x
 
@@ -105,7 +113,8 @@ class FieldState:
         """
         dt = self.step_t
         return ((self.phi - self.phi_prev) / dt
-                + 0.5 * dt * _acceleration(self.phi, self.step_x, self.params))
+                + 0.5 * dt * field_acceleration(self.phi, self.step_x,
+                                                self.params))
 
     @cached_property
     def phi_x(self) -> np.ndarray:
@@ -121,60 +130,24 @@ def _gradient(values: np.ndarray, step: float) -> np.ndarray:
     return grad
 
 
-@lru_cache(maxsize=4)
-def _fold_weights(n_nodes: int) -> np.ndarray:
-    """Composite-Simpson weights of the full grid -N..N folded onto 0..N.
-
-    The centre keeps its full-grid weight, 2 for even N and 4 for odd N; every
-    other node stands for itself and its mirror, so its weight doubles.
-    """
-    n = n_nodes - 1
-    full = np.where(np.arange(n, 2 * n + 1) % 2 == 1, 4.0, 2.0)
-    full[-1] = 1.0
-    full[1:] *= 2.0
-    full.setflags(write=False)
-    return full
-
-
-def _integral(values: np.ndarray, step: float) -> float | complex:
-    """Full-line Simpson integral of an even integrand sampled on x >= 0."""
-    return (_fold_weights(values.size) @ values).item() * step / 3.0
-
-
-def _acceleration(phi: np.ndarray, step_x: float, p: ModelParams) -> np.ndarray:
-    """Discrete phi_tt from the field equation (mirror centre, Dirichlet
-    end)."""
-    acc = np.zeros_like(phi)
-    inner = phi[:-1]
-    left = np.concatenate((phi[1:2], phi[:-2]))
-    mag = np.abs(inner)
-    acc[:-1] = (phi[1:] - 2.0 * inner + left) / (step_x * step_x)
-    acc[:-1] += (-p.m * p.m + 3.0 * p.a * mag - 4.0 * p.b * mag * mag) * inner
-    return acc
-
-
-def _initial_field(kind: str, eps: float, profile: SolitonProfile,
-                   x: np.ndarray) -> np.ndarray:
-    """The perturbed profile at the nodes ``x``, as complex values."""
-    r = closed_form_profile(profile.params, profile.omega, np.abs(x))
-    if kind == "scale":
-        return (1.0 + eps) * r.astype(complex)
-    if kind == "bump":
-        return (r + eps * np.exp(-x * x)).astype(complex)
-    return r.astype(complex)
+def _profile_at(profile: SolitonProfile, x: np.ndarray) -> np.ndarray:
+    """R at the nodes ``x`` >= 0: the profile's samples, 0 beyond its grid."""
+    return np.interp(x, profile.x, profile.values, right=0.0)
 
 
 def init_state(profile: SolitonProfile, perturbation: str, step_t: float,
                extra_half_length: float = 20.0) -> FieldState:
     """Perturbed standing-wave data on a widened half-line grid.
 
-    The data is even in x (each perturbation kind is), so only x >= 0 is
-    stored.  The grid extends the profile's half-length by
-    ``extra_half_length`` (lattice-aligned) so radiation reflected off the
-    Dirichlet end arrives late.  phi_prev comes from a second-order Taylor
-    start, which makes the centered time difference at t = 0 reproduce the
-    exact initial velocity.  Raises GridError for an ``extra_half_length``
-    that is negative or not finite, or a grid beyond MAX_NODES.
+    The data is formed on x >= 0 only, from the profile's samples of R and
+    exp(-x^2), so it is even by construction.  The grid extends the
+    profile's half-length by at least ``extra_half_length``, rounded up to
+    an even interval count as the profile's is, so radiation reflected off
+    the Dirichlet end arrives late.  phi_prev comes from a second-order
+    Taylor start, which makes the centered time difference at t = 0
+    reproduce the exact initial velocity.  Raises GridError for an
+    ``extra_half_length`` that is negative or not finite, or a grid beyond
+    MAX_NODES.
     """
     kind, eps = parse_perturbation(perturbation)
     p = profile.params
@@ -185,20 +158,24 @@ def init_state(profile: SolitonProfile, perturbation: str, step_t: float,
     require_node_budget(profile.half_length + extra_half_length, h)
     n_side = (round(profile.half_length / h)
               + int(math.ceil(extra_half_length / h)))
+    n_side += n_side % 2  # Simpson wants an even interval count
     x = np.arange(n_side + 1) * h
 
-    phi0 = _initial_field(kind, eps, profile, x)
-    assert np.array_equal(phi0, _initial_field(kind, eps, profile, -x)), \
-        "initial data must be even"
+    r = _profile_at(profile, x)
+    if kind == "scale":
+        r = (1.0 + eps) * r
+    elif kind == "bump":
+        r = r + eps * np.exp(-x * x)
+    phi0 = r.astype(complex)
     phi0[-1] = 0.0
 
     psi0 = -1j * profile.omega * phi0
     phi_prev = phi0 - step_t * psi0 \
-        + 0.5 * step_t * step_t * _acceleration(phi0, h, p)
+        + 0.5 * step_t * step_t * field_acceleration(phi0, h, p)
     phi_prev[-1] = 0.0
 
     return FieldState(
-        time=0.0, phi=phi0, phi_prev=phi_prev, step_x=h, step_t=float(step_t),
+        steps=0, phi=phi0, phi_prev=phi_prev, step_x=h, step_t=float(step_t),
         half_length=n_side * h, params=p,
         guard=_GUARD_FACTOR * float(profile.values[0]),
     )
@@ -213,8 +190,7 @@ def _advance(state: FieldState, n_steps: int) -> tuple[FieldState, int]:
         phi, prev, n_steps, state.step_x, state.step_t,
         p.m * p.m, p.a, p.b, state.guard,
     ))
-    new = replace(state, time=state.time + taken * state.step_t, phi=phi,
-                  phi_prev=prev)
+    new = replace(state, steps=state.steps + taken, phi=phi, phi_prev=prev)
     return new, taken
 
 
@@ -226,21 +202,21 @@ def field_energy(state: FieldState) -> float:
                + 0.5 * np.abs(state.phi_x)**2
                + 0.5 * p.m * p.m * mag**2
                + (-p.a * mag**3 + p.b * mag**4))
-    return float(_integral(density, state.step_x))
+    return 2.0 * composite_simpson(density, state.step_x)
 
 
 def field_charge(state: FieldState) -> float:
     """Q = -Im int psi conj(phi) dx."""
-    pairing = _integral(state.velocity * np.conj(state.phi), state.step_x)
-    return float(-pairing.imag)
+    pairing = composite_simpson(state.velocity * np.conj(state.phi),
+                                state.step_x)
+    return -2.0 * pairing.imag
 
 
 @dataclass(frozen=True, eq=False)
 class _Orbit:
     """The standing wave's side of the orbital distance on one grid.
 
-    It depends only on the profile, the frequency and the grid, so a run
-    builds it once.
+    It depends only on the profile and the grid, so a run builds it once.
     """
 
     m2: float
@@ -250,14 +226,14 @@ class _Orbit:
     norm: float      # m^2 ||R||^2 + ||R'||^2 + omega^2 ||R||^2
 
 
-def _orbit(state: FieldState, profile: SolitonProfile,
-           omega: float) -> _Orbit:
+def _orbit(state: FieldState, profile: SolitonProfile) -> _Orbit:
     h = state.step_x
+    omega = profile.omega
     p = state.params
     m2 = p.m * p.m
-    r = np.interp(state.x, profile.x, profile.values, right=0.0)
+    r = _profile_at(profile, state.x)
     r_x = _gradient(r, h)
-    norm = _integral((m2 + omega * omega) * r**2 + r_x**2, h)
+    norm = 2.0 * composite_simpson((m2 + omega * omega) * r**2 + r_x**2, h)
     return _Orbit(m2=m2, r=r, r_x=r_x, psi=np.conj(-1j * omega * r),
                   norm=norm)
 
@@ -267,23 +243,23 @@ def _distance(state: FieldState, orbit: _Orbit) -> float:
     h = state.step_x
     psi = state.velocity
     phi_x = state.phi_x
-    norm_u = _integral(orbit.m2 * np.abs(state.phi)**2 + np.abs(phi_x)**2
-                       + np.abs(psi)**2, h)
-    z = _integral(orbit.m2 * state.phi * orbit.r + phi_x * orbit.r_x
-                  + psi * orbit.psi, h)
+    norm_u = 2.0 * composite_simpson(
+        orbit.m2 * np.abs(state.phi)**2 + np.abs(phi_x)**2 + np.abs(psi)**2, h)
+    z = 2.0 * composite_simpson(
+        orbit.m2 * state.phi * orbit.r + phi_x * orbit.r_x + psi * orbit.psi, h)
     # max(d2, 0.0) passes a NaN on, where max(0.0, d2) would return 0.0
     return math.sqrt(max(norm_u + orbit.norm - 2.0 * abs(z), 0.0))
 
 
-def orbital_distance(state: FieldState, profile: SolitonProfile,
-                     omega: float) -> float:
+def orbital_distance(state: FieldState, profile: SolitonProfile) -> float:
     """Phase-minimized distance from the state to the standing-wave orbit.
 
+    The orbit is the profile's: R and omega = ``profile.omega``.
     min over theta of ||(phi, psi) - e^{-i theta}(R, -i omega R)|| in the
     norm m^2||.||^2 + ||.'||^2 + ||.||^2; the minimum is closed-form:
     sqrt(||u||^2 + ||v||^2 - 2|z|) with z the mixed pairing.
     """
-    return _distance(state, _orbit(state, profile, omega))
+    return _distance(state, _orbit(state, profile))
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,12 +300,6 @@ class Diagnostics:
             "tail_first_exceed": self.tail_first_exceed,
         }
 
-    def to_csv(self, stream) -> None:
-        stream.write("time,energy,charge,orbital_distance,sup_amplitude\n")
-        for row in zip(self.times, self.energy, self.charge,
-                       self.orbital_distance, self.sup_amplitude):
-            stream.write(",".join(f"{value:.17g}" for value in row) + "\n")
-
 
 def _sample(state: FieldState, orbit: _Orbit, tail: np.ndarray) -> tuple:
     """(time, energy, charge, orbital distance, sup |phi|, sup |phi| over
@@ -369,7 +339,7 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
     # so the NumPy warnings would only add noise to stderr
     with np.errstate(over="ignore", invalid="ignore"):
         state = init_state(profile, perturbation, step_t, extra_half_length)
-        orbit = _orbit(state, profile, omega)
+        orbit = _orbit(state, profile)
         tail_nodes = state.x >= state.half_length - _TAIL_MARGIN
         samples = [_sample(state, orbit, tail_nodes)]
     _, e0, q0, d0, *_ = samples[0]

@@ -7,8 +7,12 @@ R -> 0 at infinity.  A closed form exists:
 
 and is used as the primary constructor; its correctness is pinned down by the
 ODE residual recorded on every built profile (and by integration tests against
-a Runge-Kutta solution).  Observables (charge, energy, d'') are computed by
-composite Simpson quadrature on the half-line and doubled by evenness.
+a Runge-Kutta solution).
+
+This module is also the home of the even half-line lattice that the profile
+and the evolved field share: samples at x_i = i*h on x >= 0 with an even
+interval count, integrals by composite Simpson doubled by evenness, and the
+field operator with its mirrored centre (``field_acceleration``).
 """
 
 from __future__ import annotations
@@ -136,17 +140,12 @@ def build_profile(p: ModelParams, omega: float, step: float,
             f"exceeds {tail_tol!r} relative to R(0)={values[0]!r}"
         )
 
-    # Centered second-order residual of R'' = G'(R) + cR.  Evenness gives the
-    # mirrored stencil at x = 0; the last point has no right neighbour and is
-    # deep in the tail anyway.
-    h2 = step * step
-    second = np.empty(values.size - 1)
-    second[0] = 2.0 * (values[1] - values[0]) / h2
-    second[1:] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h2
-    _, g1, _ = g_derivatives(p, values[:-1])
-    residual = float(np.abs(second - g1 - c * values[:-1]).max())
+    # A standing wave has phi_tt = -omega^2 R, so the residual is that of the
+    # field operator; the Dirichlet end is deep in the tail and left out.
+    accel = field_acceleration(values, step, p)[:-1]
+    residual = float(np.abs(accel + omega * omega * values[:-1]).max())
     sup = float(values[0])
-    if residual >= max(1e-8, 10.0 * h2 * sup):
+    if residual >= max(1e-8, 10.0 * step * step * sup):
         raise GridError(
             f"ODE residual {residual!r} out of bounds for h={step!r}; "
             "profile construction is inconsistent"
@@ -156,6 +155,23 @@ def build_profile(p: ModelParams, omega: float, step: float,
     return SolitonProfile(omega=float(omega), params=p,
                           half_length=float(half_length), step=float(step),
                           values=values, max_ode_residual=residual)
+
+
+def field_acceleration(phi: np.ndarray, step: float,
+                       p: ModelParams) -> np.ndarray:
+    """Discrete phi_tt of the field equation for an even field on x >= 0.
+
+    The centre reads its left neighbour from the mirror phi(-h) = phi(h); the
+    last node is the Dirichlet end, whose value is 0.  Real samples give a
+    real array and complex samples a complex one.
+    """
+    acc = np.zeros_like(phi)
+    inner = phi[:-1]
+    left = np.concatenate((phi[1:2], phi[:-2]))
+    mag = np.abs(inner)
+    acc[:-1] = (phi[1:] - 2.0 * inner + left) / (step * step)
+    acc[:-1] += (-p.m * p.m + 3.0 * p.a * mag - 4.0 * p.b * mag * mag) * inner
+    return acc
 
 
 def composite_simpson(values: np.ndarray, step: float) -> float | complex:

@@ -370,8 +370,8 @@ def full_grid_run(p, omega, perturbation, t_final, sample_every=50,
             break
         batch = min(sample_every, total - done)
         taken = full_grid_leapfrog_steps(phi, prev, batch, *steps)
-        time += taken * step_t
         done += taken
+        time = done * step_t
         if taken < batch:
             out["truncated"] = True
             out["truncation_time"] = time

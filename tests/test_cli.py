@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgstab
-from kgstab import (ModelParams, build_profile, sigma_closed, soliton,
+from kgstab import (ModelParams, build_profile, cli, sigma_closed, soliton,
                     spectral_report, spectrum, stability, tau_star)
 from kgstab.cli import SCHEMAS, main, render_json
 
@@ -492,3 +492,75 @@ def test_evolve_exit_codes_and_payloads(kind, magnitude, sign):
     assert code in (0, 3, 5), err.getvalue()
     if code in (0, 5):
         _check_schema(json.loads(out.getvalue())["payload"], SCHEMAS["evolve"])
+
+
+# Property tests over the model inputs: a, b, m in [0.5, 2]; omega as a
+# fraction of the window (omega_star, m), below 0 and above 1 leaving it; the
+# grid step h as a multiple of 0.1/sqrt(|m^2 - omega^2|), the decay length
+# over ten, so a grid holds a few hundred to a few thousand nodes.
+_COEFFICIENT = st.floats(0.5, 2.0)
+_FRACTION = st.floats(-0.25, 1.25)
+_STEP_MULTIPLE = st.floats(0.2, 1.5)
+_TAG_CODES = {tag: code for tag, code in cli._ERRORS.values()}
+
+
+def _model_argv(a, b, m, fraction, multiple):
+    window = ModelParams(a, b, m).window
+    omega = window.omega_star + fraction * window.width
+    decay = math.sqrt(abs(m * m - omega * omega)) or 1.0
+    # "--omega=-1e-05" form: argparse reads "-1e-05" alone as an option
+    model = [f"--a={a!r}", f"--b={b!r}", f"--m={m!r}", f"--omega={omega!r}"]
+    return model, [f"--h={multiple * 0.1 / decay!r}"]
+
+
+def _check_outcome(argv, command):
+    """Exit 0 with a schema-valid payload and a clean stderr, or exit 1, 3
+    or 4 with one tagged stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+        _check_schema(json.loads(out.getvalue())["payload"], SCHEMAS[command])
+        return
+    assert code in (1, 3, 4), err.getvalue()
+    assert len(lines) == 1, err.getvalue()
+    prefix, tag, reason = lines[0].split(": ", 2)
+    assert prefix == "kgstab" and _TAG_CODES[tag] == code and reason
+
+
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                     database=None)
+
+
+@_PROPERTY
+@given(a=_COEFFICIENT, b=_COEFFICIENT, m=_COEFFICIENT, fraction=_FRACTION,
+       multiple=_STEP_MULTIPLE)
+def test_profile_outcomes(a, b, m, fraction, multiple):
+    model, step = _model_argv(a, b, m, fraction, multiple)
+    _check_outcome(["profile", *model, *step, "--json"], "profile")
+
+
+@_PROPERTY
+@given(a=_COEFFICIENT, b=_COEFFICIENT, m=_COEFFICIENT, fraction=_FRACTION)
+def test_sigma_check_outcomes(a, b, m, fraction):
+    model, _ = _model_argv(a, b, m, fraction, 1.0)
+    _check_outcome(["sigma", *model, "--check", "--json"], "sigma")
+
+
+@_PROPERTY
+@given(a=_COEFFICIENT, b=_COEFFICIENT, m=_COEFFICIENT, fraction=_FRACTION,
+       multiple=_STEP_MULTIPLE, k=st.integers(0, 6))
+def test_spectrum_outcomes(a, b, m, fraction, multiple, k):
+    model, step = _model_argv(a, b, m, fraction, multiple)
+    _check_outcome(["spectrum", *model, *step, "--k", str(k), "--json"],
+                   "spectrum")
+
+
+@_PROPERTY
+@given(a=_COEFFICIENT, b=_COEFFICIENT, m=_COEFFICIENT)
+def test_classify_no_check_outcomes(a, b, m):
+    argv = ["classify", f"--a={a!r}", f"--b={b!r}", f"--m={m!r}",
+            "--no-check", "--json"]
+    _check_outcome(argv, "classify")

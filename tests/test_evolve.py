@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 import tracemalloc
 
@@ -10,10 +9,10 @@ from hypothesis import strategies as st
 
 import oracles
 from kgstab import (CFLError, DomainError, FieldState, GridError, ModelParams,
-                    build_profile, closed_form_profile, composite_simpson,
-                    energy, evolve, field_charge, field_energy, init_state,
-                    orbital_distance, parse_perturbation, run, sigma_closed)
-from kgstab.evolve import _advance, _integral
+                    build_profile, cli, closed_form_profile, energy, evolve,
+                    field_charge, field_energy, init_state, orbital_distance,
+                    parse_perturbation, run, sigma_closed)
+from kgstab.evolve import _advance
 
 
 def _fresh_state(p, omega, perturbation="none", step_x=0.02, step_t=0.01):
@@ -93,7 +92,7 @@ def test_scaled_start_amplitude(p111):
 def test_unperturbed_initial_distance_vanishes(p111):
     prof = build_profile(p111, 0.9, 0.02)
     state = init_state(prof, "none", 0.01)
-    d0 = orbital_distance(state, prof, 0.9)
+    d0 = orbital_distance(state, prof)
     norm = math.sqrt(2.0 * energy(prof))
     assert d0 < 1e-6 * norm
 
@@ -154,12 +153,12 @@ def test_energy_drift_scales_with_dt_squared(p111):
 def test_orbital_distance_phase_invariant(p111):
     prof = build_profile(p111, 0.9, 0.02)
     state = init_state(prof, "bump:0.05", 0.01)
-    d_base = orbital_distance(state, prof, 0.9)
+    d_base = orbital_distance(state, prof)
     for theta in (0.3, 2.0, -1.1):
         phase = np.exp(1j * theta)
         rotated = dataclasses.replace(state, phi=state.phi * phase,
                                       phi_prev=state.phi_prev * phase)
-        d_rot = orbital_distance(rotated, prof, 0.9)
+        d_rot = orbital_distance(rotated, prof)
         assert d_rot == pytest.approx(d_base, rel=1e-10)
 
 
@@ -170,7 +169,7 @@ def test_orbital_distance_zero_on_phased_exact_data(p111):
     rotated = dataclasses.replace(state, phi=state.phi * phase,
                                   phi_prev=state.phi_prev * phase)
     norm = math.sqrt(2.0 * energy(prof))
-    assert orbital_distance(rotated, prof, 0.9) < 1e-6 * norm
+    assert orbital_distance(rotated, prof) < 1e-6 * norm
 
 
 def test_orbital_distance_positive_off_orbit(p111):
@@ -178,7 +177,7 @@ def test_orbital_distance_positive_off_orbit(p111):
     state = init_state(prof, "none", 0.01)
     scaled = dataclasses.replace(state, phi=1.5 * state.phi,
                                  phi_prev=1.5 * state.phi_prev)
-    assert orbital_distance(scaled, prof, 0.9) > 0.1
+    assert orbital_distance(scaled, prof) > 0.1
 
 
 def test_unperturbed_run_stays_on_orbit(p111):
@@ -251,17 +250,35 @@ def test_unstable_regime_distance_grows(p_tau098):
     assert crossing < 30.0
 
 
-def test_diagnostics_csv_round_trip(stable_run50):
-    stream = io.StringIO()
-    stable_run50.to_csv(stream)
-    lines = stream.getvalue().strip().splitlines()
+def test_diagnostics_csv_round_trip(p111, tmp_path, capsys):
+    out_path = tmp_path / "diag.csv"
+    assert cli.main(["evolve", "--a", "1", "--b", "1", "--m", "1",
+                     "--omega", "0.9", "--perturb", "scale:0.01",
+                     "--t-final", "2", "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    diag = run(p111, 0.9, "scale:0.01", 2.0)
+    lines = out_path.read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header == ["time", "energy", "charge", "orbital_distance",
                       "sup_amplitude"]
-    assert len(lines) == len(stable_run50.times) + 1
-    first = [float(tok) for tok in lines[1].split(",")]
-    assert first[0] == stable_run50.times[0]
-    assert first[1] == stable_run50.energy[0]
+    assert len(lines) == len(diag.times) + 1
+    columns = (diag.times, diag.energy, diag.charge, diag.orbital_distance,
+               diag.sup_amplitude)
+    for line, row in zip(lines[1:], zip(*columns)):
+        assert [float(tok) for tok in line.split(",")] == list(row)
+
+
+def test_times_are_whole_steps(p111, p212):
+    # the clock is steps * step_t, so no rounding accumulates over a run
+    diag = run(p111, 0.9, "scale:0.01", 10.0, sample_every=30)
+    steps = np.minimum(np.arange(diag.times.size) * 30, 1000)
+    assert np.array_equal(diag.times, steps * 0.01)
+    assert diag.summary()["t_final"] == 1000 * 0.01
+    cut = run(p111, 0.9, "scale:500", 1.0, sample_every=10)
+    assert cut.truncated and cut.truncation_time == 34 * 0.01
+    tail = run(p212, 1.5, "bump:0.5", 30.0, sample_every=20, step_x=0.03,
+               extra_half_length=0.0)
+    assert tail.tail_first_exceed == 2240 * 0.01
 
 
 def test_state_exposes_grid(p111):
@@ -270,21 +287,6 @@ def test_state_exposes_grid(p111):
     assert state.x.size == state.phi.size
     assert state.x[0] == 0.0
     assert state.x[-1] == state.half_length
-
-
-@pytest.mark.parametrize("n_nodes", [2, 3, 4, 5, 1000, 1001])
-def test_folded_simpson_equals_full_grid(n_nodes):
-    # the half-line sum is the full-grid composite Simpson of the even
-    # extension, for an even and an odd interval count N = n_nodes - 1
-    rng = np.random.default_rng(n_nodes)
-    half = rng.normal(size=n_nodes) + 1j * rng.normal(size=n_nodes)
-    full = np.concatenate((half[:0:-1], half))
-    want = composite_simpson(full, 0.03)
-    assert abs(_integral(half, 0.03) - want) <= 1e-13 * abs(want)
-    want_real = composite_simpson(full.real, 0.03)
-    got_real = _integral(half.real, 0.03)
-    assert isinstance(got_real, float)
-    assert abs(got_real - want_real) <= 1e-13 * abs(want_real)
 
 
 def test_state_phi_x_vanishes_at_centre(p111):
@@ -310,12 +312,18 @@ def _assert_matches_full_grid(diag, ref):
     assert gap.max() <= 1e-12 * ref["norm_v"]
 
 
-@pytest.mark.parametrize("step_x, n_parity", [(0.02, 0), (0.03, 1)])
+@pytest.mark.parametrize("step_x, rounded_up", [(0.02, 0), (0.03, 1)])
 @pytest.mark.parametrize("perturbation", ["scale:0.01", "bump:0.01", "none"])
 def test_half_line_matches_full_grid_run(p111, perturbation, step_x,
-                                         n_parity):
-    state = _fresh_state(p111, 0.9, step_x=step_x)
-    assert (state.phi.size - 1) % 2 == n_parity  # even and odd N
+                                         rounded_up):
+    # the interval count is even, as the profile's: ceil(20/0.03) = 667
+    # margin intervals gain one node at the Dirichlet end
+    prof = build_profile(p111, 0.9, step_x)
+    state = init_state(prof, "none", 0.01)
+    n_int = state.phi.size - 1
+    assert n_int % 2 == 0
+    assert n_int == (round(prof.half_length / step_x)
+                     + math.ceil(20.0 / step_x) + rounded_up)
     diag = run(p111, 0.9, perturbation, 10.0, sample_every=50,
                step_x=step_x)
     ref = oracles.full_grid_run(p111, 0.9, perturbation, 10.0,
@@ -343,9 +351,9 @@ def test_run_distance_equals_public_orbital_distance(p111):
     prof = build_profile(p111, 0.9, 0.02)
     state = init_state(prof, "bump:0.05", 0.01)
     diag = run(p111, 0.9, "bump:0.05", 0.5, sample_every=50)
-    assert diag.orbital_distance[0] == orbital_distance(state, prof, 0.9)
+    assert diag.orbital_distance[0] == orbital_distance(state, prof)
     ahead, _ = _advance(state, 50)
-    assert diag.orbital_distance[1] == orbital_distance(ahead, prof, 0.9)
+    assert diag.orbital_distance[1] == orbital_distance(ahead, prof)
 
 
 def test_init_state_rejects_bad_extra_half_length(p111):
@@ -406,7 +414,7 @@ def test_distance_of_non_finite_state_is_nan(p111):
     for bad in (math.nan, math.inf):
         broken = dataclasses.replace(state, phi=state.phi + bad)
         with np.errstate(invalid="ignore"):  # inf - inf in the velocity
-            assert math.isnan(orbital_distance(broken, prof, 0.9))
+            assert math.isnan(orbital_distance(broken, prof))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
