@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 
@@ -169,7 +170,13 @@ def _emit(text: str, out_path=None) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with a single-line machine-parsable usage error."""
+    """argparse with a single-line machine-parsable usage error, reading
+    negative numbers in exponent form (``-1e-05``) as values."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.exit(2, f"kgstab: usage-error: {message}\n")

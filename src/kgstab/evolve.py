@@ -6,28 +6,31 @@ is even in x and the equation preserves evenness, so only the half-line
 x >= 0 is stored and stepped, with the mirror condition phi(-h) = phi(h) at
 the centre.  Runs record conserved quantities and the phase-minimized
 distance to the standing wave orbit, which is the empirical counterpart of
-the stability verdicts from the classifier.  The grid, its integrals and the
-field operator are the profile's (see ``soliton``): an even interval count,
-half-line Simpson sums doubled, and R read from the profile's samples.
+the stability verdicts from the classifier.  The field lives on its
+profile's lattice (see ``soliton``): an even interval count, half-line
+Simpson sums doubled, the profile's field operator, and R and omega from the
+profile's samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import _kernels
 from .model import DomainError, ModelParams
 from .soliton import (GridError, SolitonProfile, build_profile,
-                      composite_simpson, field_acceleration,
-                      require_node_budget)
+                      composite_simpson, field_acceleration)
 
 # Amplitude guard: a run whose sup exceeds this many times R(0) has left any
 # neighbourhood of the orbit and is about to overflow; record and stop.
 _GUARD_FACTOR = 1e3
+# huge data overflows to inf or NaN in the diagnostics; callers check their
+# results, so the NumPy warnings would only add noise to stderr
+_quiet = np.errstate(over="ignore", invalid="ignore")
 # Tail sensor distance from the boundary and its trigger level.
 _TAIL_MARGIN = 5.0
 _TAIL_LEVEL = 1e-8
@@ -65,32 +68,31 @@ def parse_perturbation(spec: str) -> tuple[str, float]:
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """Two consecutive time levels of an even field on the half-line.
+    """Two consecutive time levels of an even field on its profile's lattice.
 
-    ``phi[i]`` is the field at x_i = i*step_x for i = 0 .. half_length/step_x,
-    an even interval count.  Node 0 is the symmetry centre, with the mirror
+    ``phi[i]`` is the field at ``profile.x[i]`` = i*h on x >= 0, an even
+    interval count.  Node 0 is the symmetry centre, with the mirror
     condition phi(-h) = phi(h), and the last node is the Dirichlet end
-    x = half_length.  ``steps`` counts the leapfrog steps taken since t = 0.
+    x = ``profile.half_length``.  The step, the model and the orbit are the
+    profile's; ``steps`` counts the leapfrog steps taken since t = 0.
     """
 
     steps: int
     phi: np.ndarray
     phi_prev: np.ndarray
-    step_x: float
     step_t: float
-    half_length: float
-    params: ModelParams
-    guard: float
+    profile: SolitonProfile
 
     def __post_init__(self):
-        if self.phi.shape != self.phi_prev.shape:
-            raise ValueError("phi and phi_prev grids differ")
+        if not self.phi.shape == self.phi_prev.shape \
+                == self.profile.values.shape:
+            raise ValueError("phi, phi_prev and the profile's lattice differ")
         if not self.step_t > 0.0:
             raise CFLError(f"step_t must be positive, got {self.step_t!r}")
-        if not self.step_t <= 0.9 * self.step_x:
+        if not self.step_t <= 0.9 * self.profile.step:
             raise CFLError(
                 f"step_t={self.step_t!r} violates step_t <= 0.9*step_x "
-                f"with step_x={self.step_x!r}"
+                f"with step_x={self.profile.step!r}"
             )
 
     @property
@@ -98,11 +100,8 @@ class FieldState:
         """steps * step_t, so sample times do not accumulate rounding."""
         return self.steps * self.step_t
 
-    @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.phi.size) * self.step_x
-
     @cached_property
+    @_quiet
     def velocity(self) -> np.ndarray:
         """d/dt phi at the current level, shared by the diagnostics.
 
@@ -112,14 +111,15 @@ class FieldState:
         nothing.
         """
         dt = self.step_t
+        prof = self.profile
         return ((self.phi - self.phi_prev) / dt
-                + 0.5 * dt * field_acceleration(self.phi, self.step_x,
-                                                self.params))
+                + 0.5 * dt * field_acceleration(self.phi, prof.step,
+                                                prof.params))
 
     @cached_property
     def phi_x(self) -> np.ndarray:
         """d/dx phi, shared by the diagnostics."""
-        return _gradient(self.phi, self.step_x)
+        return _gradient(self.phi, self.profile.step)
 
 
 def _gradient(values: np.ndarray, step: float) -> np.ndarray:
@@ -130,38 +130,26 @@ def _gradient(values: np.ndarray, step: float) -> np.ndarray:
     return grad
 
 
-def _profile_at(profile: SolitonProfile, x: np.ndarray) -> np.ndarray:
-    """R at the nodes ``x`` >= 0: the profile's samples, 0 beyond its grid."""
-    return np.interp(x, profile.x, profile.values, right=0.0)
+def _guard(profile: SolitonProfile) -> float:
+    """The sup |phi| at which a run on ``profile`` stops."""
+    return _GUARD_FACTOR * float(profile.values[0])
 
 
-def init_state(profile: SolitonProfile, perturbation: str, step_t: float,
-               extra_half_length: float = 20.0) -> FieldState:
-    """Perturbed standing-wave data on a widened half-line grid.
+@_quiet
+def init_state(profile: SolitonProfile, perturbation: str,
+               step_t: float) -> FieldState:
+    """Perturbed standing-wave data on the profile's lattice.
 
     The data is formed on x >= 0 only, from the profile's samples of R and
-    exp(-x^2), so it is even by construction.  The grid extends the
-    profile's half-length by at least ``extra_half_length``, rounded up to
-    an even interval count as the profile's is, so radiation reflected off
-    the Dirichlet end arrives late.  phi_prev comes from a second-order
-    Taylor start, which makes the centered time difference at t = 0
-    reproduce the exact initial velocity.  Raises GridError for an
-    ``extra_half_length`` that is negative or not finite, or a grid beyond
-    MAX_NODES.
+    exp(-x^2), so it is even by construction; the last node is the
+    Dirichlet end.  phi_prev comes from a second-order Taylor start, which
+    makes the centered time difference at t = 0 reproduce the exact initial
+    velocity.  A margin for radiation is the caller's to build into the
+    profile, as ``run`` does.
     """
     kind, eps = parse_perturbation(perturbation)
-    p = profile.params
-    h = profile.step
-    if not 0.0 <= extra_half_length < math.inf:
-        raise GridError("extra_half_length must be non-negative and finite, "
-                        f"got {extra_half_length!r}")
-    require_node_budget(profile.half_length + extra_half_length, h)
-    n_side = (round(profile.half_length / h)
-              + int(math.ceil(extra_half_length / h)))
-    n_side += n_side % 2  # Simpson wants an even interval count
-    x = np.arange(n_side + 1) * h
-
-    r = _profile_at(profile, x)
+    x = profile.x
+    r = profile.values
     if kind == "scale":
         r = (1.0 + eps) * r
     elif kind == "bump":
@@ -170,54 +158,51 @@ def init_state(profile: SolitonProfile, perturbation: str, step_t: float,
     phi0[-1] = 0.0
 
     psi0 = -1j * profile.omega * phi0
-    phi_prev = phi0 - step_t * psi0 \
-        + 0.5 * step_t * step_t * field_acceleration(phi0, h, p)
+    phi_prev = phi0 - step_t * psi0 + 0.5 * step_t * step_t \
+        * field_acceleration(phi0, profile.step, profile.params)
     phi_prev[-1] = 0.0
 
-    return FieldState(
-        steps=0, phi=phi0, phi_prev=phi_prev, step_x=h, step_t=float(step_t),
-        half_length=n_side * h, params=p,
-        guard=_GUARD_FACTOR * float(profile.values[0]),
-    )
+    return FieldState(steps=0, phi=phi0, phi_prev=phi_prev,
+                      step_t=float(step_t), profile=profile)
 
 
 def _advance(state: FieldState, n_steps: int) -> tuple[FieldState, int]:
     """Take up to n_steps leapfrog steps; returns (new state, steps taken)."""
     phi = state.phi.copy()
     prev = state.phi_prev.copy()
-    p = state.params
+    prof = state.profile
+    p = prof.params
     taken = int(_kernels.leapfrog_steps(
-        phi, prev, n_steps, state.step_x, state.step_t,
-        p.m * p.m, p.a, p.b, state.guard,
+        phi, prev, n_steps, prof.step, state.step_t,
+        p.m * p.m, p.a, p.b, _guard(prof),
     ))
     new = replace(state, steps=state.steps + taken, phi=phi, phi_prev=prev)
     return new, taken
 
 
+@_quiet
 def field_energy(state: FieldState) -> float:
     """E = 1/2 ||psi||^2 + 1/2 ||phi'||^2 + 1/2 m^2 ||phi||^2 + int G(|phi|)."""
-    p = state.params
+    p = state.profile.params
     mag = np.abs(state.phi)
     density = (0.5 * np.abs(state.velocity)**2
                + 0.5 * np.abs(state.phi_x)**2
                + 0.5 * p.m * p.m * mag**2
                + (-p.a * mag**3 + p.b * mag**4))
-    return 2.0 * composite_simpson(density, state.step_x)
+    return 2.0 * composite_simpson(density, state.profile.step)
 
 
+@_quiet
 def field_charge(state: FieldState) -> float:
     """Q = -Im int psi conj(phi) dx."""
     pairing = composite_simpson(state.velocity * np.conj(state.phi),
-                                state.step_x)
+                                state.profile.step)
     return -2.0 * pairing.imag
 
 
 @dataclass(frozen=True, eq=False)
 class _Orbit:
-    """The standing wave's side of the orbital distance on one grid.
-
-    It depends only on the profile and the grid, so a run builds it once.
-    """
+    """The standing wave's side of the orbital distance on its lattice."""
 
     m2: float
     r: np.ndarray
@@ -226,21 +211,32 @@ class _Orbit:
     norm: float      # m^2 ||R||^2 + ||R'||^2 + omega^2 ||R||^2
 
 
-def _orbit(state: FieldState, profile: SolitonProfile) -> _Orbit:
-    h = state.step_x
+@lru_cache(maxsize=1)
+def _orbit(profile: SolitonProfile) -> _Orbit:
+    """The orbit's side; it depends on the profile only, so a run builds it
+    once."""
+    h = profile.step
     omega = profile.omega
-    p = state.params
+    p = profile.params
     m2 = p.m * p.m
-    r = _profile_at(profile, state.x)
+    r = profile.values
     r_x = _gradient(r, h)
     norm = 2.0 * composite_simpson((m2 + omega * omega) * r**2 + r_x**2, h)
     return _Orbit(m2=m2, r=r, r_x=r_x, psi=np.conj(-1j * omega * r),
                   norm=norm)
 
 
-def _distance(state: FieldState, orbit: _Orbit) -> float:
-    """``orbital_distance`` with the orbit side already built."""
-    h = state.step_x
+@_quiet
+def orbital_distance(state: FieldState) -> float:
+    """Phase-minimized distance from the state to its profile's orbit.
+
+    The orbit is e^{-i theta}(R, -i omega R) with R and omega from
+    ``state.profile``.  min over theta of ||(phi, psi) - e^{-i theta}(R,
+    -i omega R)|| in the norm m^2||.||^2 + ||.'||^2 + ||.||^2; the minimum
+    is closed-form: sqrt(||u||^2 + ||v||^2 - 2|z|) with z the mixed pairing.
+    """
+    orbit = _orbit(state.profile)
+    h = state.profile.step
     psi = state.velocity
     phi_x = state.phi_x
     norm_u = 2.0 * composite_simpson(
@@ -249,17 +245,6 @@ def _distance(state: FieldState, orbit: _Orbit) -> float:
         orbit.m2 * state.phi * orbit.r + phi_x * orbit.r_x + psi * orbit.psi, h)
     # max(d2, 0.0) passes a NaN on, where max(0.0, d2) would return 0.0
     return math.sqrt(max(norm_u + orbit.norm - 2.0 * abs(z), 0.0))
-
-
-def orbital_distance(state: FieldState, profile: SolitonProfile) -> float:
-    """Phase-minimized distance from the state to the standing-wave orbit.
-
-    The orbit is the profile's: R and omega = ``profile.omega``.
-    min over theta of ||(phi, psi) - e^{-i theta}(R, -i omega R)|| in the
-    norm m^2||.||^2 + ||.'||^2 + ||.||^2; the minimum is closed-form:
-    sqrt(||u||^2 + ||v||^2 - 2|z|) with z the mixed pairing.
-    """
-    return _distance(state, _orbit(state, profile))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,12 +286,12 @@ class Diagnostics:
         }
 
 
-def _sample(state: FieldState, orbit: _Orbit, tail: np.ndarray) -> tuple:
+def _sample(state: FieldState, tail: np.ndarray) -> tuple:
     """(time, energy, charge, orbital distance, sup |phi|, sup |phi| over
     the ``tail`` nodes) of one state."""
     mag = np.abs(state.phi)
     return (state.time, field_energy(state), field_charge(state),
-            _distance(state, orbit), float(mag.max()), float(mag[tail].max()))
+            orbital_distance(state), float(mag.max()), float(mag[tail].max()))
 
 
 def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
@@ -314,15 +299,19 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
         extra_half_length: float = 20.0) -> Diagnostics:
     """Evolve perturbed standing-wave data to t_final, sampling diagnostics.
 
-    Samples are taken at t = 0 and every ``sample_every`` steps (plus the
-    final time).  A tripped amplitude guard truncates the run: the
-    diagnostics collected so far come back with ``truncated`` set instead of
-    an exception escaping.
+    The field lives on a profile built to the default profile's half-length
+    plus ``extra_half_length``, rounded up to an even interval count, so
+    radiation reflected off the Dirichlet end arrives late; R is the closed
+    form on the whole lattice, the margin included.  Samples are taken at
+    t = 0 and every ``sample_every`` steps (plus the final time).  A tripped
+    amplitude guard truncates the run: the diagnostics collected so far come
+    back with ``truncated`` set instead of an exception escaping.
 
-    Raises DomainError for a ``t_final`` that is not positive and finite, a
-    ``sample_every`` below 1, more than MAX_STEPS steps, or initial data
-    whose t = 0 energy, charge or orbital distance is not finite, or whose
-    energy or charge is zero.
+    Raises GridError for an ``extra_half_length`` that is negative or not
+    finite, or a lattice beyond MAX_NODES.  Raises DomainError for a
+    ``t_final`` that is not positive and finite, a ``sample_every`` below 1,
+    more than MAX_STEPS steps, or initial data whose t = 0 energy, charge or
+    orbital distance is not finite, or whose energy or charge is zero.
     """
     if not 0.0 < t_final < math.inf:
         raise DomainError(
@@ -334,14 +323,15 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
         raise DomainError(
             f"t_final={t_final!r} at step_t={step_t!r} needs more than "
             f"the {MAX_STEPS} steps one run may take")
-    profile = build_profile(p, omega, step_x)
-    # huge data overflows to inf or NaN here; the check below refuses it,
-    # so the NumPy warnings would only add noise to stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        state = init_state(profile, perturbation, step_t, extra_half_length)
-        orbit = _orbit(state, profile)
-        tail_nodes = state.x >= state.half_length - _TAIL_MARGIN
-        samples = [_sample(state, orbit, tail_nodes)]
+    if not 0.0 <= extra_half_length < math.inf:
+        raise GridError("extra_half_length must be non-negative and finite, "
+                        f"got {extra_half_length!r}")
+    bare = build_profile(p, omega, step_x)
+    profile = build_profile(p, omega, step_x,
+                            half_length=bare.half_length + extra_half_length)
+    state = init_state(profile, perturbation, step_t)
+    tail_nodes = profile.x >= profile.half_length - _TAIL_MARGIN
+    samples = [_sample(state, tail_nodes)]
     _, e0, q0, d0, *_ = samples[0]
     if not all(map(math.isfinite, samples[0])) or e0 == 0.0 or q0 == 0.0:
         raise DomainError(
@@ -350,6 +340,7 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
             "energy and charge nonzero")
 
     total_steps = int(math.ceil(t_final / step_t - 1e-9))
+    guard = _guard(profile)
     truncation_time = None
     done = 0
     while done < total_steps:
@@ -357,10 +348,10 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
         state, taken = _advance(state, batch)
         done += taken
         # the guard may trip on a batch's last step, where taken == batch
-        if not np.abs(state.phi).max() <= state.guard:
+        if not np.abs(state.phi).max() <= guard:
             truncation_time = state.time
             break
-        samples.append(_sample(state, orbit, tail_nodes))
+        samples.append(_sample(state, tail_nodes))
 
     times, energy, charge, dist, sup, tail = map(np.asarray, zip(*samples))
     exceeded = np.flatnonzero(tail > _TAIL_LEVEL)

@@ -42,6 +42,9 @@ _BAD_INPUTS = [
     (_SPECTRUM[:-1] + ["0.99999999", "--h", "0.01"], "grid-error"),
     (_EVOLVE[:-5] + ["0.99999999", "--perturb", "none", "--t-final", "1",
                      "--dx", "0.01", "--out", os.devnull], "grid-error"),
+    # a negative number in exponent form is a value, not an option
+    (["sigma", "--a", "1", "--b", "1", "--m", "1", "--omega", "-1e-05"],
+     "domain-error"),
 ]
 
 
@@ -386,7 +389,7 @@ def test_entry_point_exit_codes():
     # exception would end in a traceback
     src = Path(kgstab.__file__).resolve().parent.parent
     cases = [(["tau-star"], 0), (_BAD_INPUTS[0][0], 3), (_BAD_INPUTS[8][0], 3),
-             (_BAD_INPUTS[-1][0], 3)]
+             (_BAD_INPUTS[13][0], 3)]
     for argv, expected in cases:
         result = subprocess.run(
             [sys.executable, "-m", "kgstab.cli", *argv], capture_output=True,

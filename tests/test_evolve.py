@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,19 @@ from kgstab.evolve import _advance
 def _fresh_state(p, omega, perturbation="none", step_x=0.02, step_t=0.01):
     prof = build_profile(p, omega, step_x)
     return init_state(prof, perturbation, step_t)
+
+
+def _spy_init_state(monkeypatch):
+    """Collect every state ``run`` starts from."""
+    caught = []
+    real = evolve.init_state
+
+    def spy(*args):
+        caught.append(real(*args))
+        return caught[-1]
+
+    monkeypatch.setattr(evolve, "init_state", spy)
+    return caught
 
 
 def test_parse_perturbation_forms():
@@ -40,7 +54,7 @@ def test_cfl_guard(p111):
 def test_initial_data_matches_profile(p111):
     state = _fresh_state(p111, 0.9)
     inner = slice(0, -1)  # the centre and every node short of the end
-    expected = closed_form_profile(p111, 0.9, state.x)
+    expected = closed_form_profile(p111, 0.9, state.profile.x)
     assert np.abs(state.phi.real[inner] - expected[inner]).max() < 1e-14
     assert np.abs(state.phi.imag).max() == 0.0
     assert state.phi[0] == expected[0]  # the centre carries R(0)
@@ -92,7 +106,7 @@ def test_scaled_start_amplitude(p111):
 def test_unperturbed_initial_distance_vanishes(p111):
     prof = build_profile(p111, 0.9, 0.02)
     state = init_state(prof, "none", 0.01)
-    d0 = orbital_distance(state, prof)
+    d0 = orbital_distance(state)
     norm = math.sqrt(2.0 * energy(prof))
     assert d0 < 1e-6 * norm
 
@@ -134,7 +148,7 @@ def test_second_order_convergence_in_time(p111):
     for step_x, step_t in ((0.04, 0.02), (0.02, 0.01)):
         state = _fresh_state(p111, 0.9, step_x=step_x, step_t=step_t)
         ahead, _ = _advance(state, round(1.0 / step_t))
-        exact = closed_form_profile(p111, 0.9, ahead.x) \
+        exact = closed_form_profile(p111, 0.9, ahead.profile.x) \
             * np.exp(-1j * 0.9 * 1.0)
         exact[-1] = 0.0
         errors.append(np.abs(ahead.phi - exact).max())
@@ -153,12 +167,12 @@ def test_energy_drift_scales_with_dt_squared(p111):
 def test_orbital_distance_phase_invariant(p111):
     prof = build_profile(p111, 0.9, 0.02)
     state = init_state(prof, "bump:0.05", 0.01)
-    d_base = orbital_distance(state, prof)
+    d_base = orbital_distance(state)
     for theta in (0.3, 2.0, -1.1):
         phase = np.exp(1j * theta)
         rotated = dataclasses.replace(state, phi=state.phi * phase,
                                       phi_prev=state.phi_prev * phase)
-        d_rot = orbital_distance(rotated, prof)
+        d_rot = orbital_distance(rotated)
         assert d_rot == pytest.approx(d_base, rel=1e-10)
 
 
@@ -169,7 +183,7 @@ def test_orbital_distance_zero_on_phased_exact_data(p111):
     rotated = dataclasses.replace(state, phi=state.phi * phase,
                                   phi_prev=state.phi_prev * phase)
     norm = math.sqrt(2.0 * energy(prof))
-    assert orbital_distance(rotated, prof) < 1e-6 * norm
+    assert orbital_distance(rotated) < 1e-6 * norm
 
 
 def test_orbital_distance_positive_off_orbit(p111):
@@ -177,7 +191,7 @@ def test_orbital_distance_positive_off_orbit(p111):
     state = init_state(prof, "none", 0.01)
     scaled = dataclasses.replace(state, phi=1.5 * state.phi,
                                  phi_prev=1.5 * state.phi_prev)
-    assert orbital_distance(scaled, prof) > 0.1
+    assert orbital_distance(scaled) > 0.1
 
 
 def test_unperturbed_run_stays_on_orbit(p111):
@@ -282,18 +296,22 @@ def test_times_are_whole_steps(p111, p212):
 
 
 def test_state_exposes_grid(p111):
-    state = _fresh_state(p111, 0.9)
+    # the field lives on its profile's lattice, and only there
+    prof = build_profile(p111, 0.9, 0.02)
+    state = init_state(prof, "none", 0.01)
     assert isinstance(state, FieldState)
-    assert state.x.size == state.phi.size
-    assert state.x[0] == 0.0
-    assert state.x[-1] == state.half_length
+    assert state.profile is prof
+    assert state.phi.shape == state.phi_prev.shape == prof.values.shape
+    with pytest.raises(ValueError, match="lattice"):
+        dataclasses.replace(state, phi=state.phi[:-2],
+                            phi_prev=state.phi_prev[:-2])
 
 
 def test_state_phi_x_vanishes_at_centre(p111):
     state = _fresh_state(p111, 0.9, "bump:0.3")
     assert state.phi_x[0] == 0.0
     assert state.phi_x is state.phi_x  # computed once per state
-    interior = np.gradient(state.phi, state.step_x)[1:]
+    interior = np.gradient(state.phi, state.profile.step)[1:]
     assert np.array_equal(state.phi_x[1:], interior)
 
 
@@ -315,17 +333,17 @@ def _assert_matches_full_grid(diag, ref):
 @pytest.mark.parametrize("step_x, rounded_up", [(0.02, 0), (0.03, 1)])
 @pytest.mark.parametrize("perturbation", ["scale:0.01", "bump:0.01", "none"])
 def test_half_line_matches_full_grid_run(p111, perturbation, step_x,
-                                         rounded_up):
+                                         rounded_up, monkeypatch):
     # the interval count is even, as the profile's: ceil(20/0.03) = 667
     # margin intervals gain one node at the Dirichlet end
-    prof = build_profile(p111, 0.9, step_x)
-    state = init_state(prof, "none", 0.01)
-    n_int = state.phi.size - 1
-    assert n_int % 2 == 0
-    assert n_int == (round(prof.half_length / step_x)
-                     + math.ceil(20.0 / step_x) + rounded_up)
+    caught = _spy_init_state(monkeypatch)
     diag = run(p111, 0.9, perturbation, 10.0, sample_every=50,
                step_x=step_x)
+    n_int = caught[0].phi.size - 1
+    bare = build_profile(p111, 0.9, step_x)
+    assert n_int % 2 == 0
+    assert n_int == (round(bare.half_length / step_x)
+                     + math.ceil(20.0 / step_x) + rounded_up)
     ref = oracles.full_grid_run(p111, 0.9, perturbation, 10.0,
                                 sample_every=50, step_x=step_x)
     _assert_matches_full_grid(diag, ref)
@@ -347,20 +365,33 @@ def test_half_line_matches_full_grid_tail_sensor(p212):
     _assert_matches_full_grid(diag, ref)
 
 
-def test_run_distance_equals_public_orbital_distance(p111):
-    prof = build_profile(p111, 0.9, 0.02)
-    state = init_state(prof, "bump:0.05", 0.01)
+def test_run_distance_equals_public_orbital_distance(p111, monkeypatch):
+    caught = _spy_init_state(monkeypatch)
     diag = run(p111, 0.9, "bump:0.05", 0.5, sample_every=50)
-    assert diag.orbital_distance[0] == orbital_distance(state, prof)
+    state = caught[0]
+    assert diag.orbital_distance[0] == orbital_distance(state)
     ahead, _ = _advance(state, 50)
-    assert diag.orbital_distance[1] == orbital_distance(ahead, prof)
+    assert diag.orbital_distance[1] == orbital_distance(ahead)
 
 
-def test_init_state_rejects_bad_extra_half_length(p111):
-    prof = build_profile(p111, 0.9, 0.02)
+def test_run_margin_carries_the_profile(p111, monkeypatch):
+    # run widens the profile itself, so R on the margin is the closed form
+    # and not an interpolated zero: no node short of the Dirichlet end is 0
+    caught = _spy_init_state(monkeypatch)
+    run(p111, 0.9, "none", 0.1, step_x=0.03)
+    state = caught[0]
+    bare = build_profile(p111, 0.9, 0.03)
+    assert state.profile.half_length >= bare.half_length + 20.0
+    expected = closed_form_profile(p111, 0.9, state.profile.x)
+    assert np.array_equal(state.phi.real[:-1], expected[:-1])
+    assert np.count_nonzero(state.phi) == state.phi.size - 1
+    assert state.phi[-1] == 0.0
+
+
+def test_run_rejects_bad_extra_half_length(p111):
     for extra in (-1.0, math.inf, math.nan, 1e9):
         with pytest.raises(GridError):
-            init_state(prof, "none", 0.01, extra_half_length=extra)
+            run(p111, 0.9, "none", 0.1, extra_half_length=extra)
 
 
 def test_step_budget(p111, monkeypatch):
@@ -382,7 +413,6 @@ def test_step_budget(p111, monkeypatch):
 
 
 def test_node_budget_before_allocation(p111):
-    prof = build_profile(p111, 0.9, 0.02)
     near_edge = 1.0 - 1e-8  # about 2.8e7 nodes on x >= 0 at h = 0.01
     tracemalloc.start()
     try:
@@ -391,7 +421,7 @@ def test_node_budget_before_allocation(p111):
         with pytest.raises(GridError, match="budget"):
             run(p111, near_edge, "none", 1.0, step_x=0.01, step_t=0.005)
         with pytest.raises(GridError, match="budget"):
-            init_state(prof, "none", 0.01, extra_half_length=1e6)
+            run(p111, 0.9, "none", 1.0, extra_half_length=1e6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -413,8 +443,20 @@ def test_distance_of_non_finite_state_is_nan(p111):
     state = init_state(prof, "none", 0.01)
     for bad in (math.nan, math.inf):
         broken = dataclasses.replace(state, phi=state.phi + bad)
-        with np.errstate(invalid="ignore"):  # inf - inf in the velocity
-            assert math.isnan(orbital_distance(broken, prof))
+        assert math.isnan(orbital_distance(broken))
+
+
+def test_public_calls_on_huge_data_are_quiet(p111):
+    # overflow to inf or NaN is reported by the values, not by warnings
+    prof = build_profile(p111, 0.9, 0.1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state = init_state(prof, "scale:1e300", 0.05)
+        state.velocity  # read on its own, outside the diagnostics
+        values = (field_energy(state), field_charge(state),
+                  orbital_distance(state))
+    assert caught == []
+    assert not all(map(math.isfinite, values))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
