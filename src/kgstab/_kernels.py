@@ -24,46 +24,46 @@ def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
     touched.  Returns the number of steps actually taken, stopping after the
     step whose new level exceeds the amplitude guard; a trip on the last
     step also returns ``n_steps``, so callers test the end state themselves.
+
+    A step is new = w phi + r (right + left) - prev, with r = dt^2/h^2 and
+    one real weight per node, w = (2 - 2r - dt^2 m^2) + |phi| (3a dt^2
+    - 4b dt^2 |phi|) in Horner form.  The new level overwrites prev's storage
+    and the two swap roles; after an odd step count one copy-back moves the
+    newest level into ``phi``.
     """
-    inv_h2 = 1.0 / (step_x * step_x)
     dt2 = step_t * step_t
-    inner = phi[:-1]
-    prev_inner = phi_prev[:-1]
-    # buffers reused by every step; the ufunc calls keep the operand order of
-    # the plain expressions, so the arithmetic is unchanged
-    rhs = np.empty_like(inner)
-    scratch = np.empty_like(inner)
-    mag = np.abs(inner)
-    coeff = np.empty_like(mag)
-    quartic = np.empty_like(mag)
+    r = dt2 / (step_x * step_x)
+    c0, c1, c2 = 2.0 - 2.0 * r - dt2 * m2, 3.0 * a * dt2, 4.0 * b * dt2
+    end = phi[-1]  # the Dirichlet value, read once
+    cur, prev = phi[:-1], phi_prev[:-1]
+    near = np.empty_like(cur)  # right + left neighbours
+    scratch = np.empty_like(cur)
+    mag = np.abs(cur)
+    w = np.empty_like(mag)
     for k in range(n_steps):
-        # rhs = (right - 2 inner + left) / h^2, where the centre's left
-        # neighbour is its mirror phi[1]
-        np.multiply(2.0, inner, out=scratch)
-        np.subtract(phi[1:], scratch, out=rhs)
-        np.add(rhs[1:], phi[:-2], out=rhs[1:])
-        rhs[0] += phi[1]
-        np.multiply(rhs, inv_h2, out=rhs)
-        # rhs += (-m^2 + 3a|phi| - 4b|phi|^2) phi
-        np.multiply(3.0 * a, mag, out=coeff)
-        np.add(-m2, coeff, out=coeff)
-        np.multiply(4.0 * b, mag, out=quartic)
-        np.multiply(quartic, mag, out=quartic)
-        np.subtract(coeff, quartic, out=coeff)
-        np.multiply(coeff, inner, out=scratch)
-        np.add(rhs, scratch, out=rhs)
-        # new = 2 inner - prev + dt^2 rhs
-        np.multiply(2.0, inner, out=scratch)
-        np.subtract(scratch, prev_inner, out=scratch)
-        np.multiply(dt2, rhs, out=rhs)
-        np.add(scratch, rhs, out=scratch)
-        prev_inner[...] = inner
-        inner[...] = scratch
-        # |new| is the next step's |phi|
-        np.abs(scratch, out=mag)
-        sup = mag.max()
-        if not sup <= guard:  # catches NaN as well as overshoot
-            return k + 1
+        np.add(cur[2:], cur[:-2], out=near[1:-1])
+        if cur.size > 1:
+            near[-1] = end + cur[-2]
+            near[0] = 2.0 * cur[1]
+        else:  # the centre alone: both neighbours are the Dirichlet end
+            near[0] = 2.0 * end
+        np.multiply(c2, mag, out=w)
+        np.subtract(c1, w, out=w)
+        np.multiply(w, mag, out=w)
+        np.add(c0, w, out=w)
+        np.multiply(w, cur, out=scratch)
+        np.multiply(r, near, out=near)
+        np.add(scratch, near, out=scratch)
+        np.subtract(scratch, prev, out=prev)
+        cur, prev = prev, cur
+        np.abs(cur, out=mag)  # |new| is the next step's |phi|
+        if not mag.max() <= guard:  # catches NaN as well as overshoot
+            n_steps = k + 1
+            break
+    if n_steps % 2:  # the newest level sits in phi_prev's storage
+        scratch[...] = cur
+        cur[...] = prev
+        prev[...] = scratch
     return n_steps
 
 

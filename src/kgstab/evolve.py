@@ -121,6 +121,11 @@ class FieldState:
         """d/dx phi, shared by the diagnostics."""
         return _gradient(self.phi, self.profile.step)
 
+    @cached_property
+    def magnitude(self) -> np.ndarray:
+        """|phi|, shared by the amplitude guard and the diagnostics."""
+        return np.abs(self.phi)
+
 
 def _gradient(values: np.ndarray, step: float) -> np.ndarray:
     """Centred first derivative of an even function sampled on x >= 0; it
@@ -184,7 +189,7 @@ def _advance(state: FieldState, n_steps: int) -> tuple[FieldState, int]:
 def field_energy(state: FieldState) -> float:
     """E = 1/2 ||psi||^2 + 1/2 ||phi'||^2 + 1/2 m^2 ||phi||^2 + int G(|phi|)."""
     p = state.profile.params
-    mag = np.abs(state.phi)
+    mag = state.magnitude
     density = (0.5 * np.abs(state.velocity)**2
                + 0.5 * np.abs(state.phi_x)**2
                + 0.5 * p.m * p.m * mag**2
@@ -240,7 +245,7 @@ def orbital_distance(state: FieldState) -> float:
     psi = state.velocity
     phi_x = state.phi_x
     norm_u = 2.0 * composite_simpson(
-        orbit.m2 * np.abs(state.phi)**2 + np.abs(phi_x)**2 + np.abs(psi)**2, h)
+        orbit.m2 * state.magnitude**2 + np.abs(phi_x)**2 + np.abs(psi)**2, h)
     z = 2.0 * composite_simpson(
         orbit.m2 * state.phi * orbit.r + phi_x * orbit.r_x + psi * orbit.psi, h)
     # max(d2, 0.0) passes a NaN on, where max(0.0, d2) would return 0.0
@@ -289,7 +294,7 @@ class Diagnostics:
 def _sample(state: FieldState, tail: np.ndarray) -> tuple:
     """(time, energy, charge, orbital distance, sup |phi|, sup |phi| over
     the ``tail`` nodes) of one state."""
-    mag = np.abs(state.phi)
+    mag = state.magnitude
     return (state.time, field_energy(state), field_charge(state),
             orbital_distance(state), float(mag.max()), float(mag[tail].max()))
 
@@ -348,7 +353,7 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
         state, taken = _advance(state, batch)
         done += taken
         # the guard may trip on a batch's last step, where taken == batch
-        if not np.abs(state.phi).max() <= guard:
+        if not state.magnitude.max() <= guard:
             truncation_time = state.time
             break
         samples.append(_sample(state, tail_nodes))

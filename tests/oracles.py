@@ -8,11 +8,13 @@ Expected values in the tests are produced by these routines, not copied from
 the implementation under test.
 
 The exceptions are the last three sections.  One holds reference forms of
-the package's scalar kernels, written as plain index loops over NumPy arrays.
-They do the same arithmetic in the same order, so the tests demand bitwise
-equality with them.  The other two keep the package's earlier eigen path and
-its earlier full-grid evolution, the references for the stated tolerances of
-the faster paths that replaced them.
+the package's kernels, written as plain index loops or with fresh
+temporaries each step.  They do the same arithmetic in the same order, so
+the tests demand bitwise equality with them; the index-order
+``leapfrog_steps`` is the earlier leapfrog kernel, the reference for the
+stated tolerance of the regrouped one.  The other two keep the package's
+earlier eigen path and its earlier full-grid evolution, the references for
+the stated tolerances of the faster paths that replaced them.
 """
 
 from __future__ import annotations
@@ -192,6 +194,30 @@ def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
             return k + 1
     return n_steps
 
+
+def leapfrog_steps_regrouped(phi, phi_prev, n_steps, step_x, step_t, m2, a,
+                             b, guard):
+    """The package kernel's operand order with fresh temporaries each step:
+    new = w phi + r (right + left) - prev, with r = dt^2/h^2 and one real
+    weight w per node.  The levels are copied, not swapped, so the right
+    neighbour of the last inner node is always ``phi[-1]``.  Returns the
+    steps taken."""
+    dt2 = step_t * step_t
+    r = dt2 / (step_x * step_x)
+    for k in range(n_steps):
+        inner = phi[:-1]
+        mag = np.abs(inner)
+        near = phi[1:] + np.concatenate((phi[1:2], phi[:-2]))
+        near[0] = 2.0 * phi[1]
+        w = (2.0 - 2.0 * r - dt2 * m2) \
+            + mag * (3.0 * a * dt2 - 4.0 * b * dt2 * mag)
+        new_inner = w * inner + r * near - phi_prev[:-1]
+        phi_prev[:-1] = inner
+        phi[:-1] = new_inner
+        sup = np.abs(new_inner).max()
+        if not sup <= guard:
+            return k + 1
+    return n_steps
 
 # --- the eigen path before the parity split ---------------------------------
 #

@@ -1,7 +1,10 @@
 import dataclasses
+import importlib.util
 import math
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,19 +318,52 @@ def test_state_phi_x_vanishes_at_centre(p111):
     assert np.array_equal(state.phi_x[1:], interior)
 
 
-def _assert_matches_full_grid(diag, ref):
-    # the stated tolerance of the half-line path against the full grid
+def test_state_magnitude_is_shared(p111):
+    state = _fresh_state(p111, 0.9, "bump:0.3")
+    assert state.magnitude is state.magnitude  # computed once per state
+    assert np.array_equal(state.magnitude, np.abs(state.phi))
+
+
+def test_batching_leaves_no_trace_in_the_bits(p111):
+    # the kernel swaps its levels every step; how a run is cut into batches,
+    # odd or even, must not show in the levels or in the samples
+    state = _fresh_state(p111, 0.9, "bump:0.05")
+    split, _ = _advance(_advance(state, 3)[0], 4)
+    whole, _ = _advance(state, 7)
+    assert split.steps == whole.steps == 7
+    assert split.phi.tobytes() == whole.phi.tobytes()
+    assert split.phi_prev.tobytes() == whole.phi_prev.tobytes()
+    kwargs = dict(step_x=0.05, step_t=0.02)
+    fine = run(p111, 0.9, "bump:0.05", 2.0, sample_every=1, **kwargs)
+    coarse = run(p111, 0.9, "bump:0.05", 2.0, sample_every=50, **kwargs)
+    shared = np.isin(fine.times, coarse.times)
+    assert np.array_equal(fine.times[shared], coarse.times)
+    for key in ("energy", "charge", "orbital_distance", "sup_amplitude"):
+        got, want = getattr(fine, key)[shared], getattr(coarse, key)
+        assert got.tobytes() == want.tobytes(), key
+
+
+def _assert_within(diag, ref, norm_v, rel, d2_rel):
+    """A stated tolerance between two runs' diagnostics: equal times, flags
+    and event times; energy, charge and sup amplitude within ``rel``
+    relative; squared distances within ``d2_rel`` of the orbit's squared
+    norm ``norm_v``."""
     assert np.array_equal(diag.times, ref["times"])
     assert diag.truncated == ref["truncated"]
     assert diag.truncation_time == ref["truncation_time"]
     assert diag.tail_first_exceed == ref["tail_first_exceed"]
     for key in ("energy", "charge", "sup_amplitude"):
         got, want = getattr(diag, key), ref[key]
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), key
+        assert np.all(np.abs(got - want) <= rel * np.abs(want)), key
     # d is the square root of a cancelling difference: compare d^2 on the
     # scale of the orbit's own squared norm
     gap = np.abs(diag.orbital_distance**2 - ref["orbital_distance"]**2)
-    assert gap.max() <= 1e-12 * ref["norm_v"]
+    assert gap.max() <= d2_rel * norm_v
+
+
+def _assert_matches_full_grid(diag, ref):
+    # the stated tolerance of the half-line path against the full grid
+    _assert_within(diag, ref, ref["norm_v"], 1e-12, 1e-12)
 
 
 @pytest.mark.parametrize("step_x, rounded_up", [(0.02, 0), (0.03, 1)])
@@ -363,6 +399,64 @@ def test_half_line_matches_full_grid_tail_sensor(p212):
     ref = oracles.full_grid_run(p212, 1.5, "bump:0.5", 30.0, **kwargs)
     assert diag.tail_first_exceed is not None
     _assert_matches_full_grid(diag, ref)
+
+
+# The kernel's regrouped step against the index-order step it replaced
+# (``oracles.leapfrog_steps``, bitwise the earlier kernel), over whole runs.
+# Worst cases measured on the evolve benchmark's jobs (seeds 1-3) and the
+# runs below: 6.9e-13 relative, and 1.8e-13 of the orbit's squared norm
+# (the tail-sensor run, whose distance is largest).
+_REGROUPED_REL = 2e-12
+_REGROUPED_D2 = 1e-12
+
+_GATE_RUNS = {
+    "truncating": ("p111", 0.9, "bump:-200", 1.0, dict(sample_every=10)),
+    "tail-sensor": ("p212", 1.5, "bump:0.5", 30.0,
+                    dict(sample_every=20, step_x=0.03,
+                         extra_half_length=0.0)),
+    "every-1": ("p111", 0.9, "scale:0.01", 2.0,
+                dict(sample_every=1, step_x=0.03)),
+    "every-7": ("p111", 0.9, "bump:0.01", 10.0,
+                dict(sample_every=7, step_x=0.03)),
+}
+
+
+def _assert_within_index_order_kernel(call, monkeypatch):
+    caught = _spy_init_state(monkeypatch)
+    diag = call()
+    norm_v = evolve._orbit(caught[0].profile).norm
+    with monkeypatch.context() as patch:
+        patch.setattr(evolve._kernels, "leapfrog_steps",
+                      oracles.leapfrog_steps)
+        ref = dataclasses.asdict(call())
+    _assert_within(diag, ref, norm_v, _REGROUPED_REL, _REGROUPED_D2)
+    return diag
+
+
+@pytest.mark.parametrize("name", list(_GATE_RUNS))
+def test_run_within_tolerance_of_index_order_kernel(name, request,
+                                                    monkeypatch):
+    fixture, omega, perturbation, t_final, kwargs = _GATE_RUNS[name]
+    p = request.getfixturevalue(fixture)
+    diag = _assert_within_index_order_kernel(
+        lambda: run(p, omega, perturbation, t_final, **kwargs), monkeypatch)
+    assert diag.truncated == name.startswith("truncating")
+    assert (diag.tail_first_exceed is not None) == (name == "tail-sensor")
+
+
+@pytest.mark.parametrize("job", range(3))
+def test_benchmark_runs_within_tolerance_of_index_order_kernel(job,
+                                                               monkeypatch):
+    # the evolve benchmark's three jobs at seed 1, as the benchmark makes them
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    jobs = workloads.make_jobs("evolve", 1)
+    assert len(jobs) == 3
+    _assert_within_index_order_kernel(jobs[job].call, monkeypatch)
 
 
 def test_run_distance_equals_public_orbital_distance(p111, monkeypatch):
