@@ -122,6 +122,7 @@ class FieldState:
         return _gradient(self.phi, self.profile.step)
 
     @cached_property
+    @_quiet
     def magnitude(self) -> np.ndarray:
         """|phi|, shared by the amplitude guard and the diagnostics."""
         return np.abs(self.phi)

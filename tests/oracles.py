@@ -219,6 +219,29 @@ def leapfrog_steps_regrouped(phi, phi_prev, n_steps, step_x, step_t, m2, a,
             return k + 1
     return n_steps
 
+
+def full_grid_leapfrog_steps_regrouped(phi, phi_prev, n_steps, step_x,
+                                       step_t, m2, a, b, guard):
+    """``leapfrog_steps_regrouped`` on the full grid; both end nodes stay
+    fixed.  Each row adds its right neighbour to its left one, so the mirror
+    of a row adds the same two values in the other order.  Returns the steps
+    taken."""
+    dt2 = step_t * step_t
+    r = dt2 / (step_x * step_x)
+    for k in range(n_steps):
+        inner = phi[1:-1]
+        mag = np.abs(inner)
+        w = (2.0 - 2.0 * r - dt2 * m2) \
+            + mag * (3.0 * a * dt2 - 4.0 * b * dt2 * mag)
+        new_inner = w * inner + r * (phi[2:] + phi[:-2]) - phi_prev[1:-1]
+        phi_prev[1:-1] = inner
+        phi[1:-1] = new_inner
+        sup = np.abs(new_inner).max()
+        if not sup <= guard:
+            return k + 1
+    return n_steps
+
+
 # --- the eigen path before the parity split ---------------------------------
 #
 # Full-grid Sturm bisection to ``tol`` and inverse iteration that stops when

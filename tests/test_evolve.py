@@ -1,10 +1,7 @@
 import dataclasses
-import importlib.util
 import math
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,54 +406,51 @@ def test_half_line_matches_full_grid_tail_sensor(p212):
 _REGROUPED_REL = 2e-12
 _REGROUPED_D2 = 1e-12
 
+# The evolve benchmark's grids (perfbench/workloads.py: EVOLVE_DX,
+# EVOLVE_DT, PERTURB_EPS) and its three jobs at seed 1, with the waves that
+# seed draws written out
+_BENCH_GRID = dict(step_x=0.02, step_t=0.01)
+
 _GATE_RUNS = {
-    "truncating": ("p111", 0.9, "bump:-200", 1.0, dict(sample_every=10)),
-    "tail-sensor": ("p212", 1.5, "bump:0.5", 30.0,
+    "truncating": (ModelParams(1.0, 1.0, 1.0), 0.9, "bump:-200", 1.0,
+                   dict(sample_every=10)),
+    "tail-sensor": (ModelParams(2.0, 1.0, 2.0), 1.5, "bump:0.5", 30.0,
                     dict(sample_every=20, step_x=0.03,
                          extra_half_length=0.0)),
-    "every-1": ("p111", 0.9, "scale:0.01", 2.0,
+    "every-1": (ModelParams(1.0, 1.0, 1.0), 0.9, "scale:0.01", 2.0,
                 dict(sample_every=1, step_x=0.03)),
-    "every-7": ("p111", 0.9, "bump:0.01", 10.0,
+    "every-7": (ModelParams(1.0, 1.0, 1.0), 0.9, "bump:0.01", 10.0,
                 dict(sample_every=7, step_x=0.03)),
+    "coarse-stable-scale": (
+        ModelParams(1.1055098475906455, 0.90905091549796, 1.0694867473874465),
+        0.9766278220680485, "scale:0.001", 50.0,
+        dict(sample_every=50, **_BENCH_GRID)),
+    "coarse-mixed-bump": (
+        ModelParams(0.9797964259154952, 0.5063436713160783,
+                    0.9990870174183882),
+        0.8989854661639257, "bump:0.001", 50.0,
+        dict(sample_every=50, **_BENCH_GRID)),
+    "dense-stable-scale": (
+        ModelParams(0.9731068271620213, 0.6413111532569543, 1.067153020783974),
+        0.9740716450900112, "scale:0.001", 10.0,
+        dict(sample_every=5, **_BENCH_GRID)),
 }
 
 
-def _assert_within_index_order_kernel(call, monkeypatch):
+@pytest.mark.parametrize("name", list(_GATE_RUNS))
+def test_run_within_tolerance_of_index_order_kernel(name, monkeypatch):
+    p, omega, perturbation, t_final, kwargs = _GATE_RUNS[name]
     caught = _spy_init_state(monkeypatch)
-    diag = call()
+    diag = run(p, omega, perturbation, t_final, **kwargs)
     norm_v = evolve._orbit(caught[0].profile).norm
     with monkeypatch.context() as patch:
         patch.setattr(evolve._kernels, "leapfrog_steps",
                       oracles.leapfrog_steps)
-        ref = dataclasses.asdict(call())
+        ref = dataclasses.asdict(run(p, omega, perturbation, t_final,
+                                     **kwargs))
     _assert_within(diag, ref, norm_v, _REGROUPED_REL, _REGROUPED_D2)
-    return diag
-
-
-@pytest.mark.parametrize("name", list(_GATE_RUNS))
-def test_run_within_tolerance_of_index_order_kernel(name, request,
-                                                    monkeypatch):
-    fixture, omega, perturbation, t_final, kwargs = _GATE_RUNS[name]
-    p = request.getfixturevalue(fixture)
-    diag = _assert_within_index_order_kernel(
-        lambda: run(p, omega, perturbation, t_final, **kwargs), monkeypatch)
-    assert diag.truncated == name.startswith("truncating")
+    assert diag.truncated == (name == "truncating")
     assert (diag.tail_first_exceed is not None) == (name == "tail-sensor")
-
-
-@pytest.mark.parametrize("job", range(3))
-def test_benchmark_runs_within_tolerance_of_index_order_kernel(job,
-                                                               monkeypatch):
-    # the evolve benchmark's three jobs at seed 1, as the benchmark makes them
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    # dataclasses look their defining module up in sys.modules
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    jobs = workloads.make_jobs("evolve", 1)
-    assert len(jobs) == 3
-    _assert_within_index_order_kernel(jobs[job].call, monkeypatch)
 
 
 def test_run_distance_equals_public_orbital_distance(p111, monkeypatch):
@@ -546,7 +540,7 @@ def test_public_calls_on_huge_data_are_quiet(p111):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         state = init_state(prof, "scale:1e300", 0.05)
-        state.velocity  # read on its own, outside the diagnostics
+        state.velocity, state.magnitude  # read outside the diagnostics
         values = (field_energy(state), field_charge(state),
                   orbital_distance(state))
     assert caught == []

@@ -199,34 +199,35 @@ def test_leapfrog_guard_trip_leaves_levels_in_place(trip):
 
 
 def test_leapfrog_mirrors_full_grid():
-    # the index-order half-line with its mirror centre advances the x >= 0
-    # half of the full-grid scheme; the two differ only by the rounding of
-    # the full grid's left half, whose rows add their neighbours in the
-    # other order.  The kernel's regrouped rows add its own tolerance
+    # the half-line with its mirror centre advances the x >= 0 half of the
+    # full-grid scheme written in the kernel's operand order; each row adds
+    # its two neighbours in one addition, so the full grid's left half rounds
+    # as its mirror image
     phi, prev = _standing_wave_arrays(1001)
     phi *= 5.0
     prev *= 5.0
     full_phi = np.concatenate((phi[:0:-1], phi))
     full_prev = np.concatenate((prev[:0:-1], prev))
-    half_phi, half_prev = phi.copy(), prev.copy()
     args = (300, 0.01, *_COEFFS)
     assert _kernels.leapfrog_steps(phi, prev, *args) == 300
-    assert oracles.leapfrog_steps(half_phi, half_prev, *args) == 300
-    assert oracles.full_grid_leapfrog_steps(full_phi, full_prev, *args) == 300
-    for half, full in ((half_phi, full_phi), (half_prev, full_prev)):
-        assert np.abs(full[1000:] - half).max() < 1e-14 * np.abs(half).max()
-    for got, full in ((phi, full_phi), (prev, full_prev)):
-        assert (np.abs(full[1000:] - got).max()
-                <= _REGROUPED_TOL * np.abs(got).max())
-    # one step: the two row forms round apart by at most 1e-15 of the sup
-    # (measured: 2.8e-16, one rounding at the largest node)
+    assert oracles.full_grid_leapfrog_steps_regrouped(full_phi, full_prev,
+                                                      *args) == 300
+    assert np.abs(full_phi[1000:] - phi).max() < 1e-14 * np.abs(phi).max()
+    assert np.abs(full_prev[1000:] - prev).max() < 1e-14 * np.abs(prev).max()
+    # the centre row itself: the first step is bitwise the full grid's.  The
+    # index-order full grid rounds its rows apart from the regrouped ones by
+    # at most 1e-15 of the sup (measured: 2.8e-16, one rounding at the
+    # largest node)
     phi, prev = _standing_wave_arrays(1001)
     full_phi = np.concatenate((phi[:0:-1], phi))
     full_prev = np.concatenate((prev[:0:-1], prev))
+    index_phi, index_prev = full_phi.copy(), full_prev.copy()
     _kernels.leapfrog_steps(phi, prev, 1, *args[1:])
-    oracles.full_grid_leapfrog_steps(full_phi, full_prev, 1, *args[1:])
-    assert np.abs(full_phi[1000:] - phi).max() <= 1e-15 * np.abs(phi).max()
-    assert _same_bits(full_prev[1000:], prev)
+    oracles.full_grid_leapfrog_steps_regrouped(full_phi, full_prev, 1,
+                                               *args[1:])
+    oracles.full_grid_leapfrog_steps(index_phi, index_prev, 1, *args[1:])
+    assert _same_bits(full_phi[1000:], phi)
+    assert np.abs(index_phi[1000:] - phi).max() <= 1e-15 * np.abs(phi).max()
 
 
 def test_leapfrog_guard_trips_at_reference_step():
