@@ -92,6 +92,7 @@ SCHEMAS = {
 # which `sigma --check` refuses to pass.
 _SIGMA_GAP_LIMIT = 1e-6
 _SIGMA_CHECK_STEP = 0.005
+MAX_ROWS = 1_000_000  # most rows one sweep may write
 
 # JSON string escapes: the quote, the backslash and the control characters.
 _ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\",
@@ -232,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("spectrum", help="low spectrum of L+ and L-")
     _add_model_args(cmd, with_omega=True)
     cmd.add_argument("--h", type=float, default=0.02, help="grid step")
-    cmd.add_argument("--L", type=float, default=None, help="half-length")
+    cmd.add_argument("--L", type=float, default=None,
+                     help="half-length, rounded up to an even number of steps")
     cmd.add_argument("--k", type=int, default=4, help="eigenpair count")
     cmd.add_argument("--json", action="store_true")
     cmd.add_argument("--vectors", help="write eigenvectors to this CSV path")
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("sweep", help="omega grid of (alpha, sigma, sign d2)")
     _add_model_args(cmd)
     cmd.add_argument("--n", type=int, required=True,
-                     help="number of omega samples")
+                     help=f"number of omega samples, at most {MAX_ROWS}")
     cmd.add_argument("--json", action="store_true")
     cmd.add_argument("--out", help="output path (default stdout)")
     cmd.set_defaults(func=_cmd_sweep)
@@ -404,8 +406,8 @@ def _cmd_evolve(args) -> int:
 def _cmd_sweep(args) -> int:
     start = time.perf_counter()
     p = ModelParams(args.a, args.b, args.m)
-    if args.n < 1:
-        raise DomainError(f"--n must be >= 1, got {args.n!r}")
+    if not 1 <= args.n <= MAX_ROWS:
+        raise DomainError(f"--n must lie in [1, {MAX_ROWS}], got {args.n!r}")
     window = p.window
     omegas = [window.omega_star + (i + 1) * window.width / (args.n + 1)
               for i in range(args.n)]

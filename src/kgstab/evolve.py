@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .model import DomainError, ModelParams
 from .soliton import (GridError, SolitonProfile, build_profile,
-                      composite_simpson, field_acceleration)
+                      composite_simpson, field_acceleration, half_line)
 
 # Amplitude guard: a run whose sup exceeds this many times R(0) has left any
 # neighbourhood of the orbit and is about to overflow; record and stop.
@@ -305,7 +305,7 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
         extra_half_length: float = 20.0) -> Diagnostics:
     """Evolve perturbed standing-wave data to t_final, sampling diagnostics.
 
-    The field lives on a profile built to the default profile's half-length
+    The field lives on a profile built to the default ``half_line``'s end
     plus ``extra_half_length``, rounded up to an even interval count, so
     radiation reflected off the Dirichlet end arrives late; R is the closed
     form on the whole lattice, the margin included.  Samples are taken at
@@ -332,9 +332,8 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
     if not 0.0 <= extra_half_length < math.inf:
         raise GridError("extra_half_length must be non-negative and finite, "
                         f"got {extra_half_length!r}")
-    bare = build_profile(p, omega, step_x)
-    profile = build_profile(p, omega, step_x,
-                            half_length=bare.half_length + extra_half_length)
+    end = float(half_line(p, omega, step_x)[-1]) + extra_half_length
+    profile = build_profile(p, omega, step_x, half_length=end)
     state = init_state(profile, perturbation, step_t)
     tail_nodes = profile.x >= profile.half_length - _TAIL_MARGIN
     samples = [_sample(state, tail_nodes)]

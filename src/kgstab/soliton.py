@@ -9,10 +9,11 @@ and is used as the primary constructor; its correctness is pinned down by the
 ODE residual recorded on every built profile (and by integration tests against
 a Runge-Kutta solution).
 
-This module is also the home of the even half-line lattice that the profile
-and the evolved field share: samples at x_i = i*h on x >= 0 with an even
-interval count, integrals by composite Simpson doubled by evenness, and the
-field operator with its mirrored centre (``field_acceleration``).
+This module is also the home of the even half-line lattice (``half_line``)
+that the profile, the linearized operators and the evolved field share:
+samples at x_i = i*h on x >= 0 with an even interval count, integrals by
+composite Simpson doubled by evenness, and the field operator with its
+mirrored centre (``field_acceleration``).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ _COSH_ARG_MAX = 700.0
 # field.  About 40/sqrt(m^2 - omega^2)/h nodes are needed, which grows without
 # bound as omega -> m.
 MAX_NODES = 2_000_000
+_DECAY_LENGTHS = 40.0  # default half-length, in units of 1/sqrt(m^2 - omega^2)
 
 
 class GridError(ValueError):
@@ -49,6 +51,28 @@ def require_node_budget(length: float, step: float) -> None:
         raise GridError(
             f"grid of {nodes:.6g} nodes on x >= 0 exceeds the budget of "
             f"{MAX_NODES} (length {length!r}, step {step!r})")
+
+
+def half_line(p: ModelParams, omega: float, step: float,
+              half_length: float | None = None) -> np.ndarray:
+    """Nodes i*step, i = 0 .. N, with N = ceil(half_length / step) rounded
+    up to even; half_length defaults to 40 decay lengths.  Raises
+    GridError for a step or half-length that is not positive and finite,
+    over MAX_NODES nodes (before allocating) or under 4 intervals."""
+    p.window.require(omega)
+    if not step > 0.0:
+        raise GridError(f"step must be positive, got {step!r}")
+    if half_length is None:
+        half_length = _DECAY_LENGTHS / math.sqrt(p.m * p.m - omega * omega)
+    elif not 0.0 < half_length < math.inf:
+        raise GridError(
+            f"half_length must be positive and finite, got {half_length!r}")
+    require_node_budget(half_length, step)
+    n_int = int(math.ceil(half_length / step - 1e-9))
+    n_int += n_int % 2  # Simpson wants an even interval count
+    if n_int < 4:
+        raise GridError("grid too coarse: fewer than 4 intervals to x = L")
+    return np.arange(n_int + 1) * step
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,40 +127,27 @@ def closed_form_slope(p: ModelParams, omega: float, x):
 def build_profile(p: ModelParams, omega: float, step: float,
                   half_length: float | None = None,
                   tail_tol: float = 1e-12) -> SolitonProfile:
-    """Sample the closed form on a uniform half-line grid.
+    """Sample the closed form on the wave's ``half_line`` lattice.
 
-    The number of grid intervals is forced even so Simpson quadrature applies
-    directly to the stored values.  When ``half_length`` is omitted it follows
-    the decay-rate rule L = 40/sqrt(c) (stretched if ``tail_tol`` demands
-    more).  Raises GridError if the grid exceeds MAX_NODES, if the tail at L
-    is not below ``tail_tol`` relative to R(0), or if the measured ODE
-    residual is out of bounds.
+    The even interval count lets Simpson quadrature apply directly to the
+    stored values.  When ``half_length`` is omitted it is the lattice's
+    default 40/sqrt(c), stretched if ``tail_tol`` demands more.  Raises
+    GridError for a lattice ``half_line`` refuses, if the tail at L is not
+    below ``tail_tol`` relative to R(0), or if the measured ODE residual is
+    out of bounds.
     """
-    p.window.require(omega)
-    if not step > 0.0:
-        raise GridError(f"step must be positive, got {step!r}")
     if not 0.0 < tail_tol < 1.0:
         raise GridError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
-    c = p.m * p.m - omega * omega
-    if half_length is None:
-        half_length = max(40.0, -math.log(tail_tol) + 5.0) / math.sqrt(c)
-    elif not 0.0 < half_length < math.inf:
-        raise GridError(
-            f"half_length must be positive and finite, got {half_length!r}")
-    require_node_budget(half_length, step)
-
-    n_int = int(math.ceil(half_length / step - 1e-9))
-    n_int += n_int % 2  # Simpson wants an even interval count
-    if n_int < 4:
-        raise GridError("grid too coarse: fewer than 4 intervals to x = L")
-    half_length = n_int * step
-
-    grid = np.arange(n_int + 1) * step
+    decay_lengths = 5.0 - math.log(tail_tol)  # decay lengths the tail needs
+    if half_length is None and decay_lengths > _DECAY_LENGTHS:
+        p.window.require(omega)
+        half_length = decay_lengths / math.sqrt(p.m * p.m - omega * omega)
+    grid = half_line(p, omega, step, half_length)
     values = closed_form_profile(p, omega, grid)
 
     if not values[-1] < tail_tol * values[0]:
         raise GridError(
-            f"half_length={half_length!r} too small: tail {values[-1]!r} "
+            f"half_length={grid[-1]!r} too small: tail {values[-1]!r} "
             f"exceeds {tail_tol!r} relative to R(0)={values[0]!r}"
         )
 
@@ -153,7 +164,7 @@ def build_profile(p: ModelParams, omega: float, step: float,
 
     values.setflags(write=False)
     return SolitonProfile(omega=float(omega), params=p,
-                          half_length=float(half_length), step=float(step),
+                          half_length=float(grid[-1]), step=float(step),
                           values=values, max_ode_residual=residual)
 
 

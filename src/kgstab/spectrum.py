@@ -8,14 +8,14 @@ Sturm-Liouville operators on the line,
 
 whose negative/zero eigenvalue counts feed the stability theory.  Both are
 discretized by second-order centered differences on [-L, L] with Dirichlet
-ends.  The profile is even, so each operator splits exactly into an even
-block on the nodes x >= 0 and an odd block on the nodes x > 0, and
-``spectral_report`` solves both blocks at half the size.  On each, the
-lowest eigenpairs come from Sturm-sequence counts that bracket an eigenvalue
-and bisect it to a width of about 1e-3, inverse iteration with a
-Rayleigh-quotient shift that refines it, and two more Sturm counts that
-confirm its index — deliberately self-contained so library results can be
-compared against external eigensolvers in the tests.
+ends: the profile's lattice (``soliton.half_line``) and its mirror.  The
+profile is even, so each operator splits exactly into an even block on the
+nodes x >= 0 and an odd block on the nodes x > 0, and ``spectral_report``
+solves both blocks at half the size.  On each, the lowest eigenpairs come from
+Sturm-sequence counts that bracket an eigenvalue and bisect it to a width of
+about 1e-3, inverse iteration with a Rayleigh-quotient shift that refines it,
+and two more Sturm counts that confirm its index — deliberately self-contained
+so library results can be compared against external eigensolvers in the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .model import DomainError, ModelParams, bisect
 from .soliton import (GridError, closed_form_profile, closed_form_slope,
-                      require_node_budget)
+                      half_line)
 
 _KINDS = ("lplus", "lminus")
 # bisection width that isolates an eigenvalue for refinement
@@ -71,44 +71,32 @@ def assemble(p: ModelParams, omega: float, step: float,
              kind: str = "lplus") -> TridiagonalOperator:
     """Discretize L_plus or L_minus on [-L, L] with Dirichlet ends.
 
-    Raises GridError for a step too coarse for the profile, a half-length
-    that is not positive and finite, or more than MAX_NODES nodes on x >= 0.
+    L is the end of the profile's lattice (``soliton.half_line``); the
+    diagonal is formed on its nodes 0 .. L - h and mirrored.  Raises
+    GridError for a step above 0.1/sqrt(c) or a lattice ``half_line`` refuses.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    p.window.require(omega)
+    x = half_line(p, omega, step, half_length)
     c = p.m * p.m - omega * omega
-    if not step > 0.0:
-        raise GridError(f"step must be positive, got {step!r}")
     if step > 0.1 / math.sqrt(c):
         raise GridError(
             f"step={step!r} too coarse to resolve the profile "
             f"(needs h <= {0.1 / math.sqrt(c)!r})"
         )
-    if half_length is None:
-        half_length = 40.0 / math.sqrt(c)
-    elif not 0.0 < half_length < math.inf:
-        raise GridError(
-            f"half_length must be positive and finite, got {half_length!r}")
-    require_node_budget(half_length, step)
-    n_side = int(math.ceil(half_length / step - 1e-9))
-    if n_side < 2:
-        raise GridError("grid too small: needs at least 2 intervals per side")
-    half_length = n_side * step
-
-    x = (np.arange(2 * n_side - 1) + 1 - n_side) * step
-    r = closed_form_profile(p, omega, np.abs(x))
+    r = closed_form_profile(p, omega, x[:-1])
     if kind == "lminus":
         potential = -3.0 * p.a * r + 4.0 * p.b * r * r
     else:
         potential = -6.0 * p.a * r + 12.0 * p.b * r * r
 
     h2 = step * step
-    diagonal = 2.0 / h2 + potential + c
+    half = 2.0 / h2 + potential + c
+    diagonal = np.concatenate((half[:0:-1], half))
     off_diagonal = np.full(diagonal.size - 1, -1.0 / h2)
     return TridiagonalOperator(diagonal=diagonal, off_diagonal=off_diagonal,
-                               step=float(step),
-                               half_length=float(half_length), kind=kind)
+                               step=float(step), half_length=float(x[-1]),
+                               kind=kind)
 
 
 def _matvec(diag, off, v):

@@ -7,14 +7,16 @@ special functions from truncated series, extrema from golden-section search.
 Expected values in the tests are produced by these routines, not copied from
 the implementation under test.
 
-The exceptions are the last three sections.  One holds reference forms of
+The exceptions are the last four sections.  One holds reference forms of
 the package's kernels, written as plain index loops or with fresh
 temporaries each step.  They do the same arithmetic in the same order, so
 the tests demand bitwise equality with them; the index-order
 ``leapfrog_steps`` is the earlier leapfrog kernel, the reference for the
-stated tolerance of the regrouped one.  The other two keep the package's
-earlier eigen path and its earlier full-grid evolution, the references for
-the stated tolerances of the faster paths that replaced them.
+stated tolerance of the regrouped one.  Two keep the package's earlier
+eigen path and its earlier full-grid evolution, the references for the
+stated tolerances of the faster paths that replaced them.  The last keeps
+the operators' earlier full-grid assembly, which the package's assembly on
+the profile's lattice must equal bitwise at the same Dirichlet end.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import math
 
 import numpy as np
 
-from kgstab import (_kernels, build_profile, closed_form_profile,
-                    composite_simpson, parse_perturbation)
+from kgstab import (GridError, ModelParams, TridiagonalOperator, _kernels,
+                    build_profile, closed_form_profile, composite_simpson,
+                    parse_perturbation)
+from kgstab.soliton import require_node_budget
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-14,
@@ -430,3 +434,57 @@ def full_grid_run(p, omega, perturbation, t_final, sample_every=50,
         out[key] = np.asarray(out[key])
     out["norm_v"] = norm_v
     return out
+
+
+# --- the operators' grid before the shared lattice --------------------------
+#
+# The package's earlier ``assemble``, verbatim: its own ceil(L/h) intervals
+# per side with no even-count rule, its own default L = 40/sqrt(c), and the
+# closed form evaluated at |x| on all 2N - 1 interior nodes.
+
+_KINDS = ("lplus", "lminus")
+
+
+def full_grid_assemble(p: ModelParams, omega: float, step: float,
+                       half_length: float | None = None,
+                       kind: str = "lplus") -> TridiagonalOperator:
+    """Discretize L_plus or L_minus on [-L, L] with Dirichlet ends.
+
+    Raises GridError for a step too coarse for the profile, a half-length
+    that is not positive and finite, or more than MAX_NODES nodes on x >= 0.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    p.window.require(omega)
+    c = p.m * p.m - omega * omega
+    if not step > 0.0:
+        raise GridError(f"step must be positive, got {step!r}")
+    if step > 0.1 / math.sqrt(c):
+        raise GridError(
+            f"step={step!r} too coarse to resolve the profile "
+            f"(needs h <= {0.1 / math.sqrt(c)!r})"
+        )
+    if half_length is None:
+        half_length = 40.0 / math.sqrt(c)
+    elif not 0.0 < half_length < math.inf:
+        raise GridError(
+            f"half_length must be positive and finite, got {half_length!r}")
+    require_node_budget(half_length, step)
+    n_side = int(math.ceil(half_length / step - 1e-9))
+    if n_side < 2:
+        raise GridError("grid too small: needs at least 2 intervals per side")
+    half_length = n_side * step
+
+    x = (np.arange(2 * n_side - 1) + 1 - n_side) * step
+    r = closed_form_profile(p, omega, np.abs(x))
+    if kind == "lminus":
+        potential = -3.0 * p.a * r + 4.0 * p.b * r * r
+    else:
+        potential = -6.0 * p.a * r + 12.0 * p.b * r * r
+
+    h2 = step * step
+    diagonal = 2.0 / h2 + potential + c
+    off_diagonal = np.full(diagonal.size - 1, -1.0 / h2)
+    return TridiagonalOperator(diagonal=diagonal, off_diagonal=off_diagonal,
+                               step=float(step),
+                               half_length=float(half_length), kind=kind)

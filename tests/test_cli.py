@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -461,6 +462,27 @@ def test_sweep_rejects_empty_grid(capsys):
                                    "2", "--n", "0"])
     assert code == 3
     assert out == ""
+    assert err.startswith("kgstab: domain-error: ")
+
+
+def test_sweep_row_budget(capsys, monkeypatch):
+    argv = ["sweep", "--a", "1", "--b", "1", "--m", "2", "--json", "--n"]
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, argv + [str(cli.MAX_ROWS + 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before any row is built
+    assert (code, out) == (3, "")
+    assert err.startswith("kgstab: domain-error: ")
+    assert len(err.splitlines()) == 1
+    # the budget counts rows: exactly at it is accepted
+    monkeypatch.setattr(cli, "MAX_ROWS", 5)
+    assert len(_run_json(capsys, argv + ["5"], "sweep")["payload"]["rows"]) \
+        == 5
+    code, out, err = _run(capsys, argv + ["6"])
+    assert (code, out) == (3, "")
     assert err.startswith("kgstab: domain-error: ")
 
 

@@ -466,8 +466,16 @@ def test_run_margin_carries_the_profile(p111, monkeypatch):
     # run widens the profile itself, so R on the margin is the closed form
     # and not an interpolated zero: no node short of the Dirichlet end is 0
     caught = _spy_init_state(monkeypatch)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(build_profile(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(evolve, "build_profile", counted)
     run(p111, 0.9, "none", 0.1, step_x=0.03)
     state = caught[0]
+    assert built == [state.profile]  # one profile per run, the one stepped
     bare = build_profile(p111, 0.9, 0.03)
     assert state.profile.half_length >= bare.half_length + 20.0
     expected = closed_form_profile(p111, 0.9, state.profile.x)

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 import oracles
 from kgstab import (DomainError, EigensolverError, GridError, ModelParams,
-                    TridiagonalOperator, apply, assemble, closed_form_profile,
-                    closed_form_slope, eigenvalue_count_below,
-                    lowest_eigenpairs, r_star, spectral_report, spectrum)
+                    TridiagonalOperator, apply, assemble, build_profile, cli,
+                    closed_form_profile, closed_form_slope,
+                    eigenvalue_count_below, lowest_eigenpairs, r_star, soliton,
+                    spectral_report, spectrum)
 from kgstab.spectrum import (_cosine_match, _inverse_iteration, _matvec,
                              _mirror, _parity_blocks)
 
@@ -27,28 +29,102 @@ def _dense_reference(op):
                                          select="i", select_range=(0, 3))
 
 
-def test_assemble_rejects_bad_inputs(p111):
-    with pytest.raises(ValueError):
-        assemble(p111, 0.9, 0.02, kind="lzero")
-    with pytest.raises(GridError):
-        assemble(p111, 0.9, 0.5)  # h > 0.1 / sqrt(c)
-    with pytest.raises(GridError):
-        assemble(p111, 0.9, -0.02)
+# the two callers of soliton.half_line, which sizes every lattice
+_LATTICE_CALLERS = pytest.mark.parametrize(
+    "build", [build_profile, assemble], ids=["build_profile", "assemble"])
 
 
-def test_assemble_node_budget(p111):
-    # about 2.8e7 nodes per side at omega = m(1 - 1e-8) and h = 0.01
+@_LATTICE_CALLERS
+def test_assemble_rejects_bad_inputs(p111, build):
+    for step in (0.0, -0.02, math.nan):
+        with pytest.raises(GridError, match="step"):
+            build(p111, 0.9, step)
+    for half_length in (0.0, math.inf, math.nan):
+        with pytest.raises(GridError, match="half_length"):
+            build(p111, 0.9, 0.02, half_length=half_length)
+    # ceil(0.04 / 0.02) = 2 intervals
+    with pytest.raises(GridError, match="fewer than 4"):
+        build(p111, 0.9, 0.02, half_length=0.04)
+    if build is assemble:
+        with pytest.raises(ValueError):
+            assemble(p111, 0.9, 0.02, kind="lzero")
+        with pytest.raises(GridError):
+            assemble(p111, 0.9, 0.5)  # h > 0.1 / sqrt(c)
+        # 3 intervals round up to the 4 of the shortest lattice
+        assert assemble(p111, 0.9, 0.02, half_length=0.05).size == 7
+
+
+@_LATTICE_CALLERS
+def test_assemble_node_budget(p111, build, monkeypatch):
+    # about 2.8e7 nodes per side at omega = m(1 - 1e-8) and h = 0.01, and
+    # 1e7 for an explicit half-length of 1e5
     tracemalloc.start()
     try:
-        for kind in ("lplus", "lminus"):
-            with pytest.raises(GridError, match="budget"):
-                assemble(p111, 1.0 - 1e-8, 0.01, kind=kind)
         with pytest.raises(GridError, match="budget"):
-            spectral_report(p111, 1.0 - 1e-8, 0.01)
+            build(p111, 1.0 - 1e-8, 0.01)
+        with pytest.raises(GridError, match="budget"):
+            build(p111, 0.9, 0.01, half_length=1e5)
+        if build is assemble:
+            with pytest.raises(GridError, match="budget"):
+                assemble(p111, 1.0 - 1e-8, 0.01, kind="lminus")
+            with pytest.raises(GridError, match="budget"):
+                spectral_report(p111, 1.0 - 1e-8, 0.01)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20  # refused before the operator is allocated
+    assert peak < 1 << 20  # refused before the lattice is allocated
+    # the budget counts length / step: a lattice right at it is built
+    monkeypatch.setattr(soliton, "MAX_NODES", 2000)
+    assert build(p111, 0.9, 0.05, half_length=100.0).half_length \
+        == 2000 * 0.05
+    with pytest.raises(GridError, match="budget"):
+        build(p111, 0.9, 0.05, half_length=100.05)
+
+
+def test_assemble_is_the_full_grid_at_its_dirichlet_end():
+    # the operator is the earlier full-grid assembly at the same L, bitwise;
+    # where ceil(40/sqrt(c)/h) is already even, L is the earlier default
+    even_defaults = 0
+    for coefficients, omega in WAVES:
+        p = ModelParams(*coefficients)
+        c = p.m * p.m - omega * omega
+        for h in (0.02, 0.03, 0.04):
+            even = math.ceil(40.0 / math.sqrt(c) / h - 1e-9) % 2 == 0
+            for kind in ("lplus", "lminus"):
+                op = assemble(p, omega, h, kind=kind)
+                refs = [oracles.full_grid_assemble(
+                    p, omega, h, half_length=op.half_length, kind=kind)]
+                if even:
+                    refs.append(oracles.full_grid_assemble(p, omega, h,
+                                                           kind=kind))
+                    even_defaults += 1
+                for ref in refs:
+                    assert op.size == ref.size
+                    assert np.array_equal(op.diagonal, ref.diagonal)
+                    assert np.array_equal(op.off_diagonal, ref.off_diagonal)
+                    assert op.half_length == ref.half_length
+    # the tau = 0.98 wave at h = 0.03 and 0.04, both kinds
+    assert even_defaults == 4
+
+
+@pytest.mark.parametrize("wave", WAVES)
+def test_profile_and_spectrum_share_the_lattice(wave, capsys):
+    (a, b, m), omega = wave
+    p = ModelParams(a, b, m)
+    for h in (0.02, 0.03):
+        report = spectral_report(p, omega, h)
+        profile = build_profile(p, omega, h)
+        assert report.half_length == profile.half_length
+        mid = report.x.size // 2
+        assert np.array_equal(report.x[mid:], profile.x[:-1])
+        args = ["--a", repr(a), "--b", repr(b), "--m", repr(m),
+                "--omega", repr(omega), "--h", repr(h), "--json"]
+        printed = []
+        for command in ("profile", "spectrum"):
+            assert cli.main([command, *args]) == 0
+            printed.append(json.loads(capsys.readouterr().out)["payload"])
+        assert printed[0]["half_length"] == profile.half_length
+        assert printed[1]["grid"]["half_length"] == profile.half_length
 
 
 def test_assemble_matrix_structure(p111):
