@@ -10,12 +10,14 @@ whose negative/zero eigenvalue counts feed the stability theory.  Both are
 discretized by second-order centered differences on [-L, L] with Dirichlet
 ends: the profile's lattice (``soliton.half_line``) and its mirror.  The
 profile is even, so each operator splits exactly into an even block on the
-nodes x >= 0 and an odd block on the nodes x > 0, and ``spectral_report``
-solves both blocks at half the size.  On each, the lowest eigenpairs come from
-Sturm-sequence counts that bracket an eigenvalue and bisect it to a width of
-about 1e-3, inverse iteration with a Rayleigh-quotient shift that refines it,
-and two more Sturm counts that confirm its index — deliberately self-contained
-so library results can be compared against external eigensolvers in the tests.
+nodes x >= 0 and an odd block on the nodes x > 0, both formed from the rows
+on the lattice's nodes 0 .. N-1; the full grid is built only by ``assemble``
+and for ``spectral_report``'s ``x`` and mirrored vectors.  On each block, the
+lowest eigenpairs come from Sturm-sequence counts that bracket an eigenvalue
+and bisect it to a width of about 1e-3, inverse iteration with a
+Rayleigh-quotient shift that refines it, and two more Sturm counts that
+confirm its index — deliberately self-contained so library results can be
+compared against external eigensolvers in the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .model import DomainError, ModelParams, bisect
 from .soliton import (GridError, closed_form_profile, closed_form_slope,
                       half_line)
 
-_KINDS = ("lplus", "lminus")
 # bisection width that isolates an eigenvalue for refinement
 _COARSE_WIDTH = 1e-3
 # inverse iteration stops at a residual of this many ulps of the matrix scale
@@ -47,36 +48,28 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
-    """Symmetric tridiagonal discretization on the interior of [-L, L]."""
+    """Symmetric tridiagonal matrix; raises ValueError unless ``diagonal``
+    and ``off_diagonal`` are 1-D arrays of n >= 1 and n - 1 entries."""
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    step: float
-    half_length: float
-    kind: str
+
+    def __post_init__(self):
+        diag, off = self.diagonal, self.off_diagonal
+        if not (isinstance(diag, np.ndarray) and isinstance(off, np.ndarray)
+                and diag.ndim == off.ndim == 1 and diag.size >= 1
+                and off.size == diag.size - 1):
+            raise ValueError("need 1-D arrays of n >= 1 and n - 1 entries, "
+                             f"got shapes {np.shape(diag)}, {np.shape(off)}")
 
     @property
     def size(self) -> int:
         return self.diagonal.size
 
-    @property
-    def x(self) -> np.ndarray:
-        """Interior grid nodes (x = 0 is the middle node)."""
-        n_side = round(self.half_length / self.step)
-        return (np.arange(self.diagonal.size) + 1 - n_side) * self.step
 
-
-def assemble(p: ModelParams, omega: float, step: float,
-             half_length: float | None = None,
-             kind: str = "lplus") -> TridiagonalOperator:
-    """Discretize L_plus or L_minus on [-L, L] with Dirichlet ends.
-
-    L is the end of the profile's lattice (``soliton.half_line``); the
-    diagonal is formed on its nodes 0 .. L - h and mirrored.  Raises
-    GridError for a step above 0.1/sqrt(c) or a lattice ``half_line`` refuses.
-    """
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+def _half_line_rows(p, omega, step, half_length):
+    """The lattice ``half_line`` (nodes 0 .. N), the L_plus and L_minus
+    diagonals on its nodes 0 .. N-1 and the off-diagonals they share."""
     x = half_line(p, omega, step, half_length)
     c = p.m * p.m - omega * omega
     if step > 0.1 / math.sqrt(c):
@@ -85,18 +78,29 @@ def assemble(p: ModelParams, omega: float, step: float,
             f"(needs h <= {0.1 / math.sqrt(c)!r})"
         )
     r = closed_form_profile(p, omega, x[:-1])
-    if kind == "lminus":
-        potential = -3.0 * p.a * r + 4.0 * p.b * r * r
-    else:
-        potential = -6.0 * p.a * r + 12.0 * p.b * r * r
-
     h2 = step * step
-    half = 2.0 / h2 + potential + c
-    diagonal = np.concatenate((half[:0:-1], half))
-    off_diagonal = np.full(diagonal.size - 1, -1.0 / h2)
-    return TridiagonalOperator(diagonal=diagonal, off_diagonal=off_diagonal,
-                               step=float(step), half_length=float(x[-1]),
-                               kind=kind)
+    potentials = {"lplus": -6.0 * p.a * r + 12.0 * p.b * r * r,
+                  "lminus": -3.0 * p.a * r + 4.0 * p.b * r * r}
+    diagonals = {kind: 2.0 / h2 + v + c for kind, v in potentials.items()}
+    return x, diagonals, np.full(r.size - 1, -1.0 / h2)
+
+
+def assemble(p: ModelParams, omega: float, step: float,
+             half_length: float | None = None,
+             kind: str = "lplus") -> TridiagonalOperator:
+    """Discretize L_plus or L_minus on [-L, L] with Dirichlet ends.
+
+    The rows on the profile's lattice (``soliton.half_line``) at x >= 0,
+    mirrored: the full matrix, for dense reference solvers, which
+    ``spectral_report`` never builds.  Raises GridError for a step above
+    0.1/sqrt(c) or a lattice ``half_line`` refuses.
+    """
+    _, diagonals, off = _half_line_rows(p, omega, step, half_length)
+    if kind not in diagonals:
+        raise ValueError(f"kind must be one of {(*diagonals,)}, got {kind!r}")
+    diag = diagonals[kind]
+    return TridiagonalOperator(np.concatenate((diag[:0:-1], diag)),
+                               np.concatenate((off[::-1], off)))
 
 
 def _matvec(diag, off, v):
@@ -293,26 +297,20 @@ class SpectrumReport:
         }
 
 
-def _parity_blocks(op: TridiagonalOperator):
-    """The even and odd blocks of an operator with a mirror-symmetric
-    diagonal and off-diagonal, as ``assemble`` builds it.
+def _parity_blocks(diag, off):
+    """The even and odd blocks of the mirror-symmetric matrix whose rows at
+    x >= 0 are ``diag`` (node 0 first) and ``off``.
 
     The even block acts on the nodes x >= 0 of even vectors, in the
     coordinates (v(0), sqrt(2) v(h), sqrt(2) v(2h), ...), where it is
     symmetric with its first off-diagonal scaled by sqrt(2).  The odd block
     acts on the nodes x > 0 of odd vectors, which vanish at x = 0.  Every
-    eigenvalue of the operator is an eigenvalue of exactly one block.  The
-    blocks' ``x`` is meaningless; they never leave this module.
+    eigenvalue of the full matrix is an eigenvalue of exactly one block.
     """
-    mid = op.size // 2
-    even_off = op.off_diagonal[mid:].copy()
+    even_off = off.copy()
     even_off[0] *= math.sqrt(2.0)
-    even = TridiagonalOperator(op.diagonal[mid:], even_off, op.step,
-                               op.half_length, op.kind)
-    odd = TridiagonalOperator(op.diagonal[mid + 1:],
-                              op.off_diagonal[mid + 1:], op.step,
-                              op.half_length, op.kind)
-    return even, odd
+    return (TridiagonalOperator(diag, even_off),
+            TridiagonalOperator(diag[1:], off[1:]))
 
 
 def _mirror(u: np.ndarray, odd: bool) -> np.ndarray:
@@ -324,9 +322,9 @@ def _mirror(u: np.ndarray, odd: bool) -> np.ndarray:
     return np.concatenate([half[:0:-1], half])
 
 
-def _parity_eigenpairs(op: TridiagonalOperator, k: int):
-    """``lowest_eigenpairs(op, k)`` for an operator from ``assemble`` and
-    k >= 2, solved on its parity blocks.
+def _parity_eigenpairs(even, odd, k: int):
+    """The k >= 2 lowest eigenpairs, on the full grid, of the matrix with
+    parity blocks ``even`` and ``odd``.
 
     The j-th eigenvector of a mirror-symmetric Jacobi matrix of odd size has
     j sign changes, so it is even for even j and odd for odd j: pair j is
@@ -334,7 +332,6 @@ def _parity_eigenpairs(op: TridiagonalOperator, k: int):
     even or odd, and positive at their first largest entry (for an odd
     vector, the x < 0 one of the two).
     """
-    even, odd = _parity_blocks(op)
     halves = (lowest_eigenpairs(even, (k + 1) // 2),
               lowest_eigenpairs(odd, k // 2))
     pairs = []
@@ -351,16 +348,17 @@ def _cosine_match(v: np.ndarray, u: np.ndarray) -> float:
 def spectral_report(p: ModelParams, omega: float, step: float,
                     half_length: float | None = None,
                     k: int = 4) -> SpectrumReport:
-    """Assemble both operators and report their lowest k eigenpairs.
+    """Report the lowest k eigenpairs of both operators.
 
-    The eigenpairs are solved on the operators' parity blocks: pair j is
-    even for even j and odd for odd j.  Each eigenvalue lies within
-    EIGENVALUE_TOL (1e-10), the default ``tol`` of ``lowest_eigenpairs``, of
-    the operator's own.  Each eigenvector is exactly even or odd, has unit
-    norm and is positive at its largest entry; an odd vector's largest
-    entries come in a mirror pair, and the one at x < 0 is positive.
+    Each operator is solved on its parity blocks, built from its rows on the
+    lattice's nodes 0 .. N-1: pair j is even for even j and odd for odd j.
+    Each eigenvalue lies within EIGENVALUE_TOL (1e-10), the default ``tol``
+    of ``lowest_eigenpairs``, of the operator's own.  ``x`` is the mirrored
+    lattice; each eigenvector on it is exactly even or odd, has unit norm
+    and is positive at its largest entry; an odd vector's largest entries
+    come in a mirror pair, and the one at x < 0 is positive.
 
-    Negative counts use the Sturm sequence at -b with b = KERNEL_BAND h^2
+    Negative counts sum both blocks' Sturm counts at -b, b = KERNEL_BAND h^2
     (10 h^2): eigenvalues inside the band (-b, b) are discrete-kernel
     candidates, not signs of genuine negative directions.  Kernel matches
     compare the relevant eigenvector with the sampled profile (L_minus vs R)
@@ -370,17 +368,18 @@ def spectral_report(p: ModelParams, omega: float, step: float,
     if k < 2:
         raise DomainError(f"k must be at least 2, got {k!r}: the L+ kernel "
                           "match needs the second eigenpair")
-    lplus = assemble(p, omega, step, half_length, kind="lplus")
-    lminus = assemble(p, omega, step, half_length, kind="lminus")
-    _check_k(k, lplus.size)
-    pairs_plus = _parity_eigenpairs(lplus, k)
-    pairs_minus = _parity_eigenpairs(lminus, k)
+    nodes, diagonals, off = _half_line_rows(p, omega, step, half_length)
+    _check_k(k, 2 * off.size + 1)
+    lplus = _parity_blocks(diagonals["lplus"], off)
+    lminus = _parity_blocks(diagonals["lminus"], off)
+    pairs_plus = _parity_eigenpairs(*lplus, k)
+    pairs_minus = _parity_eigenpairs(*lminus, k)
 
     band = KERNEL_BAND * step * step
-    neg_plus = eigenvalue_count_below(lplus, -band)
-    neg_minus = eigenvalue_count_below(lminus, -band)
+    neg_plus = sum(eigenvalue_count_below(block, -band) for block in lplus)
+    neg_minus = sum(eigenvalue_count_below(block, -band) for block in lminus)
 
-    x = lplus.x
+    x = np.concatenate((-nodes[-2:0:-1], nodes[:-1]))  # the Dirichlet ends off
     r = closed_form_profile(p, omega, x)
     r_slope = closed_form_slope(p, omega, x)
     match_minus = _cosine_match(pairs_minus[0][1], r)
@@ -388,8 +387,8 @@ def spectral_report(p: ModelParams, omega: float, step: float,
 
     return SpectrumReport(
         omega=float(omega),
-        half_length=lplus.half_length,
-        step=lplus.step,
+        half_length=float(nodes[-1]),
+        step=float(step),
         lplus_eigenvalues=tuple(ev for ev, _ in pairs_plus),
         lminus_eigenvalues=tuple(ev for ev, _ in pairs_minus),
         lplus_kernel_match=match_plus,

@@ -438,9 +438,10 @@ def full_grid_run(p, omega, perturbation, t_final, sample_every=50,
 
 # --- the operators' grid before the shared lattice --------------------------
 #
-# The package's earlier ``assemble``, verbatim: its own ceil(L/h) intervals
-# per side with no even-count rule, its own default L = 40/sqrt(c), and the
-# closed form evaluated at |x| on all 2N - 1 interior nodes.
+# The package's earlier ``assemble``, verbatim but for the step, half-length
+# and kind it stored on the operator: its own ceil(L/h) intervals per side
+# with no even-count rule, its own default L = 40/sqrt(c), and the closed
+# form evaluated at |x| on all 2N - 1 interior nodes.
 
 _KINDS = ("lplus", "lminus")
 
@@ -485,6 +486,4 @@ def full_grid_assemble(p: ModelParams, omega: float, step: float,
     h2 = step * step
     diagonal = 2.0 / h2 + potential + c
     off_diagonal = np.full(diagonal.size - 1, -1.0 / h2)
-    return TridiagonalOperator(diagonal=diagonal, off_diagonal=off_diagonal,
-                               step=float(step),
-                               half_length=float(half_length), kind=kind)
+    return TridiagonalOperator(diagonal=diagonal, off_diagonal=off_diagonal)

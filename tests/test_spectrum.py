@@ -15,12 +15,26 @@ from kgstab import (DomainError, EigensolverError, GridError, ModelParams,
                     closed_form_profile, closed_form_slope,
                     eigenvalue_count_below, lowest_eigenpairs, r_star, soliton,
                     spectral_report, spectrum)
-from kgstab.spectrum import (_cosine_match, _inverse_iteration, _matvec,
-                             _mirror, _parity_blocks)
+from kgstab.soliton import half_line
+from kgstab.spectrum import (_cosine_match, _half_line_rows, _inverse_iteration,
+                             _matvec, _mirror, _parity_blocks)
 
 # one wave per tau regime: tau = 2 (all stable), 1.1 (mixed window) and 0.98
 WAVES = [((1.0, 1.0, 1.0), 0.9), ((1.0, 1.0, math.sqrt(0.55)), 0.6),
          ((1.0, 1.0, 0.7), 0.55)]
+
+
+def _mirrored(diag, off):
+    # the full matrix from its rows at x >= 0
+    return TridiagonalOperator(np.concatenate((diag[:0:-1], diag)),
+                               np.concatenate((off[::-1], off)))
+
+
+def _full_grid_x(p, omega, step):
+    # the interior nodes of [-L, L]: the lattice without its Dirichlet end,
+    # mirrored
+    nodes = half_line(p, omega, step)[:-1]
+    return np.concatenate((-nodes[:0:-1], nodes))
 
 
 def _dense_reference(op):
@@ -75,8 +89,11 @@ def test_assemble_node_budget(p111, build, monkeypatch):
     assert peak < 1 << 20  # refused before the lattice is allocated
     # the budget counts length / step: a lattice right at it is built
     monkeypatch.setattr(soliton, "MAX_NODES", 2000)
-    assert build(p111, 0.9, 0.05, half_length=100.0).half_length \
-        == 2000 * 0.05
+    built = build(p111, 0.9, 0.05, half_length=100.0)
+    if build is assemble:
+        assert built.size == 2 * 2000 - 1
+    else:
+        assert built.half_length == 2000 * 0.05
     with pytest.raises(GridError, match="budget"):
         build(p111, 0.9, 0.05, half_length=100.05)
 
@@ -93,7 +110,8 @@ def test_assemble_is_the_full_grid_at_its_dirichlet_end():
             for kind in ("lplus", "lminus"):
                 op = assemble(p, omega, h, kind=kind)
                 refs = [oracles.full_grid_assemble(
-                    p, omega, h, half_length=op.half_length, kind=kind)]
+                    p, omega, h, half_length=half_line(p, omega, h)[-1],
+                    kind=kind)]
                 if even:
                     refs.append(oracles.full_grid_assemble(p, omega, h,
                                                            kind=kind))
@@ -102,7 +120,6 @@ def test_assemble_is_the_full_grid_at_its_dirichlet_end():
                     assert op.size == ref.size
                     assert np.array_equal(op.diagonal, ref.diagonal)
                     assert np.array_equal(op.off_diagonal, ref.off_diagonal)
-                    assert op.half_length == ref.half_length
     # the tau = 0.98 wave at h = 0.03 and 0.04, both kinds
     assert even_defaults == 4
 
@@ -137,9 +154,11 @@ def test_assemble_matrix_structure(p111):
     assert op.diagonal[0] == pytest.approx(2.0 / h**2 + 0.19, abs=1e-6)
     assert op.diagonal[-1] == pytest.approx(2.0 / h**2 + 0.19, abs=1e-6)
     # grid is symmetric about the origin
-    assert op.x[0] == pytest.approx(-op.x[-1], rel=1e-12)
+    x = _full_grid_x(p111, 0.9, h)
+    assert x.size == op.size
+    assert x[0] == pytest.approx(-x[-1], rel=1e-12)
     mid = op.size // 2
-    assert op.x[mid] == pytest.approx(0.0, abs=1e-12)
+    assert x[mid] == pytest.approx(0.0, abs=1e-12)
     # the potential well is deepest at the origin for both operators
     assert op.diagonal[mid] == np.min(op.diagonal)
 
@@ -162,7 +181,7 @@ def test_operator_annihilates_its_kernel_sample(p111):
         sups = []
         for h in (0.04, 0.02):
             op = assemble(p111, 0.9, h, kind=kind)
-            v = field(p111, 0.9, op.x)
+            v = field(p111, 0.9, _full_grid_x(p111, 0.9, h))
             residual = apply(op, v)
             sups.append(float(np.abs(residual).max()))
             assert sups[-1] < 10.0 * h**2 * r_star(p111, 0.9)
@@ -216,8 +235,7 @@ def test_free_operator_ground_state():
     n = 801
     diag = np.full(n, 2.0 / h**2 + 1.0)
     off = np.full(n - 1, -1.0 / h**2)
-    op = TridiagonalOperator(diagonal=diag, off_diagonal=off, step=h,
-                             half_length=(n + 1) * h / 2.0, kind="lminus")
+    op = TridiagonalOperator(diagonal=diag, off_diagonal=off)
     pairs = lowest_eigenpairs(op, 1)
     assert pairs[0][0] == pytest.approx(1.0, abs=0.01)
 
@@ -350,8 +368,7 @@ def test_exact_zero_pivot_prints_no_warning(n, k):
     # exact eigenvalue 1 of tridiag(-1, 2, -1) is the k-th lowest
     diag = np.full(n, 2.0)
     off = np.full(n - 1, -1.0)
-    op = TridiagonalOperator(diagonal=diag, off_diagonal=off, step=1.0,
-                             half_length=(n + 1) / 2.0, kind="lplus")
+    op = TridiagonalOperator(diagonal=diag, off_diagonal=off)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         v = _inverse_iteration(diag, off, 1.0, np.random.default_rng(0), [])
@@ -364,8 +381,7 @@ def _minus_wilkinson():
     # -W21+: its two lowest eigenvalues differ by about 1e-14
     diag = -np.abs(np.arange(-10, 11)).astype(float)
     off = -np.ones(20)
-    return TridiagonalOperator(diagonal=diag, off_diagonal=off, step=1.0,
-                               half_length=11.0, kind="lplus")
+    return TridiagonalOperator(diagonal=diag, off_diagonal=off)
 
 
 def test_near_degenerate_cluster(monkeypatch):
@@ -390,20 +406,23 @@ def test_near_degenerate_cluster(monkeypatch):
     assert len(refinements) > 6
 
 
-def _wave_operators(wave, step):
+def _wave_rows(wave, step):
+    # the operators' rows at x >= 0: the L+ and L- diagonals on the nodes
+    # 0 .. N-1 of the lattice, and their shared off-diagonal
     coefficients, omega = wave
     p = ModelParams(*coefficients)
-    return p, omega, [assemble(p, omega, step, kind=kind)
-                      for kind in ("lplus", "lminus")]
+    _, diagonals, off = _half_line_rows(p, omega, step, None)
+    return p, omega, diagonals, off
 
 
 @pytest.mark.parametrize("wave", WAVES)
 def test_parity_block_counts_add_up(wave):
     h = 0.04
-    p, omega, ops = _wave_operators(wave, h)
+    p, omega, diagonals, off = _wave_rows(wave, h)
     c = p.m * p.m - omega * omega
-    for op in ops:
-        even, odd = _parity_blocks(op)
+    for diag in diagonals.values():
+        op = _mirrored(diag, off)
+        even, odd = _parity_blocks(diag, off)
         assert even.size + odd.size == op.size
         for shift in (-0.3, -10.0 * h * h, 0.0, c, 10.0):
             assert (eigenvalue_count_below(op, shift)
@@ -411,15 +430,33 @@ def test_parity_block_counts_add_up(wave):
                     + eigenvalue_count_below(odd, shift))
 
 
+def test_report_counts_rows_on_the_half_line(p111, monkeypatch):
+    # the negative counts sum the parity blocks, of N and N - 1 rows, so no
+    # Sturm count runs over the 2N - 1 rows of the full grid; the total work
+    # is the same
+    sturm_count = spectrum._kernels.sturm_count
+    rows = []
+
+    def counted(diag, off, shift):
+        rows.append(len(diag))
+        return sturm_count(diag, off, shift)
+
+    monkeypatch.setattr(spectrum._kernels, "sturm_count", counted)
+    report = spectral_report(p111, 0.9, 0.02)
+    assert max(rows) == report.x.size // 2 + 1
+    assert sum(rows) == 771_046
+
+
 @pytest.mark.parametrize("wave", WAVES)
 def test_kernels_land_in_expected_blocks(wave):
-    p, omega, (lplus, lminus) = _wave_operators(wave, 0.04)
-    x = lplus.x
+    p, omega, diagonals, off = _wave_rows(wave, 0.04)
+    x = _full_grid_x(p, omega, 0.04)
     # R is the ground state of L- (even); R' the ground state of the odd
     # block of L+, which is pair 1 of L+
-    r = _mirror(lowest_eigenpairs(_parity_blocks(lminus)[0], 1)[0][1], False)
-    r_slope = _mirror(lowest_eigenpairs(_parity_blocks(lplus)[1], 1)[0][1],
-                      True)
+    even_minus, _ = _parity_blocks(diagonals["lminus"], off)
+    _, odd_plus = _parity_blocks(diagonals["lplus"], off)
+    r = _mirror(lowest_eigenpairs(even_minus, 1)[0][1], False)
+    r_slope = _mirror(lowest_eigenpairs(odd_plus, 1)[0][1], True)
     assert _cosine_match(r, closed_form_profile(p, omega, x)) > 1.0 - 1e-6
     assert _cosine_match(r_slope, closed_form_slope(p, omega, x)) > 1.0 - 1e-6
 
@@ -445,24 +482,65 @@ def test_mirrored_vectors_exactly_even_or_odd(p111):
 def test_report_within_stated_tolerance_of_bisection_path(wave):
     # the payload tolerance against full-grid bisection to 1e-10
     h = 0.04
-    p, omega, ops = _wave_operators(wave, h)
+    coefficients, omega = wave
+    p = ModelParams(*coefficients)
     report = spectral_report(p, omega, h, k=4)
     band = 10.0 * h * h
-    x = ops[0].x
+    x = report.x
     fields = {"lplus": (1, closed_form_slope(p, omega, x)),
               "lminus": (0, closed_form_profile(p, omega, x))}
-    for op in ops:
+    for kind, (j, field) in fields.items():
+        op = assemble(p, omega, h, kind=kind)
         ref = oracles.bisection_eigenpairs(op.diagonal, op.off_diagonal, 4)
-        values = getattr(report, f"{op.kind}_eigenvalues")
-        vecs = getattr(report, f"{op.kind}_eigenvectors")
-        for j, (ref_val, ref_vec) in enumerate(ref):
-            assert abs(values[j] - ref_val) <= 1e-10
-            assert abs(float(vecs[:, j] @ ref_vec)) >= 1.0 - 1e-9
-        j, field = fields[op.kind]
-        match = getattr(report, f"{op.kind}_kernel_match")
+        values = getattr(report, f"{kind}_eigenvalues")
+        vecs = getattr(report, f"{kind}_eigenvectors")
+        for i, (ref_val, ref_vec) in enumerate(ref):
+            assert abs(values[i] - ref_val) <= 1e-10
+            assert abs(float(vecs[:, i] @ ref_vec)) >= 1.0 - 1e-9
+        match = getattr(report, f"{kind}_kernel_match")
         assert abs(match - _cosine_match(ref[j][1], field)) <= 1e-9
         negatives = sum(val < -band for val, _ in ref)
-        assert getattr(report, f"negative_count_{op.kind}") == negatives
+        assert getattr(report, f"negative_count_{kind}") == negatives
+
+
+@pytest.mark.parametrize("diag, off", [
+    (np.array([1.0, 2.0, 3.0]), np.array([0.5])),  # was broadcast
+    (np.array([1.0, 2.0]), np.array([0.5, 0.5])),
+    (np.empty(0), np.empty(0)),
+    (np.ones((2, 2)), np.ones(1)),
+    (np.ones(2), np.ones((1, 1))),
+    ([1.0, 2.0], [0.5]),
+])
+def test_operator_refuses_malformed_input(diag, off):
+    with pytest.raises(ValueError):
+        TridiagonalOperator(diag, off)
+
+
+def test_operator_of_one_node():
+    op = TridiagonalOperator(np.array([3.0]), np.empty(0))
+    assert op.size == 1
+    (value, vector), = lowest_eigenpairs(op, 1)
+    assert value == 3.0 and vector.tolist() == [1.0]
+
+
+# The coarse bracket is 1e-3 wide whatever the matrix scale, so it covers
+# these whole spectra, 2e-15 and 2e-38 wide: Rayleigh-quotient iteration
+# starts at their exact midpoint, where it magnifies both eigenvectors
+# equally, and the vector alternates between them.  The off-diagonals are
+# not negligible by the LAPACK dstebz split test,
+# e^2 <= ulp^2 |d_i d_{i+1}| + safemin, so splitting would not mend it.
+@pytest.mark.xfail(strict=True, raises=EigensolverError,
+                   reason="inverse iteration stalls on tiny spectra")
+@pytest.mark.parametrize("diag, off, k", [
+    ([1e-15, 1e-15], [1e-15], 1),
+    ([0.0, 0.0], [1e-38], 2),
+])
+def test_lowest_eigenpairs_tiny_spectrum(diag, off, k):
+    diag, off = np.array(diag), np.array(off)
+    pairs = lowest_eigenpairs(TridiagonalOperator(diag, off), k)
+    ref = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+    assert np.abs(np.array([val for val, _ in pairs]) - ref[:k]).max() \
+        <= 1e-10
 
 
 _ENTRIES = st.floats(-10.0, 10.0, allow_nan=False)
@@ -480,12 +558,7 @@ def _tridiagonals(draw):
 @given(_tridiagonals())
 def test_lowest_eigenpairs_random_tridiagonal(case):
     diag, off, k = case
-    op = TridiagonalOperator(diagonal=diag, off_diagonal=off, step=1.0,
-                             half_length=1.0, kind="lplus")
-    try:
-        pairs = lowest_eigenpairs(op, k)
-    except EigensolverError:
-        return
+    pairs = lowest_eigenpairs(TridiagonalOperator(diag, off), k)
     ref = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True,
                                         select="i", select_range=(0, k - 1))
     values = np.array([val for val, _ in pairs])
@@ -498,22 +571,22 @@ def test_lowest_eigenpairs_random_tridiagonal(case):
 
 @st.composite
 def _even_tridiagonals(draw):
+    # the rows at x >= 0 of a mirror-symmetric matrix
     side = draw(st.integers(1, 19))
     diag = draw(st.lists(_ENTRIES, min_size=side + 1, max_size=side + 1))
     off = draw(st.lists(_ENTRIES, min_size=side, max_size=side))
-    return (np.array(diag[:0:-1] + diag), np.array(off[::-1] + off),
-            draw(st.floats(-40.0, 40.0)))
+    return np.array(diag), np.array(off), draw(st.floats(-40.0, 40.0))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_even_tridiagonals())
 def test_parity_block_counts_random_even(case):
     diag, off, shift = case
-    values = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+    op = _mirrored(diag, off)
+    values = scipy.linalg.eigh_tridiagonal(op.diagonal, op.off_diagonal,
+                                           eigvals_only=True)
     assume(np.abs(values - shift).min() > 1e-9)
-    op = TridiagonalOperator(diagonal=diag, off_diagonal=off, step=1.0,
-                             half_length=1.0, kind="lplus")
-    even, odd = _parity_blocks(op)
+    even, odd = _parity_blocks(diag, off)
     assert (eigenvalue_count_below(op, shift)
             == eigenvalue_count_below(even, shift)
             + eigenvalue_count_below(odd, shift))
