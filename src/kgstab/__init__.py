@@ -10,7 +10,8 @@ from .evolve import (CFLError, Diagnostics, FieldState, field_charge,
                      field_energy, init_state, orbital_distance,
                      parse_perturbation, run)
 from .model import (DomainError, FrequencyWindow, ModelParams, alpha_of_omega,
-                    g_derivatives, omega_of_alpha, r_star)
+                    g_potential, g_prime_over_s, g_second, omega_of_alpha,
+                    r_star)
 from .soliton import (GridError, SolitonProfile, build_profile, charge,
                       closed_form_profile, closed_form_slope,
                       composite_simpson, d_second_numeric, energy)
@@ -27,7 +28,7 @@ __all__ = [
     "__version__",
     # model
     "ModelParams", "FrequencyWindow", "DomainError", "alpha_of_omega",
-    "omega_of_alpha", "r_star", "g_derivatives",
+    "omega_of_alpha", "r_star", "g_potential", "g_prime_over_s", "g_second",
     # soliton
     "SolitonProfile", "GridError", "closed_form_profile", "closed_form_slope",
     "build_profile", "composite_simpson", "charge", "energy",

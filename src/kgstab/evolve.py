@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _kernels
-from .model import DomainError, ModelParams
+from .model import DomainError, ModelParams, g_potential
 from .soliton import (GridError, SolitonProfile, build_profile,
                       composite_simpson, field_acceleration, half_line)
 
@@ -194,7 +194,7 @@ def field_energy(state: FieldState) -> float:
     density = (0.5 * np.abs(state.velocity)**2
                + 0.5 * np.abs(state.phi_x)**2
                + 0.5 * p.m * p.m * mag**2
-               + (-p.a * mag**3 + p.b * mag**4))
+               + g_potential(p, mag))
     return 2.0 * composite_simpson(density, state.profile.step)
 
 

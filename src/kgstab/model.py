@@ -7,14 +7,18 @@ The field equation is
 with a, b, m > 0.  Standing waves exp(-i omega t) R(x) exist for frequencies
 in an open window below m; everything downstream is parametrized either by
 omega or by the shape parameter alpha = sqrt(2 b (m^2 - omega^2)) / a.
+
+The nonlinearity G(s) = -a s^3 + b s^4 is defined here once: ``g_potential``
+for both energies, ``g_second`` for L_plus and ``g_prime_over_s`` for L_minus
+and the field force (which the field operator and the leapfrog kernel keep
+fused into their steps).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 
 class DomainError(ValueError):
@@ -60,18 +64,20 @@ class ModelParams:
                 raise DomainError(f"{name} must be positive, got {value!r}")
             object.__setattr__(self, name, float(value))
 
-    @property
+    # cached_property fills the instance __dict__ directly, which freezing
+    # does not forbid
+    @cached_property
     def tau(self) -> float:
         """Dimensionless combination 2 m^2 b / a^2 controlling stability."""
         return 2.0 * self.m * self.m * self.b / (self.a * self.a)
 
-    @property
+    @cached_property
     def omega_star(self) -> float:
         """Lower edge of the standing-wave frequency window."""
         gap = self.m * self.m - self.a * self.a / (2.0 * self.b)
         return math.sqrt(gap) if gap > 0.0 else 0.0
 
-    @property
+    @cached_property
     def window(self) -> FrequencyWindow:
         return FrequencyWindow(self.omega_star, self.m)
 
@@ -122,15 +128,18 @@ def r_star(p: ModelParams, omega: float) -> float:
     return (p.a / (2.0 * p.b)) * alpha * alpha / (1.0 + s)
 
 
-def g_derivatives(p: ModelParams, s):
-    """Nonlinear potential G(s) = -a s^3 + b s^4 and its first two derivatives.
+def g_potential(p: ModelParams, s):
+    """G(s) = -a s^3 + b s^4 for a float or an array of amplitudes s >= 0."""
+    s2 = s * s
+    return s2 * (p.b * s2 - p.a * s)
 
-    Accepts a scalar or array of amplitudes s >= 0; returns (G, G', G'').
-    """
-    s = np.asarray(s, dtype=float)
-    g = -p.a * s**3 + p.b * s**4
-    g1 = -3.0 * p.a * s**2 + 4.0 * p.b * s**3
-    g2 = -6.0 * p.a * s + 12.0 * p.b * s**2
-    if g.ndim == 0:
-        return float(g), float(g1), float(g2)
-    return g, g1, g2
+
+def g_prime_over_s(p: ModelParams, s):
+    """G'(s)/s = -3a s + 4b s^2, written out so that it holds at s = 0: the
+    potential of L_minus, and -(field force)/phi at |phi| = s."""
+    return -3.0 * p.a * s + 4.0 * p.b * s * s
+
+
+def g_second(p: ModelParams, s):
+    """G''(s) = -6a s + 12b s^2: the potential of L_plus."""
+    return -6.0 * p.a * s + 12.0 * p.b * s * s

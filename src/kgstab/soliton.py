@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DomainError, ModelParams, alpha_of_omega, g_derivatives
+from .model import DomainError, ModelParams, alpha_of_omega, g_potential
 
 # cosh argument cap: cosh(700) is near the top of double range, and once the
 # argument is this large the profile value underflows to 0 anyway.
@@ -34,6 +34,8 @@ _COSH_ARG_MAX = 700.0
 # bound as omega -> m.
 MAX_NODES = 2_000_000
 _DECAY_LENGTHS = 40.0  # default half-length, in units of 1/sqrt(m^2 - omega^2)
+# lattice step of the profiles behind d_second_numeric
+ORACLE_STEP = 0.005
 
 
 class GridError(ValueError):
@@ -172,9 +174,12 @@ def field_acceleration(phi: np.ndarray, step: float,
                        p: ModelParams) -> np.ndarray:
     """Discrete phi_tt of the field equation for an even field on x >= 0.
 
-    The centre reads its left neighbour from the mirror phi(-h) = phi(h); the
-    last node is the Dirichlet end, whose value is 0.  Real samples give a
-    real array and complex samples a complex one.
+    phi_tt = phi_xx - (m^2 + G'(|phi|)/|phi|) phi, with G'(s)/s as defined
+    by ``model.g_prime_over_s``; the force is written out here, fused with
+    the mass term, and the leapfrog kernel holds the other copy.  The centre
+    reads its left neighbour from the mirror phi(-h) = phi(h); the last node
+    is the Dirichlet end, whose value is 0.  Real samples give a real array
+    and complex samples a complex one.
     """
     acc = np.zeros_like(phi)
     inner = phi[:-1]
@@ -235,20 +240,19 @@ def energy(profile: SolitonProfile) -> float:
     norm2 = 2.0 * composite_simpson(r**2, h)
     slope = _derivative(r, h)
     grad2 = 2.0 * composite_simpson(slope**2, h)
-    g, _, _ = g_derivatives(p, r)
-    g_int = 2.0 * composite_simpson(g, h)
+    g_int = 2.0 * composite_simpson(g_potential(p, r), h)
     w = profile.omega
     return 0.5 * w * w * norm2 + 0.5 * grad2 + 0.5 * p.m * p.m * norm2 + g_int
 
 
 def d_second_numeric(p: ModelParams, omega: float,
-                     h_omega: float | None = None,
-                     step: float = 0.005) -> float:
+                     h_omega: float | None = None) -> float:
     """Finite-difference d''(omega) with d = E - omega Q from quadrature.
 
     Centered second difference over ``h_omega`` (default 1e-3 of the window
-    width).  This is the independent check on the closed-form sign machinery,
-    so it deliberately goes through profile quadrature and nothing else.
+    width), of profiles built at step ORACLE_STEP.  This is the independent
+    check on the closed-form sign machinery, so it deliberately goes through
+    profile quadrature and nothing else.
     """
     window = p.window
     window.require(omega)
@@ -263,7 +267,7 @@ def d_second_numeric(p: ModelParams, omega: float,
         )
 
     def d_of(w: float) -> float:
-        prof = build_profile(p, w, step)
+        prof = build_profile(p, w, ORACLE_STEP)
         return energy(prof) - w * charge(prof)
 
     return (d_of(omega + h_omega) - 2.0 * d_of(omega)

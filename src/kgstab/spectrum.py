@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .model import DomainError, ModelParams, bisect
+from .model import (DomainError, ModelParams, bisect, g_prime_over_s,
+                    g_second)
 from .soliton import (GridError, closed_form_profile, closed_form_slope,
                       half_line)
 
@@ -79,8 +80,7 @@ def _half_line_rows(p, omega, step, half_length):
         )
     r = closed_form_profile(p, omega, x[:-1])
     h2 = step * step
-    potentials = {"lplus": -6.0 * p.a * r + 12.0 * p.b * r * r,
-                  "lminus": -3.0 * p.a * r + 4.0 * p.b * r * r}
+    potentials = {"lplus": g_second(p, r), "lminus": g_prime_over_s(p, r)}
     diagonals = {kind: 2.0 / h2 + v + c for kind, v in potentials.items()}
     return x, diagonals, np.full(r.size - 1, -1.0 / h2)
 

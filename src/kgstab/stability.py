@@ -138,14 +138,15 @@ def tau_star(tol_alpha: float = ALPHA_TOL) -> TauStarResult:
     return TauStarResult(tau_star=k2(alpha_d), alpha_d=alpha_d)
 
 
-def d_second_sign(p: ModelParams, omega: float, tol: float = SIGN_TOL) -> int:
+def d_second_sign(p: ModelParams, omega: float) -> int:
     """Sign of d''(omega) from the closed form: sign(tau - k2(alpha)).
 
-    Returns +1 (stable side), -1 (unstable side), or 0 when |tau - k2| < tol.
+    Returns +1 (stable side), -1 (unstable side), or 0 when
+    |tau - k2| < SIGN_TOL.
     """
     alpha = alpha_of_omega(p, omega)
     diff = p.tau - k2(alpha)
-    if abs(diff) < tol:
+    if abs(diff) < SIGN_TOL:
         return 0
     return 1 if diff > 0.0 else -1
 

@@ -140,6 +140,19 @@ def test_classify_csv(capsys):
     assert verdicts == ["stable", "unstable", "stable"]
 
 
+def test_classify_text_lists_the_roots(capsys):
+    argv = ["classify", "--a", "1", "--b", "1", "--m", "0.7416", "--no-check"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    report = stability.classify(ModelParams(1.0, 1.0, 0.7416))
+    roots = [line for line in out.splitlines() if line.startswith("root:")]
+    assert len(roots) == 2
+    for line, omega, alpha in zip(roots, report.roots_omega,
+                                  report.roots_alpha):
+        assert line == (f"root: omega = {cli._format_float(omega)} "
+                        f"(alpha = {cli._format_float(alpha)})")
+
+
 def test_classify_json_and_csv_conflict(capsys):
     code, _, err = _run(capsys, ["classify", "--a", "1", "--b", "1",
                                  "--m", "2", "--json", "--csv"])

@@ -12,7 +12,7 @@ import oracles
 from kgstab import (CFLError, DomainError, FieldState, GridError, ModelParams,
                     build_profile, cli, closed_form_profile, energy, evolve,
                     field_charge, field_energy, init_state, orbital_distance,
-                    parse_perturbation, run, sigma_closed)
+                    parse_perturbation, run, sigma_closed, soliton)
 from kgstab.evolve import _advance
 
 
@@ -162,6 +162,31 @@ def test_energy_drift_scales_with_dt_squared(p111):
                    step_x=0.02, step_t=step_t)
         drifts.append(diag.summary()["relative_energy_drift"])
     assert 2.5 < drifts[0] / drifts[1] < 6.0
+
+
+def _pow_form_energy(state):
+    """``field_energy`` with G(|phi|) as -a |phi|**3 + b |phi|**4."""
+    p = state.profile.params
+    mag = state.magnitude
+    density = (0.5 * np.abs(state.velocity)**2
+               + 0.5 * np.abs(state.phi_x)**2
+               + 0.5 * p.m * p.m * mag**2
+               + (-p.a * mag**3 + p.b * mag**4))
+    return 2.0 * soliton.composite_simpson(density, state.profile.step)
+
+
+@pytest.mark.parametrize("params, omega, perturbation", [
+    ((1.0, 1.0, 1.0), 0.9, "bump:0.05"),
+    ((1.0, 1.0, math.sqrt(0.55)), 0.45, "scale:0.01"),
+    ((1.0, 1.0, 0.7), 0.07, "bump:-0.3"),
+])
+def test_field_energy_within_1e_14_of_the_pow_form(params, omega,
+                                                   perturbation):
+    state = _fresh_state(ModelParams(*params), omega, perturbation)
+    for _ in range(4):
+        reference = _pow_form_energy(state)
+        assert abs(field_energy(state) - reference) <= 1e-14 * abs(reference)
+        state, _ = _advance(state, 100)
 
 
 def test_orbital_distance_phase_invariant(p111):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from kgstab import (DomainError, ModelParams, alpha_of_omega, g_derivatives,
-                    omega_of_alpha, r_star)
+from kgstab import (DomainError, ModelParams, alpha_of_omega, g_potential,
+                    g_prime_over_s, g_second, omega_of_alpha, r_star)
 
 
 def test_rejects_nonpositive_parameters():
@@ -129,34 +129,48 @@ def test_r_star_vanishes_toward_upper_endpoint(p111):
     assert r_star(p111, 1.0 - 1e-9) < 1e-4
 
 
-def test_g_derivatives_values():
+def _nonlinearity(p, s):
+    return g_potential(p, s), g_prime_over_s(p, s), g_second(p, s)
+
+
+def test_nonlinearity_values():
     p = ModelParams(1, 1, 1)
-    assert g_derivatives(p, 0.0) == (0.0, 0.0, 0.0)
-    assert g_derivatives(p, 1.0) == (0.0, 1.0, 6.0)
+    assert _nonlinearity(p, 0.0) == (0.0, 0.0, 0.0)
+    assert _nonlinearity(p, 1.0) == (0.0, 1.0, 6.0)
     p23 = ModelParams(2, 3, 1)
-    g, g1, g2 = g_derivatives(p23, 0.5)
+    g, g1_over_s, g2 = _nonlinearity(p23, 0.5)
     assert g == pytest.approx(-0.0625, rel=1e-15)
     # s = 0.5 is exactly 3a/(4b) for these coefficients, the critical point
     # of G, so the first derivative vanishes identically there
-    assert g1 == 0.0
+    assert g1_over_s == 0.0
     assert g2 == pytest.approx(3.0, rel=1e-15)
 
 
-def test_g_derivatives_match_finite_differences():
+def test_nonlinearity_matches_finite_differences():
     p = ModelParams(1.3, 0.7, 1.0)
     h = 1e-5
+
+    def g1(t):
+        return t * g_prime_over_s(p, t)
+
     for s in (0.1, 0.4, 0.9):
-        g, g1, g2 = g_derivatives(p, s)
-        fd1 = oracles.centered_first(lambda t: g_derivatives(p, t)[0], s, h)
-        fd2 = oracles.centered_first(lambda t: g_derivatives(p, t)[1], s, h)
-        assert g1 == pytest.approx(fd1, abs=5.0 * h * h)
-        assert g2 == pytest.approx(fd2, abs=5.0 * h * h)
+        fd1 = oracles.centered_first(lambda t: g_potential(p, t), s, h)
+        fd2 = oracles.centered_first(g1, s, h)
+        assert g1(s) == pytest.approx(fd1, abs=5.0 * h * h)
+        assert g_second(p, s) == pytest.approx(fd2, abs=5.0 * h * h)
 
 
-def test_g_derivatives_accepts_arrays():
+def test_nonlinearity_accepts_arrays():
     p = ModelParams(1, 1, 1)
     s = np.array([0.0, 0.5, 1.0])
-    g, g1, g2 = g_derivatives(p, s)
-    assert g.shape == s.shape
-    assert g1[2] == pytest.approx(1.0)
-    assert g2[2] == pytest.approx(6.0)
+    g, g1_over_s, g2 = _nonlinearity(p, s)
+    assert g.shape == g1_over_s.shape == g2.shape == s.shape
+    assert g.tolist() == [_nonlinearity(p, t)[0] for t in s.tolist()]
+    assert g1_over_s[2] == 1.0
+    assert g2[2] == 6.0
+
+
+def test_window_is_computed_once():
+    p = ModelParams(1, 1, 1)
+    assert p.window is p.window
+    assert p.omega_star == p.window.omega_star == math.sqrt(0.5)

@@ -80,6 +80,15 @@ def test_build_profile_tail_below_tolerance(p111):
     assert prof.values[-1] < 1e-12 * prof.values[0]
 
 
+def test_build_profile_stretches_for_a_tight_tail(p111):
+    # 5 - ln(1e-20) = 51.1 decay lengths, beyond the default 40
+    prof = build_profile(p111, 0.9, 0.02, tail_tol=1e-20)
+    default = build_profile(p111, 0.9, 0.02)
+    assert default.half_length == pytest.approx(91.8, abs=1e-9)
+    assert prof.half_length == pytest.approx(117.16, abs=1e-9)
+    assert prof.values[-1] < 1e-20 * prof.values[0]
+
+
 def test_build_profile_rejects_short_domain(p111):
     with pytest.raises(GridError):
         build_profile(p111, 0.9, 0.01, half_length=10.0)
@@ -180,6 +189,19 @@ def test_energy_d_identity(p111):
     q = charge(build_profile(p111, 0.9, 0.005))
     assert slope == pytest.approx(-q, rel=1e-4)
     assert d_of(0.9) > 0.0
+
+
+def test_energy_within_1e_14_of_the_pow_form(p111, p_tau11, p_tau098):
+    # energy() with G(R) as -a R**3 + b R**4
+    for p, omega in ((p111, 0.9), (p_tau11, 0.45), (p_tau098, 0.07)):
+        prof = build_profile(p, omega, 0.01)
+        r, h = prof.values, prof.step
+        norm2 = 2.0 * composite_simpson(r**2, h)
+        grad2 = 2.0 * composite_simpson(soliton._derivative(r, h)**2, h)
+        g_int = 2.0 * composite_simpson(-p.a * r**3 + p.b * r**4, h)
+        reference = (0.5 * omega * omega * norm2 + 0.5 * grad2
+                     + 0.5 * p.m * p.m * norm2 + g_int)
+        assert abs(energy(prof) - reference) <= 1e-14 * abs(reference)
 
 
 def test_energy_grid_converged(p111):

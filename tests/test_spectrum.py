@@ -543,6 +543,33 @@ def test_lowest_eigenpairs_tiny_spectrum(diag, off, k):
         <= 1e-10
 
 
+# Node 0 is coupled to the rest by 1e-10 only, which the dstebz split test
+# keeps (1e-20 > ulp^2 |0.5 * -1|).  Refining eigenvalue 3 (0.5), the
+# Rayleigh quotient lands exactly on that diagonal entry: the first Thomas
+# pivot is then exactly 0, floored to -pivmin, and the finite solve comes
+# back with node 0 zeroed.  The vector has left node 0, and the iteration
+# converges to eigenvalue 4 (1.7616) instead, which the Sturm check refuses
+# at every width.
+@pytest.mark.xfail(strict=True, raises=EigensolverError,
+                   reason="a floored zero pivot drops a weakly coupled node")
+def test_lowest_eigenpairs_weakly_coupled_node():
+    diag = np.array([0.5, -1.0, 1e-20, -2.0, 1e-38])
+    off = np.array([1e-10, -2.0, -1.0, 1.0])
+    pairs = lowest_eigenpairs(TridiagonalOperator(diag, off), 4)
+    ref = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+    assert np.abs(np.array([val for val, _ in pairs]) - ref[:4]).max() \
+        <= 1e-10
+
+
+def test_apply_refuses_a_vector_of_the_wrong_shape():
+    op = TridiagonalOperator(np.array([2.0, 3.0]), np.array([1.0]))
+    assert apply(op, [1.0, 1.0]).tolist() == [3.0, 4.0]
+    # a 2 x 2 array would broadcast through the product unnoticed
+    for bad in (np.ones(3), np.ones((2, 2)), 5.0):
+        with pytest.raises(ValueError):
+            apply(op, bad)
+
+
 _ENTRIES = st.floats(-10.0, 10.0, allow_nan=False)
 
 

@@ -134,6 +134,19 @@ def test_d_second_sign_examples(p111, p_tau11):
     assert d_second_sign(p_tau11, 0.45) == -1
 
 
+def test_tau_star_rejects_coarse_tolerance():
+    with pytest.raises(DomainError):
+        tau_star(0.5)
+
+
+def test_d_second_sign_vanishes_at_classify_roots(p_tau11):
+    # each root is bisected to ALPHA_TOL, so |tau - k2| there is far below
+    # SIGN_TOL
+    roots = classify(p_tau11).roots_omega
+    assert len(roots) == 2
+    assert [d_second_sign(p_tau11, omega) for omega in roots] == [0, 0]
+
+
 def test_d_second_sign_positive_for_large_tau(p111, p112, p212):
     for p in (p111, p112, p212):
         window = p.window
