@@ -18,6 +18,8 @@ import re
 import sys
 import time
 
+import numpy as np
+
 from . import evolve as evolve_mod
 from . import soliton, spectrum, stability
 from .model import DomainError, ModelParams, alpha_of_omega
@@ -109,35 +111,80 @@ def _escape_string(text: str) -> str:
     return '"' + text.translate(_ESCAPES) + '"'
 
 
-def render_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-significant-digit
-    floats, no locale or timestamp dependence."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _record_formats(table) -> list:
+    """One %-format per field of a structured array: %.17g for a float
+    field, which must be finite, and %d for an integer field."""
+    formats = []
+    for name in table.dtype.names:
+        kind = table.dtype[name].kind
+        if kind == "f" and np.isfinite(table[name]).all():
+            formats.append("%.17g")
+        elif kind == "f":
+            raise ValueError(f"non-finite number in field {name!r} has no "
+                             "JSON encoding")
+        elif kind in "iu":
+            formats.append("%d")
+        else:
+            raise TypeError(f"no JSON encoding for field {name!r} of kind "
+                            f"{kind!r}")
+    return formats
+
+
+def _write_json(obj, depth: int, parts: list) -> None:
+    """Append the JSON text of ``obj``, nested ``depth`` levels deep, to
+    ``parts`` piece by piece."""
     if obj is None:
-        return "null"
-    if isinstance(obj, bool):  # bool before int: True is an int subclass
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, str):
-        return _escape_string(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{_escape_string(str(key))}: {render_json(val, indent + 1)}"
-            for key, val in obj.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        parts = [f"{inner}{render_json(val, indent + 1)}" for val in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    raise TypeError(f"no JSON encoding for {type(obj).__name__}")
+        parts.append("null")
+    elif isinstance(obj, bool):  # bool before int: True is an int subclass
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, float):
+        parts.append(_format_float(obj))
+    elif isinstance(obj, str):
+        parts.append(_escape_string(obj))
+    else:
+        pad = "  " * (depth + 1)
+        inner = ",\n" + pad
+        start = len(parts)
+        if isinstance(obj, dict):
+            brackets = "{}"
+            for key, val in obj.items():
+                parts.append(inner + _escape_string(str(key)) + ": ")
+                _write_json(val, depth + 1, parts)
+        elif isinstance(obj, (list, tuple)):
+            brackets = "[]"
+            for val in obj:
+                parts.append(inner)
+                _write_json(val, depth + 1, parts)
+        elif isinstance(obj, np.ndarray) and obj.dtype.names:
+            brackets = "[]"
+            fields = ",".join(
+                f"\n{pad}  {_escape_string(name).replace('%', '%%')}: {fmt}"
+                for name, fmt in zip(obj.dtype.names, _record_formats(obj)))
+            template = f"{inner}{{{fields}\n{pad}}}"
+            parts.extend(map(template.__mod__, obj.tolist()))
+        else:
+            raise TypeError(f"no JSON encoding for {type(obj).__name__}")
+        # each member follows a ",\n<pad>" separator: the first one's comma
+        # becomes the opening bracket
+        if len(parts) == start:
+            parts.append(brackets)
+        else:
+            parts[start] = brackets[0] + parts[start][1:]
+            parts.append("\n" + "  " * depth + brackets[1])
+
+
+def render_json(obj) -> str:
+    """Deterministic JSON: insertion-ordered keys, 17-significant-digit
+    floats, no locale or timestamp dependence.
+
+    A structured NumPy array renders as a list of objects, one per record,
+    each through one %-template.  Every piece goes to one list, joined once.
+    """
+    parts = []
+    _write_json(obj, 0, parts)
+    return "".join(parts)
 
 
 def _envelope(command: str, p: ModelParams | None, payload: dict,
@@ -155,10 +202,14 @@ def _envelope(command: str, p: ModelParams | None, payload: dict,
 
 
 def _csv(header, rows) -> str:
-    """CSV text: floats at 17 significant digits, anything else via str."""
+    """CSV text: floats at 17 significant digits, anything else via str; the
+    records of a structured array through one %-template."""
     lines = [",".join(header)]
-    lines += [",".join(_format_float(float(v)) if isinstance(v, float)
-                       else str(v) for v in row) for row in rows]
+    if isinstance(rows, np.ndarray):
+        lines += map(",".join(_record_formats(rows)).__mod__, rows.tolist())
+    else:
+        lines += [",".join(_format_float(float(v)) if isinstance(v, float)
+                           else str(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -282,6 +333,10 @@ def _cmd_classify(args) -> int:
     start = time.perf_counter()
     p = ModelParams(args.a, args.b, args.m)
     report = stability.classify(p, check_oracle=not args.no_check)
+    if not args.csv and not math.isfinite(report.tau):
+        # the verdicts alone (CSV) hold: an overflowed tau exceeds every k2
+        raise DomainError(f"tau = 2 m^2 b / a^2 = {report.tau!r} leaves the "
+                          "float range")
     if args.json:
         prov = {"tolerances": {"alpha_tol": stability.ALPHA_TOL,
                                "sign_tol": stability.SIGN_TOL},
@@ -408,25 +463,12 @@ def _cmd_sweep(args) -> int:
     p = ModelParams(args.a, args.b, args.m)
     if not 1 <= args.n <= MAX_ROWS:
         raise DomainError(f"--n must lie in [1, {MAX_ROWS}], got {args.n!r}")
-    window = p.window
-    omegas = [window.omega_star + (i + 1) * window.width / (args.n + 1)
-              for i in range(args.n)]
-
-    rows = [
-        {
-            "omega": omega,
-            "alpha": alpha_of_omega(p, omega),
-            "sigma": stability.sigma_closed(p, omega),
-            "d2_sign": stability.d_second_sign(p, omega),
-        }
-        for omega in omegas
-    ]
-
+    rows = np.rec.fromarrays(stability.sweep_columns(p, args.n),
+                             names=["omega", "alpha", "sigma", "d2_sign"])
     if args.json:
         text = _envelope("sweep", p, {"n": args.n, "rows": rows}, {}, start)
     else:
-        text = _csv(["omega", "alpha", "sigma", "d2_sign"],
-                    (row.values() for row in rows))
+        text = _csv(rows.dtype.names, rows)
     _emit(text, args.out)
     return 0
 

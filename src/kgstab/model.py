@@ -68,8 +68,15 @@ class ModelParams:
     # does not forbid
     @cached_property
     def tau(self) -> float:
-        """Dimensionless combination 2 m^2 b / a^2 controlling stability."""
-        return 2.0 * self.m * self.m * self.b / (self.a * self.a)
+        """Dimensionless combination 2 m^2 b / a^2 controlling stability.
+
+        Overflow to inf is kept: it still exceeds every k2.
+        """
+        a2 = self.a * self.a
+        if a2 == 0.0:
+            raise DomainError(f"a^2 underflows at a={self.a!r}: "
+                              "tau = 2 m^2 b / a^2 has no float value")
+        return 2.0 * self.m * self.m * self.b / a2
 
     @cached_property
     def omega_star(self) -> float:

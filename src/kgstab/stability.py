@@ -12,7 +12,9 @@ and k2(alpha) = ((1-alpha^2)/(2 alpha)) ln((1+alpha)/(1-alpha)) + alpha^2.
 The critical coupling tau_star = sup k2 separates the all-stable regime from
 the mixed one.  Every closed-form sign here can be cross-checked against the
 quadrature oracle soliton.d_second_numeric; ``classify`` does so on request
-and refuses to emit a report the oracle contradicts.
+and refuses to emit a report the oracle contradicts.  ``sweep_columns``
+evaluates alpha, sigma and sign d'' over a whole frequency grid in one array
+pass, bit for bit the scalar functions' values.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .model import (DomainError, FrequencyWindow, ModelParams,
                     alpha_of_omega, bisect, omega_of_alpha)
@@ -84,10 +88,19 @@ def sigma_closed(p: ModelParams, omega: float) -> float:
 
     Integrating R^2 via the substitution used for the first integral gives
     sigma = (a^2 / 4 b^2) k1(tau, alpha(omega)); soliton.charge is the
-    quadrature route to the same number.
+    quadrature route to the same number.  Raises DomainError where the scale
+    a^2/(4 b^2) or sigma itself leaves the float range.
     """
     alpha = alpha_of_omega(p, omega)
-    return (p.a * p.a / (4.0 * p.b * p.b)) * k1(p.tau, alpha)
+    four_b2 = 4.0 * p.b * p.b
+    if four_b2 == 0.0:
+        raise DomainError(f"4 b^2 underflows at b={p.b!r}: sigma's scale "
+                          "a^2/(4 b^2) has no float value")
+    sigma = (p.a * p.a / four_b2) * k1(p.tau, alpha)
+    if not math.isfinite(sigma):
+        raise DomainError(f"sigma={sigma!r} at omega={omega!r} leaves the "
+                          "float range")
+    return sigma
 
 
 def k2(alpha: float) -> float:
@@ -149,6 +162,47 @@ def d_second_sign(p: ModelParams, omega: float) -> int:
     if abs(diff) < SIGN_TOL:
         return 0
     return 1 if diff > 0.0 else -1
+
+
+def sweep_columns(p: ModelParams, n: int):
+    """omega, alpha, sigma and sign d'' as arrays at the n interior points
+    omega_star + i width/(n+1), i = 1..n, of the frequency window.
+
+    The arithmetic is alpha_of_omega's, sigma_closed's and d_second_sign's in
+    their operand order, elementwise, so every value equals theirs bit for
+    bit; the log is taken with math.log because np.log is not correctly
+    rounded.  Where the scalar path refuses a row, the scalar functions are
+    evaluated at the first such row and raise its error.
+    """
+    window = p.window
+    with np.errstate(all="ignore"):
+        omega = (window.omega_star
+                 + np.arange(1, n + 1) * window.width / (n + 1))
+        # the first row refuses what depends on p alone, in the scalar order
+        sigma_closed(p, float(omega[0]))
+        scale = p.a * p.a / (4.0 * p.b * p.b)
+        tau = p.tau
+        alpha = np.sqrt(2.0 * p.b * (p.m * p.m - omega * omega)) / p.a
+        a2 = alpha * alpha
+        ok = ((window.omega_star < omega) & (omega < window.m)
+              & (0.0 < alpha) & (alpha < 1.0) & (a2 < tau))
+        ratio = np.where(ok, (1.0 + alpha) / (1.0 - alpha), 1.0)
+        log_ratio = np.fromiter(map(math.log, ratio.tolist()), float, n)
+        series = alpha < _SERIES_CUTOFF
+        sigma = scale * (np.sqrt(tau - a2) * np.where(
+            series,
+            2.0 * alpha * a2 * (
+                1.0 / 3.0 + a2 * (0.2 + a2 * (1.0 / 7.0 + a2 / 9.0))),
+            log_ratio - 2.0 * alpha))
+        diff = tau - np.where(
+            series,
+            1.0 + a2 * (1.0 / 3.0 - a2 * (2.0 / 15.0 + a2 * 2.0 / 35.0)),
+            ((1.0 - a2) / (2.0 * alpha)) * log_ratio + a2)
+    ok &= np.isfinite(sigma)
+    if not ok.all():
+        sigma_closed(p, float(omega[np.argmin(ok)]))
+    sign = np.where(np.abs(diff) < SIGN_TOL, 0, np.where(diff > 0.0, 1, -1))
+    return omega, alpha, sigma, sign
 
 
 @dataclass(frozen=True)

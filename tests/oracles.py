@@ -7,16 +7,19 @@ special functions from truncated series, extrema from golden-section search.
 Expected values in the tests are produced by these routines, not copied from
 the implementation under test.
 
-The exceptions are the last four sections.  One holds reference forms of
+The exceptions are the last six sections.  One holds reference forms of
 the package's kernels, written as plain index loops or with fresh
 temporaries each step.  They do the same arithmetic in the same order, so
 the tests demand bitwise equality with them; the index-order
 ``leapfrog_steps`` is the earlier leapfrog kernel, the reference for the
 stated tolerance of the regrouped one.  Two keep the package's earlier
 eigen path and its earlier full-grid evolution, the references for the
-stated tolerances of the faster paths that replaced them.  The last keeps
-the operators' earlier full-grid assembly, which the package's assembly on
-the profile's lattice must equal bitwise at the same Dirichlet end.
+stated tolerances of the faster paths that replaced them.  One keeps the
+operators' earlier full-grid assembly, which the package's assembly on
+the profile's lattice must equal bitwise at the same Dirichlet end.  The
+last two keep the earlier row-by-row ``sweep`` and the earlier recursive
+JSON renderer, which the columnar sweep and the one-buffer renderer must
+equal bitwise and byte for byte.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ import math
 import numpy as np
 
 from kgstab import (GridError, ModelParams, TridiagonalOperator, _kernels,
-                    build_profile, closed_form_profile, composite_simpson,
-                    parse_perturbation)
+                    alpha_of_omega, build_profile, closed_form_profile,
+                    composite_simpson, d_second_sign, parse_perturbation,
+                    sigma_closed)
 from kgstab.soliton import require_node_budget
 
 
@@ -487,3 +491,71 @@ def full_grid_assemble(p: ModelParams, omega: float, step: float,
     diagonal = 2.0 / h2 + potential + c
     off_diagonal = np.full(diagonal.size - 1, -1.0 / h2)
     return TridiagonalOperator(diagonal=diagonal, off_diagonal=off_diagonal)
+
+
+# --- the sweep before the columns -------------------------------------------
+#
+# The package's earlier ``sweep``: the window's interior grid built row by
+# row, and each row through the scalar closed form.
+
+
+def scalar_sweep(p: ModelParams, n: int) -> tuple:
+    """omega, alpha, sigma and sign d'' lists of the n-row sweep."""
+    window = p.window
+    omegas = [window.omega_star + (i + 1) * window.width / (n + 1)
+              for i in range(n)]
+    rows = [(omega, alpha_of_omega(p, omega), sigma_closed(p, omega),
+             d_second_sign(p, omega)) for omega in omegas]
+    return tuple(map(list, zip(*rows)))
+
+
+# --- the JSON renderer before the one buffer --------------------------------
+#
+# The package's earlier ``render_json``, verbatim but for its name: each
+# nesting level joins its members' text into a new string.
+
+_ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\",
+                          **{chr(i): f"\\u{i:04x}" for i in range(0x20)}})
+
+
+def _format_float(value: float) -> str:
+    if math.isnan(value) or math.isinf(value):
+        raise ValueError(f"non-finite number {value!r} has no JSON encoding")
+    return format(value, ".17g")
+
+
+def _escape_string(text: str) -> str:
+    return '"' + text.translate(_ESCAPES) + '"'
+
+
+def recursive_render_json(obj, indent: int = 0) -> str:
+    """Deterministic JSON: insertion-ordered keys, 17-significant-digit
+    floats, no locale or timestamp dependence."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):  # bool before int: True is an int subclass
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _format_float(obj)
+    if isinstance(obj, str):
+        return _escape_string(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [
+            f"{inner}{_escape_string(str(key))}: "
+            f"{recursive_render_json(val, indent + 1)}"
+            for key, val in obj.items()
+        ]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            return "[]"
+        parts = [f"{inner}{recursive_render_json(val, indent + 1)}"
+                 for val in obj]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    raise TypeError(f"no JSON encoding for {type(obj).__name__}")

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kgstab
+import oracles
 from kgstab import (ModelParams, build_profile, cli, sigma_closed, soliton,
                     spectral_report, spectrum, stability, tau_star)
 from kgstab.cli import SCHEMAS, main, render_json
@@ -46,6 +47,23 @@ _BAD_INPUTS = [
     # a negative number in exponent form is a value, not an option
     (["sigma", "--a", "1", "--b", "1", "--m", "1", "--omega", "-1e-05"],
      "domain-error"),
+    # a derived quantity leaving the float range: 4 b^2 and a^2 underflow,
+    # sigma's scale overflows to nan, tau overflows, sigma overflows
+    (["sweep", "--a", "8.394974948008668e+132",
+      "--b", "1.808559337741882e-163", "--m", "1.4535076851165435e+267",
+      "--n", "5", "--json"], "domain-error"),
+    (["classify", "--a", "2.25938280964016e-282",
+      "--b", "1.8514696446890474e-285", "--m", "7.038557714902578e+24",
+      "--json", "--no-check"], "domain-error"),
+    (["sweep", "--a", "1.5252458374853487e+102",
+      "--b", "1.0497999790144707e-118", "--m", "3.534790557054179e+52",
+      "--n", "5", "--json"], "domain-error"),
+    (["classify", "--a", "9.990175780180579e+153",
+      "--b", "7.438417518852891e+180", "--m", "2.7626921786345204e+64",
+      "--json", "--no-check"], "domain-error"),
+    (["sweep", "--a", "1.000162645918005e+50",
+      "--b", "6.0350896144204805e-105", "--m", "6.261289151007875e+102",
+      "--n", "5", "--json"], "domain-error"),
 ]
 
 
@@ -262,6 +280,35 @@ def test_sweep_json(capsys):
     assert len(envelope["payload"]["rows"]) == 3
 
 
+def test_sweep_json_peak_memory(capsys):
+    argv = ["sweep", "--a", "1", "--b", "1", "--m", "2", "--n", "20000",
+            "--json"]
+    main(argv)  # imports and caches filled outside the traced call
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert peak < 4 * len(out)
+
+
+def test_classify_csv_keeps_an_overflowed_tau(capsys):
+    # tau = 2 m^2 b / a^2 overflows to inf, which still exceeds every k2:
+    # the verdicts stand, though the JSON and text reports refuse tau
+    model = ["--a", "9.990175780180579e+153", "--b", "7.438417518852891e+180",
+             "--m", "2.7626921786345204e+64"]
+    code, out, err = _run(capsys, ["classify", *model, "--csv", "--no-check"])
+    assert (code, err) == (0, "")
+    assert out == ("lo,hi,verdict\n"
+                   "2.750523856406309e+64,2.7626921786345204e+64,stable\n")
+    code, out, err = _run(capsys, ["classify", *model, "--no-check"])
+    assert (code, out) == (3, "")
+    assert err.startswith("kgstab: domain-error: tau = ")
+
+
 def test_usage_error_on_missing_argument(capsys):
     code, _, err = _run(capsys, ["classify", "--a", "1", "--b", "1"])
     assert code == 2
@@ -338,6 +385,56 @@ def test_render_json_rejects_unknown_types():
         render_json(object())
     with pytest.raises(ValueError):
         render_json(float("nan"))
+    with pytest.raises(TypeError):
+        render_json({"a": [1.0, np.zeros(2)]})
+    with pytest.raises(ValueError):
+        render_json([{"a": (1.0, float("-inf"))}])
+    with pytest.raises(TypeError):
+        render_json({"rows": np.rec.fromarrays([np.zeros(2)], names="s",
+                                               formats="U4")})
+    with pytest.raises(ValueError):
+        render_json({"rows": np.rec.fromarrays([[1.0, math.nan]],
+                                               names="x")})
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.floats(allow_nan=False, allow_infinity=False)
+                 | st.text())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(obj=_JSON_VALUES)
+def test_render_json_equals_the_recursive_renderer(obj):
+    assert render_json(obj) == oracles.recursive_render_json(obj)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.tuples(
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.integers(-2**63, 2**63 - 1)), max_size=20),
+       depth=st.integers(0, 3))
+def test_records_render_as_their_rows(values, depth):
+    # a structured array renders as the list of its records' objects, in
+    # JSON at any depth and in CSV
+    floats, ints = zip(*values) if values else ((), ())
+    records = np.rec.fromarrays([np.array(floats, dtype=float),
+                                 np.array(ints, dtype=np.int64)],
+                                names="x,%d")
+    rows = [dict(zip(records.dtype.names, row)) for row in records.tolist()]
+    nested_records, nested_rows = records, rows
+    for _ in range(depth):
+        nested_records = {"k": [nested_records]}
+        nested_rows = {"k": [nested_rows]}
+    assert render_json(nested_records) \
+        == oracles.recursive_render_json(nested_rows)
+    header = records.dtype.names
+    assert cli._csv(header, records) == cli._csv(header, records.tolist())
 
 
 def test_render_json_formatting():

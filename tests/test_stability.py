@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from kgstab import (DomainError, ModelParams, OracleDisagreementError,
                     StabilityReport, build_profile, charge, classify,
                     d_second_sign, k1, k2, k2_prime, omega_of_alpha,
                     sigma_closed, tau_star)
+from kgstab.stability import _SERIES_CUTOFF, sweep_columns
 
 
 def test_k1_domain_checks():
@@ -263,3 +266,54 @@ def test_report_to_dict_roundtrip(p_tau11):
     assert len(data["intervals"]) == 3
     assert data["intervals"][1]["verdict"] == "unstable"
     assert data["roots_omega"] == list(report.roots_omega)
+
+
+def _outcome(call):
+    """The call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+# (a, b, m) the scalar sweep refuses: a collapsed window, 4 b^2 underflowing,
+# sigma's scale overflowing to nan, and sigma overflowing to inf
+_REFUSED = [
+    (1e-8, 1.0, 1.0),
+    (8.394974948008668e+132, 1.808559337741882e-163, 1.4535076851165435e+267),
+    (2.25938280964016e-282, 1.8514696446890474e-285, 7.038557714902578e+24),
+    (1.5252458374853487e+102, 1.0497999790144707e-118, 3.534790557054179e+52),
+    (1.000162645918005e+50, 6.0350896144204805e-105, 6.261289151007875e+102),
+]
+# tau ranges: all stable, stable/unstable/stable, all unstable
+_TAU_REGIMES = [(1.5, 3.0), (1.03, 1.12), (0.90, 0.98)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(regime=st.sampled_from(_TAU_REGIMES), fraction=st.floats(0.0, 1.0),
+       a=st.floats(0.5, 2.0), m=st.floats(0.5, 2.0),
+       n=st.integers(1, 20000))
+@example(regime=(8.0, 8.0), fraction=0.0, a=1.0, m=2.0, n=20000)  # (1, 1, 2)
+def test_sweep_columns_equal_the_scalar_sweep_bitwise(regime, fraction, a, m,
+                                                      n):
+    tau = regime[0] + fraction * (regime[1] - regime[0])
+    p = ModelParams(a, tau * a * a / (2.0 * m * m), m)
+    columns = sweep_columns(p, n)
+    reference = oracles.scalar_sweep(p, n)
+    for column, ref in zip(columns[:3], reference[:3]):
+        assert column.tobytes() == np.array(ref).tobytes()
+    assert columns[3].tolist() == reference[3]
+
+
+def test_sweep_columns_cover_the_series_rows(p112):
+    # alpha falls to about 0.007 on the last rows of (1, 1, 2) at n = 20,000
+    alpha = sweep_columns(p112, 20000)[1]
+    assert 0.0 < alpha[-1] < _SERIES_CUTOFF < alpha[0]
+
+
+@pytest.mark.parametrize("a, b, m", _REFUSED)
+def test_sweep_columns_refuse_as_the_scalar_sweep(a, b, m):
+    p = ModelParams(a, b, m)
+    refused = _outcome(lambda: sweep_columns(p, 5))
+    assert isinstance(refused, tuple) and refused[0] is DomainError
+    assert refused == _outcome(lambda: oracles.scalar_sweep(p, 5))
