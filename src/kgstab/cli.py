@@ -94,7 +94,6 @@ SCHEMAS = {
 # which `sigma --check` refuses to pass.
 _SIGMA_GAP_LIMIT = 1e-6
 _SIGMA_CHECK_STEP = 0.005
-MAX_ROWS = 1_000_000  # most rows one sweep may write
 
 # JSON string escapes: the quote, the backslash and the control characters.
 _ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\",
@@ -187,14 +186,14 @@ def render_json(obj) -> str:
     return "".join(parts)
 
 
-def _envelope(command: str, p: ModelParams | None, payload: dict,
-              provenance: dict, start: float) -> str:
-    """The rendered envelope, with the wall time since ``start`` as the last
-    provenance key."""
+def _envelope(args, p: ModelParams | None, payload: dict, provenance: dict,
+              start: float) -> str:
+    """The rendered envelope of ``args.command``, with the wall time since
+    ``start`` as the last provenance key."""
     provenance["wall_time_s"] = time.perf_counter() - start
     return render_json({
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "params": None if p is None else {"a": p.a, "b": p.b, "m": p.m},
         "payload": payload,
         "provenance": provenance,
@@ -308,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("sweep", help="omega grid of (alpha, sigma, sign d2)")
     _add_model_args(cmd)
     cmd.add_argument("--n", type=int, required=True,
-                     help=f"number of omega samples, at most {MAX_ROWS}")
+                     help="number of omega samples, at most "
+                          f"{stability.MAX_ROWS}")
     cmd.add_argument("--json", action="store_true")
     cmd.add_argument("--out", help="output path (default stdout)")
     cmd.set_defaults(func=_cmd_sweep)
@@ -316,22 +316,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_tau_star(args) -> int:
-    start = time.perf_counter()
+def _cmd_tau_star(args, p: None, start: float) -> int:
     crit = stability.tau_star()
     if args.json:
         payload = {"tau_star": crit.tau_star, "alpha_d": crit.alpha_d}
         prov = {"tolerances": {"tol_alpha": stability.ALPHA_TOL}}
-        _emit(_envelope("tau-star", None, payload, prov, start))
+        _emit(_envelope(args, p, payload, prov, start))
     else:
         print(f"tau_star = {_format_float(crit.tau_star)}")
         print(f"alpha_d = {_format_float(crit.alpha_d)}")
     return 0
 
 
-def _cmd_classify(args) -> int:
-    start = time.perf_counter()
-    p = ModelParams(args.a, args.b, args.m)
+def _cmd_classify(args, p: ModelParams, start: float) -> int:
     report = stability.classify(p, check_oracle=not args.no_check)
     if not args.csv and not math.isfinite(report.tau):
         # the verdicts alone (CSV) hold: an overflowed tau exceeds every k2
@@ -341,7 +338,7 @@ def _cmd_classify(args) -> int:
         prov = {"tolerances": {"alpha_tol": stability.ALPHA_TOL,
                                "sign_tol": stability.SIGN_TOL},
                 "oracle_checked": not args.no_check}
-        _emit(_envelope("classify", p, report.to_dict(), prov, start))
+        _emit(_envelope(args, p, report.to_dict(), prov, start))
     elif args.csv:
         _emit(_csv(["lo", "hi", "verdict"], report.intervals))
     else:
@@ -357,9 +354,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_profile(args) -> int:
-    start = time.perf_counter()
-    p = ModelParams(args.a, args.b, args.m)
+def _cmd_profile(args, p: ModelParams, start: float) -> int:
     prof = soliton.build_profile(p, args.omega, args.h, tail_tol=args.tail)
     x, r = prof.x.tolist(), prof.values.tolist()
     if args.json:
@@ -367,16 +362,14 @@ def _cmd_profile(args) -> int:
                    "step": prof.step, "max_ode_residual": prof.max_ode_residual,
                    "x": x, "r": r}
         prov = {"grid": {"step": args.h, "tail_tol": args.tail}}
-        text = _envelope("profile", p, payload, prov, start)
+        text = _envelope(args, p, payload, prov, start)
     else:
         text = _csv(["x", "R"], zip(x, r))
     _emit(text, args.out)
     return 0
 
 
-def _cmd_sigma(args) -> int:
-    start = time.perf_counter()
-    p = ModelParams(args.a, args.b, args.m)
+def _cmd_sigma(args, p: ModelParams, start: float) -> int:
     closed = stability.sigma_closed(p, args.omega)
     payload = {"omega": args.omega, "alpha": alpha_of_omega(p, args.omega),
                "sigma_closed": closed}
@@ -388,7 +381,7 @@ def _cmd_sigma(args) -> int:
     if args.json:
         prov = {"tolerances": {"check_gap": _SIGMA_GAP_LIMIT},
                 "grid": {"step": _SIGMA_CHECK_STEP} if args.check else None}
-        _emit(_envelope("sigma", p, payload, prov, start))
+        _emit(_envelope(args, p, payload, prov, start))
     else:
         print(f"sigma_closed = {_format_float(closed)}")
         if args.check:
@@ -402,9 +395,7 @@ def _cmd_sigma(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    start = time.perf_counter()
-    p = ModelParams(args.a, args.b, args.m)
+def _cmd_spectrum(args, p: ModelParams, start: float) -> int:
     report = spectrum.spectral_report(p, args.omega, args.h,
                                       half_length=args.L, k=args.k)
     if args.vectors:
@@ -420,7 +411,7 @@ def _cmd_spectrum(args) -> int:
                 "tolerances": {"eigenvalue_tol": spectrum.EIGENVALUE_TOL,
                                "kernel_band":
                                    spectrum.KERNEL_BAND * args.h * args.h}}
-        _emit(_envelope("spectrum", p, report.to_dict(), prov, start))
+        _emit(_envelope(args, p, report.to_dict(), prov, start))
     else:
         print(f"omega = {_format_float(report.omega)}")
         print("lplus_eigenvalues = "
@@ -434,9 +425,7 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_evolve(args) -> int:
-    start = time.perf_counter()
-    p = ModelParams(args.a, args.b, args.m)
+def _cmd_evolve(args, p: ModelParams, start: float) -> int:
     kind, eps = args.perturb
     perturbation = kind if kind == "none" else f"{kind}:{eps!r}"
     diag = evolve_mod.run(p, args.omega, perturbation, args.t_final,
@@ -450,7 +439,7 @@ def _cmd_evolve(args) -> int:
                      "sample_every": args.sample,
                      "perturbation": perturbation},
             "out": args.out}
-    _emit(_envelope("evolve", p, diag.summary(), prov, start))
+    _emit(_envelope(args, p, diag.summary(), prov, start))
     if diag.truncated:
         print(f"kgstab: blow-up: run truncated at t="
               f"{_format_float(diag.truncation_time)}", file=sys.stderr)
@@ -458,15 +447,11 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    start = time.perf_counter()
-    p = ModelParams(args.a, args.b, args.m)
-    if not 1 <= args.n <= MAX_ROWS:
-        raise DomainError(f"--n must lie in [1, {MAX_ROWS}], got {args.n!r}")
+def _cmd_sweep(args, p: ModelParams, start: float) -> int:
     rows = np.rec.fromarrays(stability.sweep_columns(p, args.n),
                              names=["omega", "alpha", "sigma", "d2_sign"])
     if args.json:
-        text = _envelope("sweep", p, {"n": args.n, "rows": rows}, {}, start)
+        text = _envelope(args, p, {"n": args.n, "rows": rows}, {}, start)
     else:
         text = _csv(rows.dtype.names, rows)
     _emit(text, args.out)
@@ -484,6 +469,8 @@ _ERRORS = {
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.  The clock starts here,
+    and the model (None for tau-star) is built here, for every command."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -491,7 +478,10 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        return args.func(args)
+        start = time.perf_counter()
+        p = (None if args.command == "tau-star"
+             else ModelParams(args.a, args.b, args.m))
+        return args.func(args, p, start)
     except tuple(_ERRORS) as exc:
         tag, code = next(entry for family, entry in _ERRORS.items()
                          if isinstance(exc, family))

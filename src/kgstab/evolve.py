@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import _kernels
-from .model import DomainError, ModelParams, g_potential
+from .model import DomainError, ModelParams, as_count, g_potential
 from .soliton import (GridError, SolitonProfile, build_profile,
                       composite_simpson, field_acceleration, half_line)
 
@@ -322,6 +322,7 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
     if not 0.0 < t_final < math.inf:
         raise DomainError(
             f"t_final must be positive and finite, got {t_final!r}")
+    sample_every = as_count("sample_every", sample_every)
     if not sample_every >= 1:
         raise DomainError(f"sample_every must be >= 1, got {sample_every!r}")
     # a step_t that is not positive is refused by FieldState

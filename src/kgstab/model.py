@@ -17,6 +17,7 @@ fused into their steps).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,13 +81,31 @@ class ModelParams:
 
     @cached_property
     def omega_star(self) -> float:
-        """Lower edge of the standing-wave frequency window."""
-        gap = self.m * self.m - self.a * self.a / (2.0 * self.b)
+        """Lower edge of the standing-wave frequency window.
+
+        Raises DomainError where m^2 overflows, which leaves the edge
+        sqrt(m^2 - a^2/(2b)) without a float value.
+        """
+        m2 = self.m * self.m
+        if m2 == math.inf:
+            raise DomainError(f"m^2 overflows at m={self.m!r}: the window "
+                              "edge sqrt(m^2 - a^2/(2b)) has no float value")
+        gap = m2 - self.a * self.a / (2.0 * self.b)
         return math.sqrt(gap) if gap > 0.0 else 0.0
 
     @cached_property
     def window(self) -> FrequencyWindow:
         return FrequencyWindow(self.omega_star, self.m)
+
+
+def as_count(name: str, value) -> int:
+    """``value`` as an int when it is an integer, NumPy's included; raises
+    DomainError for anything else, a float with an integral value too."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(
+            f"{name} must be an integer, got {value!r}") from None
 
 
 def bisect(goes_up, lo: float, hi: float, tol: float) -> float:

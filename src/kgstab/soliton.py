@@ -245,30 +245,26 @@ def energy(profile: SolitonProfile) -> float:
     return 0.5 * w * w * norm2 + 0.5 * grad2 + 0.5 * p.m * p.m * norm2 + g_int
 
 
-def d_second_numeric(p: ModelParams, omega: float,
-                     h_omega: float | None = None) -> float:
+def d_second_numeric(p: ModelParams, omega: float) -> float:
     """Finite-difference d''(omega) with d = E - omega Q from quadrature.
 
-    Centered second difference over ``h_omega`` (default 1e-3 of the window
-    width), of profiles built at step ORACLE_STEP.  This is the independent
-    check on the closed-form sign machinery, so it deliberately goes through
+    Centered second difference over h = 1e-3 of the window width, of
+    profiles built at step ORACLE_STEP; raises DomainError where the stencil
+    [omega - h, omega + h] leaves the window.  This is the independent check
+    on the closed-form sign machinery, so it deliberately goes through
     profile quadrature and nothing else.
     """
     window = p.window
     window.require(omega)
-    if h_omega is None:
-        h_omega = 1e-3 * window.width
-    if not 0.0 < h_omega:
-        raise DomainError(f"h_omega must be positive, got {h_omega!r}")
-    if omega - h_omega <= window.omega_star or omega + h_omega >= window.m:
+    h = 1e-3 * window.width
+    if omega - h <= window.omega_star or omega + h >= window.m:
         raise DomainError(
             f"stencil [omega-h, omega+h] leaves the window for "
-            f"omega={omega!r}, h_omega={h_omega!r}"
+            f"omega={omega!r}, h={h!r}"
         )
 
     def d_of(w: float) -> float:
         prof = build_profile(p, w, ORACLE_STEP)
         return energy(prof) - w * charge(prof)
 
-    return (d_of(omega + h_omega) - 2.0 * d_of(omega)
-            + d_of(omega - h_omega)) / (h_omega * h_omega)
+    return (d_of(omega + h) - 2.0 * d_of(omega) + d_of(omega - h)) / (h * h)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .model import (DomainError, ModelParams, bisect, g_prime_over_s,
-                    g_second)
+from .model import (DomainError, ModelParams, as_count, bisect,
+                    g_prime_over_s, g_second)
 from .soliton import (GridError, closed_form_profile, closed_form_slope,
                       half_line)
 
@@ -37,7 +37,7 @@ from .soliton import (GridError, closed_form_profile, closed_form_slope,
 _COARSE_WIDTH = 1e-3
 # inverse iteration stops at a residual of this many ulps of the matrix scale
 _RESIDUAL_ULPS = 100.0
-# default distance of each returned eigenvalue from the matrix's own
+# distance of each returned eigenvalue from the matrix's own
 EIGENVALUE_TOL = 1e-10
 # eigenvalues within KERNEL_BAND * step^2 of zero are kernel candidates
 KERNEL_BAND = 10.0
@@ -159,9 +159,20 @@ def _inverse_iteration(diag, off, eigenvalue, rng, neighbors) -> np.ndarray:
         # finiteness test below, without a warning on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             w = w / np.abs(w).max()
-            for u in neighbors:
-                w = w - (u @ w) * u
             norm = np.linalg.norm(w)
+            # a projection that cancels most of w leaves rounding errors
+            # along the neighbors as large as what it keeps: project again,
+            # and a second such cancellation leaves no w at all (Kahan's
+            # "twice is enough")
+            for _ in range(2):
+                kept = norm
+                for u in neighbors:
+                    w = w - (u @ w) * u
+                norm = np.linalg.norm(w)
+                if not norm < kept / math.sqrt(2.0):
+                    break
+            else:
+                norm = 0.0
         if not np.isfinite(norm):
             shift += nudge
         if norm == 0.0 or not np.isfinite(norm):
@@ -182,14 +193,15 @@ def _inverse_iteration(diag, off, eigenvalue, rng, neighbors) -> np.ndarray:
     return _positive_peak(v)
 
 
-def _check_k(k: int, n: int) -> None:
+def _check_k(k: int, n: int) -> int:
+    k = as_count("k", k)
     if not 1 <= k <= n:
         raise DomainError(f"k={k!r} out of range for matrix size {n}")
+    return k
 
 
-def lowest_eigenpairs(
-        op: TridiagonalOperator, k: int, tol: float = EIGENVALUE_TOL,
-) -> list[tuple[float, np.ndarray]]:
+def lowest_eigenpairs(op: TridiagonalOperator,
+                      k: int) -> list[tuple[float, np.ndarray]]:
     """The k algebraically smallest eigenpairs, eigenvalues nondecreasing.
 
     The j-th eigenvalue is bracketed upward from the previous one (from the
@@ -198,21 +210,19 @@ def lowest_eigenpairs(
     only until the bracket is about 1e-3 wide.  Inverse iteration with a
     Rayleigh-quotient shift then refines the vector, and the eigenvalue is
     its Rayleigh quotient.  Two Sturm counts accept it when
-    ``count(value - tol) <= j < count(value + tol)``.  When they do not, or
-    the refinement stalls, the bisection width shrinks 1000-fold, down to
-    ``tol``, and the refinement is repeated; :class:`EigensolverError` is
-    raised only after that.
+    ``count(value - tol) <= j < count(value + tol)``, with tol =
+    EIGENVALUE_TOL.  When they do not, or the refinement stalls, the
+    bisection width shrinks 1000-fold, down to tol, and the refinement is
+    repeated; :class:`EigensolverError` is raised only after that.
 
-    So every returned value lies within ``tol`` of the matrix's j-th
+    So every returned value lies within tol of the matrix's j-th
     eigenvalue, as Sturm counts (LAPACK ``dstebz`` convention) place it, and
     the vectors are orthonormal: each is orthogonalized against the earlier
     ones, which keeps apart the members of a cluster that the bracket
     cannot split.  Each vector is positive at its first largest entry.
     """
     n = op.size
-    _check_k(k, n)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    k = _check_k(k, n)
     diag, off = op.diagonal, op.off_diagonal
     radius = np.zeros(n)
     radius[:-1] += np.abs(off)
@@ -240,7 +250,7 @@ def lowest_eigenpairs(
         # an eigenvector of a distant eigenvalue costs one dot product and
         # changes nothing, while a missed cluster member skews the vectors
         earlier = [v for _, v in pairs]
-        width = max(_COARSE_WIDTH, tol)
+        width = _COARSE_WIDTH
         while True:
             shift = bisect(goes_up, lo, hi, width)
             try:
@@ -249,19 +259,20 @@ def lowest_eigenpairs(
                 failure = exc
             else:
                 value = float(vector @ _matvec(diag, off, vector))
-                if goes_up(value - tol) and not goes_up(value + tol):
+                if (goes_up(value - EIGENVALUE_TOL)
+                        and not goes_up(value + EIGENVALUE_TOL)):
                     break
                 failure = EigensolverError(
                     f"eigenpair {j} not confirmed by Sturm counts near "
                     f"{value!r}")
-            if width <= tol:
+            if width <= EIGENVALUE_TOL:
                 raise failure
             # the last bisection bracket lies within width / 2 of shift
             lo, hi = max(lo, shift - width), min(hi, shift + width)
-            width = max(1e-3 * width, tol)
+            width = max(1e-3 * width, EIGENVALUE_TOL)
         pairs.append((value, vector))
-        lo = value - tol  # eigenvalues are nondecreasing
-    # members of a cluster narrower than tol may come out of order
+        lo = value - EIGENVALUE_TOL  # eigenvalues are nondecreasing
+    # members of a cluster narrower than EIGENVALUE_TOL may come out of order
     pairs.sort(key=lambda pair: pair[0])
     return pairs
 
@@ -352,8 +363,8 @@ def spectral_report(p: ModelParams, omega: float, step: float,
 
     Each operator is solved on its parity blocks, built from its rows on the
     lattice's nodes 0 .. N-1: pair j is even for even j and odd for odd j.
-    Each eigenvalue lies within EIGENVALUE_TOL (1e-10), the default ``tol``
-    of ``lowest_eigenpairs``, of the operator's own.  ``x`` is the mirrored
+    Each eigenvalue lies within EIGENVALUE_TOL (1e-10) of the operator's
+    own.  ``x`` is the mirrored
     lattice; each eigenvector on it is exactly even or odd, has unit norm
     and is positive at its largest entry; an odd vector's largest entries
     come in a mirror pair, and the one at x < 0 is positive.
@@ -365,6 +376,7 @@ def spectral_report(p: ModelParams, omega: float, step: float,
     or its slope (L_plus vs R', the second pair, so a ``k`` below 2 raises
     DomainError).
     """
+    k = as_count("k", k)
     if k < 2:
         raise DomainError(f"k must be at least 2, got {k!r}: the L+ kernel "
                           "match needs the second eigenpair")

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (DomainError, FrequencyWindow, ModelParams,
-                    alpha_of_omega, bisect, omega_of_alpha)
+                    alpha_of_omega, as_count, bisect, omega_of_alpha)
 from .soliton import d_second_numeric
 
 # Below this alpha the log/artanh differences are evaluated by series; the
@@ -37,6 +37,7 @@ _SERIES_CUTOFF = 1e-2
 ALPHA_TOL = 1e-12
 # |tau - k2| below which d_second_sign reports 0.
 SIGN_TOL = 1e-10
+MAX_ROWS = 1_000_000  # most rows one sweep may hold
 
 TauStarResult = namedtuple("TauStarResult", "tau_star alpha_d")
 
@@ -172,8 +173,13 @@ def sweep_columns(p: ModelParams, n: int):
     their operand order, elementwise, so every value equals theirs bit for
     bit; the log is taken with math.log because np.log is not correctly
     rounded.  Where the scalar path refuses a row, the scalar functions are
-    evaluated at the first such row and raise its error.
+    evaluated at the first such row and raise its error.  An n that is not
+    an integer in [1, MAX_ROWS] raises DomainError before anything is
+    allocated.
     """
+    n = as_count("n", n)
+    if not 1 <= n <= MAX_ROWS:
+        raise DomainError(f"n must lie in [1, {MAX_ROWS}], got {n!r}")
     window = p.window
     with np.errstate(all="ignore"):
         omega = (window.omega_star

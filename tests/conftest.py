@@ -3,10 +3,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from kgstab import ModelParams, run
+
+# every property test draws the same examples on every run, with no time
+# limit per example and no example database
+settings.register_profile("kgstab", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("kgstab")
 
 
 @pytest.fixture(scope="session")

@@ -47,8 +47,9 @@ _BAD_INPUTS = [
     # a negative number in exponent form is a value, not an option
     (["sigma", "--a", "1", "--b", "1", "--m", "1", "--omega", "-1e-05"],
      "domain-error"),
-    # a derived quantity leaving the float range: 4 b^2 and a^2 underflow,
-    # sigma's scale overflows to nan, tau overflows, sigma overflows
+    # a derived quantity leaving the float range: m^2 overflows (and 4 b^2
+    # underflows), a^2 underflows, sigma's scale overflows to nan, tau
+    # overflows, sigma overflows
     (["sweep", "--a", "8.394974948008668e+132",
       "--b", "1.808559337741882e-163", "--m", "1.4535076851165435e+267",
       "--n", "5", "--json"], "domain-error"),
@@ -309,6 +310,35 @@ def test_classify_csv_keeps_an_overflowed_tau(capsys):
     assert err.startswith("kgstab: domain-error: tau = ")
 
 
+def test_classify_refuses_an_overflowed_m_squared(capsys):
+    # m^2 overflows, and with it the window edge sqrt(m^2 - a^2/(2b))
+    code, out, err = _run(capsys, ["classify", "--a", "1", "--b", "1",
+                                   "--m", "1e200"])
+    assert (code, out) == (3, "")
+    assert err == ("kgstab: domain-error: m^2 overflows at m=1e+200: the "
+                   "window edge sqrt(m^2 - a^2/(2b)) has no float value\n")
+
+
+_MODEL = ["--a", "1", "--b", "1", "--m", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau-star", "--json"],
+    ["classify", *_MODEL, "--no-check", "--json"],
+    ["profile", *_MODEL, "--omega", "0.9", "--h", "0.1", "--json"],
+    ["sigma", *_MODEL, "--omega", "0.9", "--json"],
+    ["spectrum", *_MODEL, "--omega", "0.9", "--h", "0.2", "--L", "5",
+     "--json"],
+    ["evolve", *_MODEL, "--omega", "0.9", "--perturb", "none",
+     "--t-final", "0.1", "--dx", "0.1", "--dt", "0.05", "--out", os.devnull],
+    ["sweep", *_MODEL, "--n", "2", "--json"],
+], ids=lambda argv: argv[0])
+def test_envelope_names_its_subcommand(capsys, argv):
+    envelope = _run_json(capsys, argv, argv[0])
+    assert envelope["params"] == (None if argv[0] == "tau-star"
+                                  else {"a": 1.0, "b": 1.0, "m": 1.0})
+
+
 def test_usage_error_on_missing_argument(capsys):
     code, _, err = _run(capsys, ["classify", "--a", "1", "--b", "1"])
     assert code == 2
@@ -408,13 +438,13 @@ _JSON_VALUES = st.recursive(
     max_leaves=30)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(obj=_JSON_VALUES)
 def test_render_json_equals_the_recursive_renderer(obj):
     assert render_json(obj) == oracles.recursive_render_json(obj)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(values=st.lists(st.tuples(
            st.floats(allow_nan=False, allow_infinity=False),
            st.integers(-2**63, 2**63 - 1)), max_size=20),
@@ -579,7 +609,7 @@ def test_sweep_row_budget(capsys, monkeypatch):
     argv = ["sweep", "--a", "1", "--b", "1", "--m", "2", "--json", "--n"]
     tracemalloc.start()
     try:
-        code, out, err = _run(capsys, argv + [str(cli.MAX_ROWS + 1)])
+        code, out, err = _run(capsys, argv + [str(stability.MAX_ROWS + 1)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -588,7 +618,7 @@ def test_sweep_row_budget(capsys, monkeypatch):
     assert err.startswith("kgstab: domain-error: ")
     assert len(err.splitlines()) == 1
     # the budget counts rows: exactly at it is accepted
-    monkeypatch.setattr(cli, "MAX_ROWS", 5)
+    monkeypatch.setattr(stability, "MAX_ROWS", 5)
     assert len(_run_json(capsys, argv + ["5"], "sweep")["payload"]["rows"]) \
         == 5
     code, out, err = _run(capsys, argv + ["6"])
@@ -614,7 +644,7 @@ def test_degenerate_initial_data_exit_code(capsys, tmp_path, perturbation):
     assert not out_path.exists()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(kind=st.sampled_from(["scale", "bump"]),
        magnitude=st.floats(0.0, 1e300), sign=st.sampled_from([1.0, -1.0]))
 def test_evolve_exit_codes_and_payloads(kind, magnitude, sign):
@@ -665,8 +695,7 @@ def _check_outcome(argv, command):
     assert prefix == "kgstab" and _TAG_CODES[tag] == code and reason
 
 
-_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
-                     database=None)
+_PROPERTY = settings(max_examples=40)
 
 
 @_PROPERTY

@@ -580,7 +580,7 @@ def test_public_calls_on_huge_data_are_quiet(p111):
     assert not all(map(math.isfinite, values))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(kind=st.sampled_from(["scale", "bump"]),
        magnitude=st.floats(0.0, 1e300), sign=st.sampled_from([1.0, -1.0]))
 def test_run_finite_or_domain_error(kind, magnitude, sign):

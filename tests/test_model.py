@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
-from kgstab import (DomainError, ModelParams, alpha_of_omega, g_potential,
-                    g_prime_over_s, g_second, omega_of_alpha, r_star)
+from kgstab import (DomainError, ModelParams, TridiagonalOperator,
+                    alpha_of_omega, g_potential, g_prime_over_s, g_second,
+                    lowest_eigenpairs, omega_of_alpha, r_star, run,
+                    spectral_report)
+from kgstab.stability import sweep_columns
 
 
 def test_rejects_nonpositive_parameters():
@@ -174,3 +177,32 @@ def test_window_is_computed_once():
     p = ModelParams(1, 1, 1)
     assert p.window is p.window
     assert p.omega_star == p.window.omega_star == math.sqrt(0.5)
+
+
+def test_omega_star_refuses_an_overflowed_m_squared():
+    # m > 1.34e154: m^2 is inf, and so would be the window edge
+    p = ModelParams(1.0, 1.0, 1e200)
+    assert p.tau == math.inf  # kept: it still exceeds every k2
+    with pytest.raises(DomainError, match=r"m\^2 overflows at m=1e\+200"):
+        p.window
+    assert ModelParams(1.0, 1.0, 1e154).omega_star == 1e154
+
+
+def test_counts_must_be_integers(p111):
+    # a float count is refused, even one with an integral value; NumPy
+    # integers are counts
+    op = TridiagonalOperator(np.arange(4.0), np.ones(3))
+    calls = [
+        ("sample_every", lambda n: run(p111, 0.9, "none", 0.2,
+                                       sample_every=n, step_x=0.1,
+                                       step_t=0.05)),
+        ("k", lambda n: spectral_report(p111, 0.9, 0.2, half_length=5.0,
+                                        k=n)),
+        ("k", lambda n: lowest_eigenpairs(op, n)),
+        ("n", lambda n: sweep_columns(p111, n)),
+    ]
+    for name, call in calls:
+        for bad in (2.5, 4.0):
+            with pytest.raises(DomainError, match=f"{name} must be an integer"):
+                call(bad)
+        call(np.int64(4))

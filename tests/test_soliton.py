@@ -235,17 +235,17 @@ def test_observables_match_even_extension(p111):
 
 
 def test_d_second_positive_in_convex_regime(p111):
-    assert d_second_numeric(p111, 0.9, 1e-3) > 0.0
-    assert d_second_numeric(p111, 0.9) > 0.0  # default step rule
+    assert d_second_numeric(p111, 0.9) > 0.0
 
 
 def test_d_second_matches_charge_slope(p111):
-    # d'' = -sigma' with sigma = omega ||R||^2
-    h_w = 1e-3
+    # d'' = -sigma' with sigma = omega ||R||^2, both over d_second_numeric's
+    # step of 1e-3 window widths
+    h_w = 1e-3 * p111.window.width
     qp = charge(build_profile(p111, 0.9 + h_w, 0.005))
     qm = charge(build_profile(p111, 0.9 - h_w, 0.005))
     slope = -(qp - qm) / (2.0 * h_w)
-    assert d_second_numeric(p111, 0.9, h_w) == pytest.approx(slope, rel=1e-3)
+    assert d_second_numeric(p111, 0.9) == pytest.approx(slope, rel=1e-3)
 
 
 def test_d_second_sign_tracks_sigma_slope_at_many_points(p111, p112):
@@ -258,10 +258,10 @@ def test_d_second_sign_tracks_sigma_slope_at_many_points(p111, p112):
             qp = charge(build_profile(p, omega + h_w, 0.005))
             qm = charge(build_profile(p, omega - h_w, 0.005))
             sigma_slope = (qp - qm) / (2.0 * h_w)
-            d2 = d_second_numeric(p, omega, 1e-3 * window.width)
+            d2 = d_second_numeric(p, omega)
             assert d2 * (-sigma_slope) > 0.0
 
 
 def test_d_second_stencil_must_fit_window(p111):
-    with pytest.raises(DomainError):
-        d_second_numeric(p111, p111.m - 1e-5, h_omega=1e-3)
+    with pytest.raises(DomainError, match="stencil"):
+        d_second_numeric(p111, p111.m - 1e-5)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from kgstab import (DomainError, ModelParams, OracleDisagreementError,
                     StabilityReport, build_profile, charge, classify,
                     d_second_sign, k1, k2, k2_prime, omega_of_alpha,
                     sigma_closed, tau_star)
-from kgstab.stability import _SERIES_CUTOFF, sweep_columns
+from kgstab.stability import MAX_ROWS, _SERIES_CUTOFF, sweep_columns
 
 
 def test_k1_domain_checks():
@@ -276,20 +277,22 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-# (a, b, m) the scalar sweep refuses: a collapsed window, 4 b^2 underflowing,
-# sigma's scale overflowing to nan, and sigma overflowing to inf
+# (a, b, m) the scalar sweep refuses, in order: a collapsed window, m^2
+# overflowing, a window collapsed by a^2 underflowing, sigma's scale
+# overflowing to nan, sigma overflowing to inf, and 4 b^2 underflowing
 _REFUSED = [
     (1e-8, 1.0, 1.0),
     (8.394974948008668e+132, 1.808559337741882e-163, 1.4535076851165435e+267),
     (2.25938280964016e-282, 1.8514696446890474e-285, 7.038557714902578e+24),
     (1.5252458374853487e+102, 1.0497999790144707e-118, 3.534790557054179e+52),
     (1.000162645918005e+50, 6.0350896144204805e-105, 6.261289151007875e+102),
+    (1e-80, 1e-170, 1.0),
 ]
 # tau ranges: all stable, stable/unstable/stable, all unstable
 _TAU_REGIMES = [(1.5, 3.0), (1.03, 1.12), (0.90, 0.98)]
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(regime=st.sampled_from(_TAU_REGIMES), fraction=st.floats(0.0, 1.0),
        a=st.floats(0.5, 2.0), m=st.floats(0.5, 2.0),
        n=st.integers(1, 20000))
@@ -317,3 +320,16 @@ def test_sweep_columns_refuse_as_the_scalar_sweep(a, b, m):
     refused = _outcome(lambda: sweep_columns(p, 5))
     assert isinstance(refused, tuple) and refused[0] is DomainError
     assert refused == _outcome(lambda: oracles.scalar_sweep(p, 5))
+
+
+def test_sweep_columns_refuse_a_row_count_outside_the_budget(p112):
+    # refused before any row is allocated
+    for n in (0, -1, MAX_ROWS + 1):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="n must lie in"):
+                sweep_columns(p112, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
