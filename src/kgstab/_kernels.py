@@ -29,7 +29,7 @@ def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
     one real weight per node, w = (2 - 2r - dt^2 m^2) + |phi| (3a dt^2
     - 4b dt^2 |phi|) in Horner form: 2 - 2r - dt^2 (m^2 + G'(|phi|)/|phi|),
     with G'(s)/s as ``model.g_prime_over_s`` defines it, folded into the
-    weight (``soliton.field_acceleration`` holds the other copy).  The new
+    weight (``soliton.accelerate_into`` holds the other copy).  The new
     level overwrites prev's storage and the two swap roles; after an odd
     step count one copy-back moves the newest level into ``phi``.
     """
@@ -81,7 +81,10 @@ def sturm_count(diag, off, shift):
 
     Sturm sequence via the LDL^T pivot recurrence.  A pivot inside
     [-pivmin, pivmin] is replaced by -pivmin, so near-singular shifts cannot
-    divide by zero and an eigenvalue equal to ``shift`` is counted.
+    divide by zero and an eigenvalue equal to ``shift`` is counted.  The
+    shifted diagonal is formed in one NumPy pass, which rounds as the
+    scalar d - shift does, and each pivot is compared with the floor once
+    on its way to the count: a NaN pivot is neither floored nor counted.
     """
     # squared off-diagonal with a leading 0: the first pivot is then
     # d - shift - 0/1, which is exactly d - shift
@@ -89,15 +92,18 @@ def sturm_count(diag, off, shift):
     e2[0] = 0.0
     np.square(off, out=e2[1:])
     pivmin = _pivot_floor(e2)
-    shift = float(shift)
+    # an infinite shift overflows d - shift to inf, or to NaN against an
+    # infinite d, as the scalar subtraction does, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = (diag - float(shift)).tolist()
     count = 0
     q = 1.0
-    for d, s in zip(diag.tolist(), e2.tolist()):
-        q = d - shift - s / q
-        if -pivmin <= q <= pivmin:
-            q = -pivmin
-        if q < 0.0:
+    for d, s in zip(shifted, e2.tolist()):
+        q = d - s / q
+        if q <= pivmin:
             count += 1
+            if q >= -pivmin:
+                q = -pivmin
     return count
 
 

@@ -7,23 +7,32 @@ x >= 0 is stored and stepped, with the mirror condition phi(-h) = phi(h) at
 the centre.  Runs record conserved quantities and the phase-minimized
 distance to the standing wave orbit, which is the empirical counterpart of
 the stability verdicts from the classifier.  The field lives on its
-profile's lattice (see ``soliton``): an even interval count, half-line
-Simpson sums doubled, the profile's field operator, and R and omega from the
-profile's samples.
+profile's lattice (see ``soliton``): an even interval count, the profile's
+field operator, and R and omega from the profile's samples.
+
+``run`` allocates its two time levels once and the kernel steps them in
+place.  One sampler per run holds the profile's doubled composite Simpson
+weights, the orbit's side of the distance and its own buffers; per sample
+it forms |phi|, psi and phi_x once, and takes every integral as a weighted
+dot product of those arrays.  The sums run in another order than
+``composite_simpson``'s, so the diagnostics differ from its in the last
+digits: energy and charge by at most 1e-14 relative (worst measured 7.1e-15
+and 1.2e-15), the squared distance by at most 1e-14 of the orbit's squared
+norm (worst measured 5.5e-15).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
 from .model import DomainError, ModelParams, as_count, g_potential
-from .soliton import (GridError, SolitonProfile, build_profile,
-                      composite_simpson, field_acceleration, half_line)
+from .soliton import (GridError, SolitonProfile, accelerate_into,
+                      build_profile, field_acceleration, half_line)
 
 # Amplitude guard: a run whose sup exceeds this many times R(0) has left any
 # neighbourhood of the orbit and is about to overflow; record and stop.
@@ -101,7 +110,13 @@ class FieldState:
         return self.steps * self.step_t
 
     @cached_property
-    @_quiet
+    def _fields(self) -> _Sampler:
+        """A sampler whose buffers hold this state's |phi|, psi and phi_x."""
+        sampler = _Sampler(self.profile, self.step_t)
+        sampler.fields(self.phi, self.phi_prev)
+        return sampler
+
+    @property
     def velocity(self) -> np.ndarray:
         """d/dt phi at the current level, shared by the diagnostics.
 
@@ -110,30 +125,34 @@ class FieldState:
         + (dt/2) phi_tt(phi^n).  It reads the two stored levels and steps
         nothing.
         """
-        dt = self.step_t
-        prof = self.profile
-        return ((self.phi - self.phi_prev) / dt
-                + 0.5 * dt * field_acceleration(self.phi, prof.step,
-                                                prof.params))
+        return self._fields.psi
 
-    @cached_property
+    @property
     def phi_x(self) -> np.ndarray:
         """d/dx phi, shared by the diagnostics."""
-        return _gradient(self.phi, self.profile.step)
+        return self._fields.phi_x
 
-    @cached_property
-    @_quiet
+    @property
     def magnitude(self) -> np.ndarray:
         """|phi|, shared by the amplitude guard and the diagnostics."""
-        return np.abs(self.phi)
+        return self._fields.mag
 
 
-def _gradient(values: np.ndarray, step: float) -> np.ndarray:
+def _gradient(values: np.ndarray, step: float,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Centred first derivative of an even function sampled on x >= 0; it
-    vanishes at the centre, as the mirror requires."""
-    grad = np.gradient(values, step)
-    grad[0] = 0.0
-    return grad
+    vanishes at the centre, as the mirror requires.
+
+    ``np.gradient``'s operations (one-sided at the Dirichlet end), written
+    into ``out`` when it is given.
+    """
+    if out is None:
+        out = np.empty_like(values)
+    np.subtract(values[2:], values[:-2], out=out[1:-1])
+    np.divide(out[1:-1], 2.0 * step, out=out[1:-1])
+    out[-1] = (values[-1] - values[-2]) / step
+    out[0] = 0.0
+    return out
 
 
 def _guard(profile: SolitonProfile) -> float:
@@ -186,53 +205,116 @@ def _advance(state: FieldState, n_steps: int) -> tuple[FieldState, int]:
     return new, taken
 
 
-@_quiet
+class _Sampler:
+    """The diagnostics of every state on one profile's lattice, built once.
+
+    It holds the doubled composite Simpson weights W of the half-line, the
+    orbit's side of the distance (R, R', the orbit's velocity -i omega R and
+    its squared norm), the tail sensor's first node and the buffers of one
+    state's |phi|, psi and phi_x.  ``fields`` fills those buffers with the
+    operations of ``field_acceleration`` and ``np.gradient``, so psi and
+    phi_x are bitwise theirs; ``integrals`` takes every integral as a
+    weighted dot product on them.
+    """
+
+    def __init__(self, profile: SolitonProfile, step_t: float):
+        h = profile.step
+        p = profile.params
+        n = profile.values.size
+        self.profile = profile
+        self.step_t = step_t
+        self.m2 = p.m * p.m
+        # 2 x composite Simpson: (2h/3) (1, 4, 2, 4, ..., 2, 4, 1)
+        w = np.full(n, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        w *= 2.0 * h / 3.0
+        self.weights = w
+        self.weights2 = np.repeat(w, 2)  # on a complex array's real view
+        # the orbit (R, -i omega R): its pairing with a state is
+        # vdot(W m^2 R, phi) + vdot(W R', phi_x) + vdot(W (-i omega R), psi)
+        omega = profile.omega
+        r = profile.values
+        r_x = _gradient(r, h)
+        w_r, w_r_x = w * r, w * r_x
+        self.norm = float(np.dot(w_r, (self.m2 + omega * omega) * r)
+                          + np.dot(w_r_x, r_x))
+        self.orbit_phi = (self.m2 * w_r).astype(complex)
+        self.orbit_phi_x = w_r_x.astype(complex)
+        self.orbit_psi = -1j * omega * w_r
+        self.tail = int(np.argmax(profile.x
+                                  >= profile.half_length - _TAIL_MARGIN))
+        self.mag = np.empty(n)
+        self.psi = np.empty(n, dtype=complex)
+        self.phi_x = np.empty(n, dtype=complex)
+        self._acc = np.zeros(n, dtype=complex)  # the end entry stays 0
+        self._force = np.empty(n - 1, dtype=complex)
+        self._weight = np.empty(n - 1)
+        self._scratch = np.empty(n - 1)
+        self._weighted = np.empty(2 * n)
+
+    @_quiet
+    def fields(self, phi: np.ndarray, phi_prev: np.ndarray) -> None:
+        """Fill ``mag``, ``psi`` and ``phi_x`` from the two levels.
+
+        psi is ``FieldState.velocity``: (phi - phi_prev) / dt
+        + (dt/2) phi_tt(phi), the acceleration read from |phi| formed once.
+        """
+        dt = self.step_t
+        prof = self.profile
+        np.abs(phi, out=self.mag)
+        accelerate_into(self._acc, phi, self.mag[:-1], prof.step,
+                        prof.params, self._force, self._weight,
+                        self._scratch)
+        np.multiply(0.5 * dt, self._acc, out=self._acc)
+        np.subtract(phi, phi_prev, out=self.psi)
+        np.divide(self.psi, dt, out=self.psi)
+        np.add(self.psi, self._acc, out=self.psi)
+        _gradient(phi, prof.step, out=self.phi_x)
+
+    @_quiet
+    def integrals(self, phi: np.ndarray) -> tuple:
+        """(energy, charge, orbital distance, sup |phi|, sup |phi| over the
+        tail sensor) of the state whose ``fields`` the buffers hold."""
+        w2 = self._weighted
+        psi_r = self.psi.view(float)
+        np.multiply(self.weights2, psi_r, out=w2)
+        kinetic = np.dot(w2, psi_r)                        # ||psi||^2
+        pairing = np.vdot(phi, w2.view(complex))           # <phi, psi>
+        phi_x_r = self.phi_x.view(float)
+        np.multiply(self.weights2, phi_x_r, out=w2)
+        gradient = np.dot(w2, phi_x_r)                     # ||phi'||^2
+        mag = self.mag
+        w_mag = np.multiply(self.weights, mag, out=w2[:mag.size])
+        mass = np.dot(w_mag, mag)                          # ||phi||^2
+        potential = np.dot(self.weights,
+                           g_potential(self.profile.params, mag))
+        energy = 0.5 * (kinetic + gradient + self.m2 * mass) + potential
+        norm_u = self.m2 * mass + gradient + kinetic
+        z = (np.vdot(self.orbit_phi, phi) + np.vdot(self.orbit_phi_x,
+                                                    self.phi_x)
+             + np.vdot(self.orbit_psi, self.psi))
+        # max(d2, 0.0) passes a NaN on, where max(0.0, d2) would return 0.0
+        distance = math.sqrt(max(norm_u + self.norm - 2.0 * abs(z), 0.0))
+        return (float(energy), float(-pairing.imag), distance,
+                float(mag.max()), float(mag[self.tail:].max()))
+
+    def __call__(self, phi: np.ndarray, phi_prev: np.ndarray) -> tuple:
+        """``integrals`` of the state (phi, phi_prev)."""
+        self.fields(phi, phi_prev)
+        return self.integrals(phi)
+
+
 def field_energy(state: FieldState) -> float:
     """E = 1/2 ||psi||^2 + 1/2 ||phi'||^2 + 1/2 m^2 ||phi||^2 + int G(|phi|)."""
-    p = state.profile.params
-    mag = state.magnitude
-    density = (0.5 * np.abs(state.velocity)**2
-               + 0.5 * np.abs(state.phi_x)**2
-               + 0.5 * p.m * p.m * mag**2
-               + g_potential(p, mag))
-    return 2.0 * composite_simpson(density, state.profile.step)
+    return state._fields.integrals(state.phi)[0]
 
 
-@_quiet
 def field_charge(state: FieldState) -> float:
     """Q = -Im int psi conj(phi) dx."""
-    pairing = composite_simpson(state.velocity * np.conj(state.phi),
-                                state.profile.step)
-    return -2.0 * pairing.imag
+    return state._fields.integrals(state.phi)[1]
 
 
-@dataclass(frozen=True, eq=False)
-class _Orbit:
-    """The standing wave's side of the orbital distance on its lattice."""
-
-    m2: float
-    r: np.ndarray
-    r_x: np.ndarray
-    psi: np.ndarray  # the orbit's velocity conjugated: conj(-i omega R)
-    norm: float      # m^2 ||R||^2 + ||R'||^2 + omega^2 ||R||^2
-
-
-@lru_cache(maxsize=1)
-def _orbit(profile: SolitonProfile) -> _Orbit:
-    """The orbit's side; it depends on the profile only, so a run builds it
-    once."""
-    h = profile.step
-    omega = profile.omega
-    p = profile.params
-    m2 = p.m * p.m
-    r = profile.values
-    r_x = _gradient(r, h)
-    norm = 2.0 * composite_simpson((m2 + omega * omega) * r**2 + r_x**2, h)
-    return _Orbit(m2=m2, r=r, r_x=r_x, psi=np.conj(-1j * omega * r),
-                  norm=norm)
-
-
-@_quiet
 def orbital_distance(state: FieldState) -> float:
     """Phase-minimized distance from the state to its profile's orbit.
 
@@ -241,16 +323,7 @@ def orbital_distance(state: FieldState) -> float:
     -i omega R)|| in the norm m^2||.||^2 + ||.'||^2 + ||.||^2; the minimum
     is closed-form: sqrt(||u||^2 + ||v||^2 - 2|z|) with z the mixed pairing.
     """
-    orbit = _orbit(state.profile)
-    h = state.profile.step
-    psi = state.velocity
-    phi_x = state.phi_x
-    norm_u = 2.0 * composite_simpson(
-        orbit.m2 * state.magnitude**2 + np.abs(phi_x)**2 + np.abs(psi)**2, h)
-    z = 2.0 * composite_simpson(
-        orbit.m2 * state.phi * orbit.r + phi_x * orbit.r_x + psi * orbit.psi, h)
-    # max(d2, 0.0) passes a NaN on, where max(0.0, d2) would return 0.0
-    return math.sqrt(max(norm_u + orbit.norm - 2.0 * abs(z), 0.0))
+    return state._fields.integrals(state.phi)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,14 +365,6 @@ class Diagnostics:
         }
 
 
-def _sample(state: FieldState, tail: np.ndarray) -> tuple:
-    """(time, energy, charge, orbital distance, sup |phi|, sup |phi| over
-    the ``tail`` nodes) of one state."""
-    mag = state.magnitude
-    return (state.time, field_energy(state), field_charge(state),
-            orbital_distance(state), float(mag.max()), float(mag[tail].max()))
-
-
 def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
         sample_every: int = 50, step_x: float = 0.02, step_t: float = 0.01,
         extra_half_length: float = 20.0) -> Diagnostics:
@@ -336,9 +401,11 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
     end = float(half_line(p, omega, step_x)[-1]) + extra_half_length
     profile = build_profile(p, omega, step_x, half_length=end)
     state = init_state(profile, perturbation, step_t)
-    tail_nodes = profile.x >= profile.half_length - _TAIL_MARGIN
-    samples = [_sample(state, tail_nodes)]
-    _, e0, q0, d0, *_ = samples[0]
+    sampler = _Sampler(profile, state.step_t)
+    # the run's two levels, stepped in place; the state keeps its own
+    phi, phi_prev = state.phi.copy(), state.phi_prev.copy()
+    samples = [sampler(phi, phi_prev)]
+    e0, q0, d0, *_ = samples[0]
     if not all(map(math.isfinite, samples[0])) or e0 == 0.0 or q0 == 0.0:
         raise DomainError(
             f"perturbation {perturbation!r} gives t = 0 energy {e0!r}, "
@@ -346,20 +413,25 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
             "energy and charge nonzero")
 
     total_steps = int(math.ceil(t_final / step_t - 1e-9))
-    guard = _guard(profile)
+    m2, guard = p.m * p.m, _guard(profile)
     truncation_time = None
     done = 0
+    sampled = [done]
     while done < total_steps:
         batch = min(sample_every, total_steps - done)
-        state, taken = _advance(state, batch)
-        done += taken
+        done += int(_kernels.leapfrog_steps(
+            phi, phi_prev, batch, profile.step, state.step_t, m2, p.a, p.b,
+            guard))
+        sample = sampler(phi, phi_prev)
         # the guard may trip on a batch's last step, where taken == batch
-        if not state.magnitude.max() <= guard:
-            truncation_time = state.time
+        if not sample[3] <= guard:
+            truncation_time = done * state.step_t
             break
-        samples.append(_sample(state, tail_nodes))
+        sampled.append(done)
+        samples.append(sample)
 
-    times, energy, charge, dist, sup, tail = map(np.asarray, zip(*samples))
+    times = np.asarray(sampled) * state.step_t  # whole steps, as state.time
+    energy, charge, dist, sup, tail = map(np.asarray, zip(*samples))
     exceeded = np.flatnonzero(tail > _TAIL_LEVEL)
     return Diagnostics(
         times=times, energy=energy, charge=charge, orbital_distance=dist,

@@ -175,19 +175,46 @@ def field_acceleration(phi: np.ndarray, step: float,
     """Discrete phi_tt of the field equation for an even field on x >= 0.
 
     phi_tt = phi_xx - (m^2 + G'(|phi|)/|phi|) phi, with G'(s)/s as defined
-    by ``model.g_prime_over_s``; the force is written out here, fused with
-    the mass term, and the leapfrog kernel holds the other copy.  The centre
-    reads its left neighbour from the mirror phi(-h) = phi(h); the last node
-    is the Dirichlet end, whose value is 0.  Real samples give a real array
-    and complex samples a complex one.
+    by ``model.g_prime_over_s``; the force is written out in
+    ``accelerate_into``, fused with the mass term, and the leapfrog kernel
+    holds the other copy.  The centre reads its left neighbour from the
+    mirror phi(-h) = phi(h); the last node is the Dirichlet end, whose value
+    is 0.  Real samples give a real array and complex samples a complex one.
     """
     acc = np.zeros_like(phi)
     inner = phi[:-1]
-    left = np.concatenate((phi[1:2], phi[:-2]))
-    mag = np.abs(inner)
-    acc[:-1] = (phi[1:] - 2.0 * inner + left) / (step * step)
-    acc[:-1] += (-p.m * p.m + 3.0 * p.a * mag - 4.0 * p.b * mag * mag) * inner
+    weight = np.empty(inner.shape)
+    accelerate_into(acc, phi, np.abs(inner), step, p, np.empty_like(inner),
+                    weight, np.empty_like(weight))
     return acc
+
+
+def accelerate_into(acc: np.ndarray, phi: np.ndarray, mag: np.ndarray,
+                    step: float, p: ModelParams, force: np.ndarray,
+                    weight: np.ndarray, scratch: np.ndarray) -> None:
+    """Write ``field_acceleration(phi, step, p)`` into ``acc[:-1]``, given
+    ``mag`` = |phi[:-1]|; ``acc[-1]`` is the caller's to keep at 0.
+
+    The operations of (phi[1:] - 2 phi + left) / h^2 + (-m^2 + 3a|phi|
+    - 4b|phi|^2) phi in their written order, into buffers: ``force`` has
+    phi's dtype and ``weight`` and ``scratch`` are real, one entry per node
+    short of the end.  A caller that holds the buffers (``evolve``'s
+    sampler) allocates nothing per call.
+    """
+    inner = phi[:-1]
+    lap = acc[:-1]
+    np.multiply(2.0, inner, out=lap)
+    np.subtract(phi[1:], lap, out=lap)
+    np.add(lap[:1], phi[1:2], out=lap[:1])  # the mirror: phi(-h) = phi(h)
+    np.add(lap[1:], phi[:-2], out=lap[1:])
+    np.divide(lap, step * step, out=lap)
+    np.multiply(3.0 * p.a, mag, out=weight)
+    np.add(-p.m * p.m, weight, out=weight)
+    np.multiply(4.0 * p.b, mag, out=scratch)
+    np.multiply(scratch, mag, out=scratch)
+    np.subtract(weight, scratch, out=weight)
+    np.multiply(weight, inner, out=force)
+    np.add(lap, force, out=lap)
 
 
 def composite_simpson(values: np.ndarray, step: float) -> float | complex:

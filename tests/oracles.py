@@ -7,15 +7,16 @@ special functions from truncated series, extrema from golden-section search.
 Expected values in the tests are produced by these routines, not copied from
 the implementation under test.
 
-The exceptions are the last six sections.  One holds reference forms of
-the package's kernels, written as plain index loops or with fresh
-temporaries each step.  They do the same arithmetic in the same order, so
-the tests demand bitwise equality with them; the index-order
-``leapfrog_steps`` is the earlier leapfrog kernel, the reference for the
-stated tolerance of the regrouped one.  Two keep the package's earlier
-eigen path and its earlier full-grid evolution, the references for the
-stated tolerances of the faster paths that replaced them.  One keeps the
-operators' earlier full-grid assembly, which the package's assembly on
+The exceptions are the last seven sections.  One holds reference forms of
+the package's kernels, written as plain index loops, as the earlier
+element-by-element Sturm loop, or with fresh temporaries each step.  They
+do the same arithmetic in the same order, so the tests demand bitwise
+equality with them; the index-order ``leapfrog_steps`` is the earlier
+leapfrog kernel, the reference for the stated tolerance of the regrouped
+one.  Three keep the package's earlier eigen path, its earlier full-grid
+evolution and its earlier composite-Simpson diagnostics, the references for
+the stated tolerances of the faster paths that replaced them.  One keeps
+the operators' earlier full-grid assembly, which the package's assembly on
 the profile's lattice must equal bitwise at the same Dirichlet end.  The
 last two keep the earlier row-by-row ``sweep`` and the earlier recursive
 JSON renderer, which the columnar sweep and the one-buffer renderer must
@@ -30,9 +31,10 @@ import numpy as np
 
 from kgstab import (GridError, ModelParams, TridiagonalOperator, _kernels,
                     alpha_of_omega, build_profile, closed_form_profile,
-                    composite_simpson, d_second_sign, parse_perturbation,
-                    sigma_closed)
-from kgstab.soliton import require_node_budget
+                    composite_simpson, d_second_sign, g_potential,
+                    parse_perturbation, sigma_closed)
+from kgstab.evolve import _advance
+from kgstab.soliton import field_acceleration, require_node_budget
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-14,
@@ -152,6 +154,25 @@ def sturm_count(diag, off, shift):
         if i > 0:
             q = diag[i] - shift - off[i - 1] * off[i - 1] / q
         if abs(q) <= pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def sturm_count_elementwise(diag, off, shift):
+    """The earlier ``_kernels.sturm_count`` loop, verbatim: d - shift
+    formed per row, and the floor and the sign tested separately."""
+    e2 = np.empty(diag.shape[0])
+    e2[0] = 0.0
+    np.square(off, out=e2[1:])
+    pivmin = _SAFE_MIN * max(1.0, float(np.max(e2, initial=0.0)))
+    shift = float(shift)
+    count = 0
+    q = 1.0
+    for d, s in zip(diag.tolist(), e2.tolist()):
+        q = d - shift - s / q
+        if -pivmin <= q <= pivmin:
             q = -pivmin
         if q < 0.0:
             count += 1
@@ -438,6 +459,124 @@ def full_grid_run(p, omega, perturbation, t_final, sample_every=50,
         out[key] = np.asarray(out[key])
     out["norm_v"] = norm_v
     return out
+
+
+# --- the diagnostics before the sampler -------------------------------------
+#
+# The package's earlier ``FieldState`` fields, ``field_energy``,
+# ``field_charge`` and ``orbital_distance``, verbatim but for reading the
+# fields through the functions below: a fresh array per field and per
+# density, and every integral by composite Simpson doubled.  They are the
+# reference for the stated tolerance of the sampler's weighted dot products;
+# ``sampled_run`` is the earlier ``run`` loop around them, a new state per
+# batch.
+
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet
+def velocity(state):
+    """(phi^n - phi^{n-1}) / dt + (dt/2) phi_tt(phi^n)."""
+    dt = state.step_t
+    prof = state.profile
+    return ((state.phi - state.phi_prev) / dt
+            + 0.5 * dt * field_acceleration(state.phi, prof.step,
+                                            prof.params))
+
+
+def phi_x(state):
+    """np.gradient of phi, 0 at the centre."""
+    grad = np.gradient(state.phi, state.profile.step)
+    grad[0] = 0.0
+    return grad
+
+
+@_quiet
+def magnitude(state):
+    return np.abs(state.phi)
+
+
+@_quiet
+def field_energy(state) -> float:
+    p = state.profile.params
+    mag = magnitude(state)
+    density = (0.5 * np.abs(velocity(state))**2
+               + 0.5 * np.abs(phi_x(state))**2
+               + 0.5 * p.m * p.m * mag**2
+               + g_potential(p, mag))
+    return 2.0 * composite_simpson(density, state.profile.step)
+
+
+@_quiet
+def field_charge(state) -> float:
+    pairing = composite_simpson(velocity(state) * np.conj(state.phi),
+                                state.profile.step)
+    return -2.0 * pairing.imag
+
+
+def orbit(profile) -> dict:
+    """The orbit's side: m^2, R, R', conj(-i omega R) and the squared norm
+    m^2 ||R||^2 + ||R'||^2 + omega^2 ||R||^2."""
+    h = profile.step
+    omega = profile.omega
+    p = profile.params
+    m2 = p.m * p.m
+    r = profile.values
+    r_x = np.gradient(r, h)
+    r_x[0] = 0.0
+    norm = 2.0 * composite_simpson((m2 + omega * omega) * r**2 + r_x**2, h)
+    return {"m2": m2, "r": r, "r_x": r_x, "psi": np.conj(-1j * omega * r),
+            "norm": norm}
+
+
+@_quiet
+def orbital_distance(state) -> float:
+    side = orbit(state.profile)
+    h = state.profile.step
+    psi = velocity(state)
+    grad = phi_x(state)
+    norm_u = 2.0 * composite_simpson(
+        side["m2"] * magnitude(state)**2 + np.abs(grad)**2
+        + np.abs(psi)**2, h)
+    z = 2.0 * composite_simpson(
+        side["m2"] * state.phi * side["r"] + grad * side["r_x"]
+        + psi * side["psi"], h)
+    return math.sqrt(max(norm_u + side["norm"] - 2.0 * abs(z), 0.0))
+
+
+def sampled_run(state, t_final, sample_every=50) -> dict:
+    """The earlier ``run`` loop from its initial ``state``, as a dict of the
+    ``Diagnostics`` fields plus ``norm_v``, the orbit's squared norm."""
+    profile = state.profile
+    tail = profile.x >= profile.half_length - 5.0
+    guard = 1e3 * float(profile.values[0])
+
+    def sample(s):
+        mag = magnitude(s)
+        return (s.time, field_energy(s), field_charge(s),
+                orbital_distance(s), float(mag.max()), float(mag[tail].max()))
+
+    samples = [sample(state)]
+    total = int(math.ceil(t_final / state.step_t - 1e-9))
+    truncation_time = None
+    done = 0
+    while done < total:
+        state, taken = _advance(state, min(sample_every, total - done))
+        done += taken
+        if not magnitude(state).max() <= guard:
+            truncation_time = state.time
+            break
+        samples.append(sample(state))
+    times, energy, charge, dist, sup, tail_sup = map(np.asarray,
+                                                     zip(*samples))
+    exceeded = np.flatnonzero(tail_sup > 1e-8)
+    return {"times": times, "energy": energy, "charge": charge,
+            "orbital_distance": dist, "sup_amplitude": sup,
+            "truncated": truncation_time is not None,
+            "truncation_time": truncation_time,
+            "tail_first_exceed":
+                float(times[exceeded[0]]) if exceeded.size else None,
+            "norm_v": orbit(profile)["norm"]}
 
 
 # --- the operators' grid before the shared lattice --------------------------

@@ -467,7 +467,7 @@ def test_run_within_tolerance_of_index_order_kernel(name, monkeypatch):
     p, omega, perturbation, t_final, kwargs = _GATE_RUNS[name]
     caught = _spy_init_state(monkeypatch)
     diag = run(p, omega, perturbation, t_final, **kwargs)
-    norm_v = evolve._orbit(caught[0].profile).norm
+    norm_v = caught[0]._fields.norm  # the orbit's squared norm
     with monkeypatch.context() as patch:
         patch.setattr(evolve._kernels, "leapfrog_steps",
                       oracles.leapfrog_steps)
@@ -476,6 +476,93 @@ def test_run_within_tolerance_of_index_order_kernel(name, monkeypatch):
     _assert_within(diag, ref, norm_v, _REGROUPED_REL, _REGROUPED_D2)
     assert diag.truncated == (name == "truncating")
     assert (diag.tail_first_exceed is not None) == (name == "tail-sensor")
+
+
+# The sampler's weighted dot products against the earlier composite-Simpson
+# diagnostics (``oracles.sampled_run``) on the same levels.  Worst cases
+# measured on these runs, the evolve benchmark's jobs (seeds 1-3) and the
+# states below: 7.1e-15 relative on energy (a tau < 1 run, whose energy is
+# 8x smaller than its terms), 1.2e-15 on charge, and 5.5e-15 of the orbit's
+# squared norm on d^2 (a bump of 0.49).  Sup amplitudes, times and events
+# are the same bits.
+_SAMPLED_REL = 1e-14
+_SAMPLED_D2 = 1e-14
+
+
+def _assert_sampled_like(diag, ref):
+    _assert_within(diag, ref, ref["norm_v"], _SAMPLED_REL, _SAMPLED_D2)
+    assert diag.times.tobytes() == ref["times"].tobytes()
+    assert diag.sup_amplitude.tobytes() == ref["sup_amplitude"].tobytes()
+
+
+@pytest.mark.parametrize("name", list(_GATE_RUNS))
+def test_run_within_tolerance_of_composite_simpson_samples(name,
+                                                           monkeypatch):
+    p, omega, perturbation, t_final, kwargs = _GATE_RUNS[name]
+    caught = _spy_init_state(monkeypatch)
+    diag = run(p, omega, perturbation, t_final, **kwargs)
+    ref = oracles.sampled_run(caught[0], t_final, kwargs["sample_every"])
+    _assert_sampled_like(diag, ref)
+
+
+_WAVES = [(p, omega) for p, omega, *_ in _GATE_RUNS.values()] + [
+    (ModelParams(1.0, 1.0, math.sqrt(0.55)), 0.45),
+    (ModelParams(1.0, 1.0, 0.7), 0.07),
+]
+
+
+@settings(max_examples=40)
+@given(wave=st.sampled_from(_WAVES), kind=st.sampled_from(["scale", "bump"]),
+       eps=st.floats(-0.5, 0.5), steps=st.integers(0, 80))
+def test_sampler_within_tolerance_of_composite_simpson(wave, kind, eps,
+                                                       steps):
+    p, omega = wave
+    prof = build_profile(p, omega, 0.05)
+    state, _ = _advance(init_state(prof, f"{kind}:{eps!r}", 0.02), steps)
+    energy, charge, distance, sup, tail = evolve._Sampler(prof, 0.02)(
+        state.phi, state.phi_prev)
+    want = oracles.field_energy(state)
+    assert abs(energy - want) <= _SAMPLED_REL * abs(want)
+    want = oracles.field_charge(state)
+    assert abs(charge - want) <= _SAMPLED_REL * abs(want)
+    want = oracles.orbital_distance(state)
+    norm_v = oracles.orbit(prof)["norm"]
+    assert abs(distance**2 - want**2) <= _SAMPLED_D2 * norm_v
+    mag = oracles.magnitude(state)
+    assert sup == float(mag.max())
+    assert tail == float(mag[prof.x >= prof.half_length - 5.0].max())
+
+
+@pytest.mark.parametrize("perturbation, batches", [
+    ("none", (0, 1, 6)), ("bump:-200", (0, 1, 6)), ("scale:1e300", (0,))])
+def test_state_fields_are_the_earlier_bits(p111, perturbation, batches):
+    # psi and phi_x come from the sampler's buffers by the operations of
+    # field_acceleration and np.gradient; the huge start overflows in them
+    state = _fresh_state(p111, 0.9, perturbation)
+    for steps in batches:
+        ahead, _ = _advance(state, steps)
+        for field in ("velocity", "phi_x", "magnitude"):
+            got, want = getattr(ahead, field), getattr(oracles, field)(ahead)
+            assert got.tobytes() == want.tobytes(), field
+
+
+def test_run_steps_one_pair_of_levels_in_place(p111, monkeypatch):
+    # every batch steps the same two arrays; the initial state keeps its own
+    levels = []
+    kernel = evolve._kernels.leapfrog_steps
+
+    def spy(phi, phi_prev, *args):
+        levels.append((phi, phi_prev))
+        return kernel(phi, phi_prev, *args)
+
+    caught = _spy_init_state(monkeypatch)
+    monkeypatch.setattr(evolve._kernels, "leapfrog_steps", spy)
+    run(p111, 0.9, "bump:0.05", 1.0, sample_every=30)
+    assert len(levels) == 4
+    assert all(pair[0] is levels[0][0] and pair[1] is levels[0][1]
+               for pair in levels)
+    assert not np.shares_memory(levels[0][0], caught[0].phi)
+    assert not np.shares_memory(levels[0][1], caught[0].phi_prev)
 
 
 def test_run_distance_equals_public_orbital_distance(p111, monkeypatch):

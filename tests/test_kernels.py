@@ -1,9 +1,12 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgstab
 import oracles
@@ -86,6 +89,41 @@ def test_sturm_count_equals_reference(n):
     for diag, off, shift in _ZERO_PIVOT_CASES:
         assert (_kernels.sturm_count(diag, off, shift)
                 == oracles.sturm_count(diag, off, shift))
+
+
+# entries whose scales span the double range, subnormal included: pivots
+# that underflow, overflow or land on the floor
+_SPAN_ENTRIES = [0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 3.0, 1e-10, 1e-20, 1e-38,
+                 1e-300, 5e-324]
+
+
+@st.composite
+def _spanning_tridiagonals(draw):
+    n = draw(st.integers(2, 6))
+    entries = st.sampled_from(_SPAN_ENTRIES)
+    diag = draw(st.lists(entries, min_size=n, max_size=n))
+    off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    shift = draw(st.one_of(entries, st.floats()))  # NaN and +-inf included
+    return np.array(diag), np.array(off), shift
+
+
+@settings(max_examples=400)
+@given(case=_spanning_tridiagonals())
+def test_sturm_count_equals_the_elementwise_loop(case):
+    diag, off, shift = case
+    assert (_kernels.sturm_count(diag, off, shift)
+            == oracles.sturm_count_elementwise(diag, off, shift))
+
+
+@pytest.mark.parametrize("shift", [math.inf, -math.inf, math.nan])
+def test_sturm_count_at_a_non_finite_shift_is_quiet(shift):
+    # d - shift overflows, or meets an infinite d, in the NumPy pass; the
+    # suite turns any RuntimeWarning into an error
+    for diag in (np.array([np.inf, 1.0, -np.inf]), np.array([1e308, -1e308,
+                                                             0.0])):
+        off = np.array([1.0, 1e-300])
+        assert (_kernels.sturm_count(diag, off, shift)
+                == oracles.sturm_count_elementwise(diag, off, shift))
 
 
 def _reference_solve(diag, off, rhs):

@@ -16,8 +16,9 @@ from kgstab import (DomainError, EigensolverError, GridError, ModelParams,
                     eigenvalue_count_below, lowest_eigenpairs, r_star, soliton,
                     spectral_report, spectrum)
 from kgstab.soliton import half_line
-from kgstab.spectrum import (_cosine_match, _half_line_rows, _inverse_iteration,
-                             _matvec, _mirror, _parity_blocks)
+from kgstab.spectrum import (EIGENVALUE_TOL, _cosine_match, _half_line_rows,
+                             _inverse_iteration, _matvec, _mirror,
+                             _parity_blocks)
 
 # one wave per tau regime: tau = 2 (all stable), 1.1 (mixed window) and 0.98
 WAVES = [((1.0, 1.0, 1.0), 0.9), ((1.0, 1.0, math.sqrt(0.55)), 0.6),
@@ -556,6 +557,27 @@ def test_lowest_eigenpairs_weakly_coupled_node():
     ref = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
     assert np.abs(np.array([val for val, _ in pairs]) - ref[:4]).max() \
         <= 1e-10
+
+
+# Two eigenpairs about EIGENVALUE_TOL apart: the Sturm confirmation accepts
+# any value within the tolerance of the lowest eigenvalue, so the refinement
+# settles on the neighbour.  [3, 3, 3] returns 3.0, 1.00000008e-10 above
+# the lowest; [1e-300, 2, 1e-10] returns 9.99999999e-11, within the
+# tolerance of the lowest (-5e-41) but with the neighbour's vector (~e3,
+# where the lowest's is ~e1).
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the refinement settles on the neighbouring pair")
+@pytest.mark.parametrize("diag, off", [
+    ([3.0, 3.0, 3.0], [1e-300, 1e-10]),
+    ([1e-300, 2.0, 1e-10], [1e-20, 1e-20]),
+])
+def test_lowest_eigenpair_is_not_its_neighbour(diag, off):
+    diag, off = np.array(diag), np.array(off)
+    [(value, vector)] = lowest_eigenpairs(TridiagonalOperator(diag, off), 1)
+    values, vectors = np.linalg.eigh(
+        np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    assert abs(value - values[0]) <= EIGENVALUE_TOL
+    assert abs(vector @ vectors[:, 0]) > 0.999
 
 
 # Members of a cluster that one Gram-Schmidt pass cannot keep apart: the
