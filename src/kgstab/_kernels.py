@@ -1,12 +1,17 @@
 """Hot numerical kernels: leapfrog stepping, Sturm counts and Thomas solves.
 
 The Sturm and Thomas recurrences are sequential, so they run as scalar
-loops.  Each call converts its arrays to lists once and loops over Python
-floats, which cost far less per operation than NumPy scalars and round
-identically (both are IEEE doubles).
+loops over Python floats, which cost far less per operation than NumPy
+scalars and round identically (both are IEEE doubles).  A Thomas solve
+converts its arrays to lists once per call; a Sturm counter converts its
+matrix once, with the suffix bounds that let a count stop early (see
+``sturm_counter``), and then serves every count on that matrix.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import islice
 
 import numpy as np
 
@@ -75,16 +80,27 @@ def _pivot_floor(e2) -> float:
     return _SAFE_MIN * max(1.0, float(np.max(e2, initial=0.0)))
 
 
-def sturm_count(diag, off, shift):
-    """Number of eigenvalues of the symmetric tridiagonal matrix at or below
-    ``shift``, within the pivot floor (LAPACK ``dstebz`` convention).
+def sturm_counter(diag, off):
+    """Count function for the symmetric tridiagonal matrix: ``count(shift)``
+    is the number of its eigenvalues at or below ``shift``, within the pivot
+    floor (LAPACK ``dstebz`` convention).
 
-    Sturm sequence via the LDL^T pivot recurrence.  A pivot inside
-    [-pivmin, pivmin] is replaced by -pivmin, so near-singular shifts cannot
-    divide by zero and an eigenvalue equal to ``shift`` is counted.  The
-    shifted diagonal is formed in one NumPy pass, which rounds as the
-    scalar d - shift does, and each pivot is compared with the floor once
-    on its way to the count: a NaN pivot is neither floored nor counted.
+    Sturm sequence via the LDL^T pivot recurrence q = (d - shift) - e^2/q.
+    A pivot inside [-pivmin, pivmin] is replaced by -pivmin, so
+    near-singular shifts cannot divide by zero and an eigenvalue equal to
+    ``shift`` is counted; each pivot is compared with the floor once on its
+    way to the count, so a NaN pivot is neither floored nor counted.
+
+    The per-matrix work is done once: the rows as lists, the suffix minimum
+    low[i] of d and the suffix maximum high[i] of e^2 over the rows i..n-1.
+    A count walks every row up to the first row ``start`` whose edge
+    low - 2 sqrt(high) is at or above the shift (the edge is nondecreasing),
+    and from there it stops at the first pivot q >= bound = (low[start] -
+    shift) / 2, provided bound > pivmin and fl(fl(low[start] - shift) -
+    fl(high[start] / bound)) >= bound.  Rounding is monotone, so every later
+    pivot is then at least that expression, hence at least bound: no later
+    row is counted or floored, and the count is the full walk's for every
+    input, NaN and +-inf included (a NaN in the suffix fails the check).
     """
     # squared off-diagonal with a leading 0: the first pivot is then
     # d - shift - 0/1, which is exactly d - shift
@@ -92,19 +108,51 @@ def sturm_count(diag, off, shift):
     e2[0] = 0.0
     np.square(off, out=e2[1:])
     pivmin = _pivot_floor(e2)
-    # an infinite shift overflows d - shift to inf, or to NaN against an
-    # infinite d, as the scalar subtraction does, with no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        shifted = (diag - float(shift)).tolist()
-    count = 0
-    q = 1.0
-    for d, s in zip(shifted, e2.tolist()):
-        q = d - s / q
-        if q <= pivmin:
-            count += 1
-            if q >= -pivmin:
-                q = -pivmin
+    # a NaN entry spreads to every earlier suffix bound; inf - inf is NaN
+    with np.errstate(invalid="ignore"):
+        low = np.minimum.accumulate(diag[::-1])[::-1]
+        high = np.maximum.accumulate(e2[::-1])[::-1]
+        edge = low - 2.0 * np.sqrt(high)
+    rows = diag.shape[0]
+    diag_list, e2_list = diag.tolist(), e2.tolist()
+
+    def count(shift) -> int:
+        # Python floats: d - shift rounds as NumPy's would, and an infinite
+        # or NaN operand gives inf or NaN with no warning
+        shift = float(shift)
+        start = int(np.searchsorted(edge, shift))
+        bound = math.nan  # q >= NaN never holds: walk every row
+        if start < rows:
+            lo_d = float(low[start]) - shift
+            half = 0.5 * lo_d
+            if half > pivmin and lo_d - float(high[start]) / half >= half:
+                bound = half
+        n = 0
+        q = 1.0
+        pivots = zip(diag_list, e2_list)
+        for d, s in islice(pivots, start):
+            q = (d - shift) - s / q
+            if q <= pivmin:
+                n += 1
+                if q >= -pivmin:
+                    q = -pivmin
+        for d, s in pivots:
+            if q >= bound:
+                break
+            q = (d - shift) - s / q
+            if q <= pivmin:
+                n += 1
+                if q >= -pivmin:
+                    q = -pivmin
+        return n
+
     return count
+
+
+def sturm_count(diag, off, shift):
+    """Number of eigenvalues of the symmetric tridiagonal matrix at or below
+    ``shift``: one count of ``sturm_counter(diag, off)``."""
+    return sturm_counter(diag, off)(shift)
 
 
 def tridiag_solve(diag, off, rhs):

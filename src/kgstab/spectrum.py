@@ -17,7 +17,12 @@ lowest eigenpairs come from Sturm-sequence counts that bracket an eigenvalue
 and bisect it to a width of about 1e-3, inverse iteration with a
 Rayleigh-quotient shift that refines it, and two more Sturm counts that
 confirm its index — deliberately self-contained so library results can be
-compared against external eigensolvers in the tests.
+compared against external eigensolvers in the tests.  The counts on a block
+share one ``_kernels.sturm_counter``.  A count at a shift below the block's
+edge (where the smallest remaining diagonal entry, less twice the largest
+remaining off-diagonal magnitude, passes the shift) stops once a pivot
+proves that no later pivot can be counted: the same count as the full
+walk, so the same shifts, solves and report bytes.
 """
 
 from __future__ import annotations
@@ -215,6 +220,10 @@ def lowest_eigenpairs(op: TridiagonalOperator,
     bisection width shrinks 1000-fold, down to tol, and the refinement is
     repeated; :class:`EigensolverError` is raised only after that.
 
+    Every count goes through one ``_kernels.sturm_counter`` built on the
+    matrix, which walks the pivots only up to the row from which none can
+    go negative again; the counts equal the full walk's.
+
     So every returned value lies within tol of the matrix's j-th
     eigenvalue, as Sturm counts (LAPACK ``dstebz`` convention) place it, and
     the vectors are orthonormal: each is orthogonalized against the earlier
@@ -231,12 +240,13 @@ def lowest_eigenpairs(op: TridiagonalOperator,
     hi_bound = float((diag + radius).max())
     first_step = max(_COARSE_WIDTH, (hi_bound - lo) / n)
 
+    count = _kernels.sturm_counter(diag, off)
     pairs: list[tuple[float, np.ndarray]] = []
     for j in range(k):
         # the (j+1)-th eigenvalue lies above x while at most j are at or
         # below it
         def goes_up(x):
-            return _kernels.sturm_count(diag, off, x) <= j
+            return count(x) <= j
 
         step = first_step
         hi = lo + step

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kgstab
 import oracles
-from kgstab import _kernels
+from kgstab import ModelParams, _kernels
+from kgstab.spectrum import _half_line_rows, _parity_blocks
+from test_spectrum import WAVES
 
 
 def _standing_wave_arrays(n=101):
@@ -115,10 +117,64 @@ def test_sturm_count_equals_the_elementwise_loop(case):
             == oracles.sturm_count_elementwise(diag, off, shift))
 
 
+# the span entries and the non-finite ones: pivots that are inf or NaN from
+# the first row, and suffix bounds of the early exit that an inf or a NaN
+# spoils
+_COUNTER_ENTRIES = [*_SPAN_ENTRIES, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _counter_cases(draw):
+    n = draw(st.integers(1, 8))
+    entries = st.sampled_from(_COUNTER_ENTRIES)
+    diag = draw(st.lists(entries, min_size=n, max_size=n))
+    off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    shifts = draw(st.lists(st.one_of(entries, st.floats()), min_size=1,
+                           max_size=16))
+    return np.array(diag), np.array(off), shifts
+
+
+@settings(max_examples=500)
+@given(case=_counter_cases())
+# an infinite suffix minimum beside an infinite e^2: the edge is inf - inf
+@example(case=(np.array([1.0, math.inf]), np.array([math.inf]), [0.0]))
+def test_sturm_counter_equals_the_elementwise_loop(case):
+    # one counter, many shifts in a row: its early exit never changes a
+    # count, whatever the shift's place against the matrix's edge
+    diag, off, shifts = case
+    count = _kernels.sturm_counter(diag, off)
+    for shift in shifts:
+        assert count(shift) == oracles.sturm_count_elementwise(diag, off,
+                                                               shift)
+
+
+@pytest.mark.parametrize("wave", WAVES)
+def test_sturm_counter_on_the_parity_blocks(wave):
+    # shifts across each block's Gershgorin interval, densest below the
+    # continuum edge m^2 - omega^2, where the counts stop early
+    coefficients, omega = wave
+    p = ModelParams(*coefficients)
+    _, diagonals, off = _half_line_rows(p, omega, 0.04, None)
+    edge = p.m * p.m - omega * omega
+    for diagonal in diagonals.values():
+        for block in _parity_blocks(diagonal, off):
+            diag, off_diag = block.diagonal, block.off_diagonal
+            radius = np.zeros(diag.size)
+            radius[:-1] += np.abs(off_diag)
+            radius[1:] += np.abs(off_diag)
+            lo = float((diag - radius).min())
+            hi = float((diag + radius).max())
+            count = _kernels.sturm_counter(diag, off_diag)
+            for shift in [*np.linspace(lo, hi, 65),
+                          *np.linspace(lo, edge, 193)]:
+                assert count(shift) == oracles.sturm_count_elementwise(
+                    diag, off_diag, shift)
+
+
 @pytest.mark.parametrize("shift", [math.inf, -math.inf, math.nan])
 def test_sturm_count_at_a_non_finite_shift_is_quiet(shift):
-    # d - shift overflows, or meets an infinite d, in the NumPy pass; the
-    # suite turns any RuntimeWarning into an error
+    # d - shift overflows, or meets an infinite d; the suite turns any
+    # RuntimeWarning into an error
     for diag in (np.array([np.inf, 1.0, -np.inf]), np.array([1e308, -1e308,
                                                              0.0])):
         off = np.array([1.0, 1e-300])

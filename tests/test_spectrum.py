@@ -429,20 +429,38 @@ def test_parity_block_counts_add_up(wave):
 
 
 def test_report_counts_rows_on_the_half_line(p111, monkeypatch):
-    # the negative counts sum the parity blocks, of N and N - 1 rows, so no
-    # Sturm count runs over the 2N - 1 rows of the full grid; the total work
-    # is the same
-    sturm_count = spectrum._kernels.sturm_count
+    # every Sturm count runs on a parity block, of N or N - 1 rows, never on
+    # the 2N - 1 rows of the full grid: the solver builds one counter per
+    # block, and each of the four negative counts builds one more
+    sturm_counter = spectrum._kernels.sturm_counter
     rows = []
 
-    def counted(diag, off, shift):
+    def counted(diag, off):
         rows.append(len(diag))
-        return sturm_count(diag, off, shift)
+        return sturm_counter(diag, off)
 
-    monkeypatch.setattr(spectrum._kernels, "sturm_count", counted)
+    monkeypatch.setattr(spectrum._kernels, "sturm_counter", counted)
     report = spectral_report(p111, 0.9, 0.02)
-    assert max(rows) == report.x.size // 2 + 1
-    assert sum(rows) == 771_046
+    half = report.x.size // 2 + 1
+    assert sorted(rows) == [half - 1] * 4 + [half] * 4
+
+
+@pytest.mark.parametrize("wave", WAVES)
+def test_report_equals_the_elementwise_counts_report(wave, monkeypatch):
+    # the counter's early exit changes no count, so every shift, solve and
+    # byte of the report is the one the full elementwise walk gives
+    coefficients, omega = wave
+    p = ModelParams(*coefficients)
+    want = spectral_report(p, omega, 0.04)
+
+    def elementwise(diag, off):
+        return lambda shift: oracles.sturm_count_elementwise(diag, off, shift)
+
+    monkeypatch.setattr(spectrum._kernels, "sturm_counter", elementwise)
+    got = spectral_report(p, omega, 0.04)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    for name in ("lplus_eigenvectors", "lminus_eigenvectors"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 @pytest.mark.parametrize("wave", WAVES)
