@@ -1,11 +1,14 @@
-"""Hot numerical kernels: leapfrog stepping, Sturm counts and Thomas solves.
+"""Hot numerical kernels: leapfrog stepping, Sturm counts and tridiagonal
+solves.
 
-The Sturm and Thomas recurrences are sequential, so they run as scalar
-loops over Python floats, which cost far less per operation than NumPy
-scalars and round identically (both are IEEE doubles).  A Thomas solve
-converts its arrays to lists once per call; a Sturm counter converts its
-matrix once, with the suffix bounds that let a count stop early (see
-``sturm_counter``), and then serves every count on that matrix.
+The Sturm recurrence is sequential, so it runs as a scalar loop over Python
+floats, which cost far less per operation than NumPy scalars and round
+identically (both are IEEE doubles).  A Sturm counter converts its matrix
+once, with the suffix bounds that let a count stop early (see
+``sturm_counter``), and then serves every count on that matrix.  A solve
+runs odd-even cyclic reduction in log2 n NumPy passes and accepts it by a
+componentwise backward-error test; a system it fails falls back to the
+Thomas loop over Python floats (see ``tridiag_solve``).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 # Safe floor for Sturm/Thomas pivots: e2/_PIVMIN(e2) stays finite in IEEE
 # doubles for any off-diagonal magnitude.
 _SAFE_MIN = 2.2250738585072014e-308
+_EPS = 2.220446049250313e-16  # machine epsilon of IEEE doubles, 2^-52
 
 
 def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
@@ -80,6 +84,35 @@ def _pivot_floor(e2) -> float:
     return _SAFE_MIN * max(1.0, float(np.max(e2, initial=0.0)))
 
 
+def _stop_bound(gap, high, pivmin) -> float:
+    """The lowest bound b > pivmin found with fl(gap - fl(high / b)) >= b,
+    for the tail recurrence q -> gap - high/q, or NaN if there is none.
+
+    Such a b lies between the map's fixed points q- <= q+ (q+ q- = high,
+    q+ + q- = gap), where the exact gap - high/b - b = (b - q-)(q+ - b)/b
+    is positive; the lower b is, the sooner a count stops.  The candidates
+    climb from q- by steps that start at a few ulps of the gap times
+    q-/(q+ - q-), the inverse slope of that excess at q- (and at least
+    pivmin), and grow fourfold up to the midpoint gap/2, which is tried
+    last.  A NaN or inf operand gives a NaN or inf candidate, which only
+    the midpoint test can accept.
+    """
+    half = 0.5 * gap
+    disc = gap * gap - 4.0 * high
+    if disc > 0.0:  # false for NaN
+        root = math.sqrt(disc)
+        lower = high / (half + 0.5 * root)
+        step = max(4.0 * _EPS * (gap * lower / root + lower), pivmin)
+        while lower + step < half:
+            b = lower + step
+            if b > pivmin and gap - high / b >= b:
+                return b
+            step *= 4.0
+    if half > pivmin and gap - high / half >= half:
+        return half
+    return math.nan
+
+
 def sturm_counter(diag, off):
     """Count function for the symmetric tridiagonal matrix: ``count(shift)``
     is the number of its eigenvalues at or below ``shift``, within the pivot
@@ -95,12 +128,12 @@ def sturm_counter(diag, off):
     low[i] of d and the suffix maximum high[i] of e^2 over the rows i..n-1.
     A count walks every row up to the first row ``start`` whose edge
     low - 2 sqrt(high) is at or above the shift (the edge is nondecreasing),
-    and from there it stops at the first pivot q >= bound = (low[start] -
-    shift) / 2, provided bound > pivmin and fl(fl(low[start] - shift) -
-    fl(high[start] / bound)) >= bound.  Rounding is monotone, so every later
-    pivot is then at least that expression, hence at least bound: no later
-    row is counted or floored, and the count is the full walk's for every
-    input, NaN and +-inf included (a NaN in the suffix fails the check).
+    and from there it stops at the first pivot q >= bound, for a bound >
+    pivmin with fl(fl(low[start] - shift) - fl(high[start] / bound)) >=
+    bound (``_stop_bound``).  Rounding is monotone, so every later pivot is
+    then at least that expression, hence at least bound: no later row is
+    counted or floored, and the count is the full walk's for every input,
+    NaN and +-inf included (a NaN in the suffix fails the check).
     """
     # squared off-diagonal with a leading 0: the first pivot is then
     # d - shift - 0/1, which is exactly d - shift
@@ -123,10 +156,8 @@ def sturm_counter(diag, off):
         start = int(np.searchsorted(edge, shift))
         bound = math.nan  # q >= NaN never holds: walk every row
         if start < rows:
-            lo_d = float(low[start]) - shift
-            half = 0.5 * lo_d
-            if half > pivmin and lo_d - float(high[start]) / half >= half:
-                bound = half
+            bound = _stop_bound(float(low[start]) - shift, float(high[start]),
+                                pivmin)
         n = 0
         q = 1.0
         pivots = zip(diag_list, e2_list)
@@ -155,7 +186,99 @@ def sturm_count(diag, off, shift):
     return sturm_counter(diag, off)(shift)
 
 
+# componentwise backward-error bound a cyclic-reduction solve must meet,
+# in units of eps (Oettli-Prager): |T x - b| <= c eps (|T| |x| + |b|)
+_BACKWARD_ULPS = 12.0
+
+
 def tridiag_solve(diag, off, rhs):
+    """Solve the symmetric tridiagonal system T x = rhs.
+
+    By odd-even cyclic reduction (``_cyclic_reduction``), accepted only when
+    every row meets the componentwise backward-error test
+
+        |T x - rhs| <= c eps (|T| |x| + |rhs|),   c = _BACKWARD_ULPS,
+
+    which a NaN or inf fails (Oettli-Prager: x then solves a system within
+    c eps of T and rhs entry by entry).  Otherwise the unpivoted reduction
+    order has lost the matrix, and the Thomas loop's result
+    (``_thomas_solve``) is returned.  Returns a new array.
+    """
+    # overflow and 0 * inf are caught by the backward-error test
+    with np.errstate(all="ignore"):
+        x = _cyclic_reduction(diag, off, rhs)
+        magnitude = np.abs(x)
+        residual = diag * x - rhs
+        residual[:-1] += off * x[1:]
+        residual[1:] += off * x[:-1]
+        allowed = np.abs(diag) * magnitude + np.abs(rhs)
+        off_abs = np.abs(off)
+        allowed[:-1] += off_abs * magnitude[1:]
+        allowed[1:] += off_abs * magnitude[:-1]
+        allowed *= _BACKWARD_ULPS * _EPS
+        if np.all(np.abs(residual) <= allowed) and np.all(allowed < np.inf):
+            return x
+    return _thomas_solve(diag, off, rhs)
+
+
+def _cyclic_reduction(diag, off, rhs):
+    """Odd-even cyclic reduction of T x = rhs (Hockney; Buzbee-Golub-Nielson).
+
+    Each level eliminates the odd nodes into the even ones: with the odd
+    neighbours' pivots a_l, a_r and couplings e_l, e_r, an even node's
+    a' = a - e_l^2/a_l - e_r^2/a_r and f' = f - e_l f_l/a_l - e_r f_r/a_r,
+    and two even nodes one odd node apart couple by -e_l e_r/a_odd.  The
+    levels halve down to one node; back-substitution then recovers the odd
+    nodes, x_odd = (f_odd - e_l x_left - e_r x_right)/a_odd, level by level.
+
+    A pivot is a Schur complement's diagonal entry, which moves with the
+    diagonal entry of T at its node, so a pivot inside [-f, f] is replaced
+    by -f, with f = max(pivmin, 4 eps |d|) for that node's d: T's entry
+    then moves by at most 8 eps |d|, which the backward-error test allows,
+    as LAPACK ``dlagtf`` perturbs tiny pivots.  A shift on an eigenvalue
+    thus gives a large finite solve, where the floor at pivmin alone
+    overflows.  Unchecked: the caller tests the result, and must silence
+    NumPy's warnings.
+    """
+    floor = np.maximum(4.0 * _EPS * np.abs(diag),
+                       _pivot_floor(np.square(off)))
+    levels = []
+    a, e, f = diag, off, rhs
+    while a.size > 1:
+        odd = a[1::2].copy()
+        odd_floor = floor[1::2]
+        small = np.abs(odd) <= odd_floor
+        if small.any():
+            odd[small] = -odd_floor[small]
+        floor = floor[0::2]
+        left, right, f_odd = e[0::2], e[1::2], f[1::2]
+        inner = right.size  # odd nodes with an even right neighbour
+        ratio_l = left / odd
+        ratio_r = right / odd[:inner]
+        a_even = a[0::2].copy()
+        f_even = f[0::2].copy()
+        a_even[:odd.size] -= left * ratio_l
+        f_even[:odd.size] -= ratio_l * f_odd
+        a_even[1:inner + 1] -= right * ratio_r
+        f_even[1:inner + 1] -= ratio_r * f_odd[:inner]
+        levels.append((odd, left, right, f_odd))
+        a, e, f = a_even, -(left[:inner] * ratio_r), f_even
+    piv = a[0]
+    if -floor[0] <= piv <= floor[0]:
+        piv = -floor[0]
+    x = f / piv
+    for odd, left, right, f_odd in reversed(levels):
+        x_odd = f_odd - left * x[:odd.size]
+        x_odd[:right.size] -= right * x[1:right.size + 1]
+        x_odd /= odd
+        full = np.empty(x.size + odd.size)
+        full[0::2] = x
+        full[1::2] = x_odd
+        x = full
+    return x
+
+
+def _thomas_solve(diag, off, rhs):
     """Solve the symmetric tridiagonal system (Thomas algorithm).
 
     Pivots are floored in magnitude so a shifted near-singular system (the

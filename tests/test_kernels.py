@@ -190,6 +190,7 @@ def _reference_solve(diag, off, rhs):
 
 @pytest.mark.parametrize("n", [1, 2, 50])
 def test_tridiag_solve_equals_reference(n):
+    # the Thomas loop, which tridiag_solve falls back to
     rng = np.random.default_rng(200 + n)
     for _ in range(10):
         diag, off = _random_tridiag(rng, n)
@@ -199,13 +200,122 @@ def test_tridiag_solve_equals_reference(n):
         # unshifted, a zero first pivot, and the near-singular shifts of
         # inverse iteration
         for shift in (0.0, diag[0], eigs[0], eigs[-1]):
-            got = _kernels.tridiag_solve(diag - shift, off, rhs)
+            got = _kernels._thomas_solve(diag - shift, off, rhs)
             want = _reference_solve(diag - shift, off, rhs)
             assert _same_bits(got, want)
     for diag, off, shift in _ZERO_PIVOT_CASES:
         rhs = rng.normal(size=diag.size)
-        got = _kernels.tridiag_solve(diag - shift, off, rhs)
+        got = _kernels._thomas_solve(diag - shift, off, rhs)
         assert _same_bits(got, _reference_solve(diag - shift, off, rhs))
+
+
+# the acceptance bound of tridiag_solve, c = 12, plus the rounding of this
+# dense residual: each row sums at most three products and -rhs, so its
+# residual is off the exact one by at most 4 eps (|T| |x| + |rhs|)
+_BACKWARD_ULPS = 12.0 + 4.0
+
+
+def _meets_backward_bound(diag, off, rhs, x):
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    residual = dense @ x - rhs
+    allowed = np.abs(dense) @ np.abs(x) + np.abs(rhs)
+    return bool(np.isfinite(allowed).all() and np.all(
+        np.abs(residual) <= _BACKWARD_ULPS * np.finfo(float).eps * allowed))
+
+
+def _dominant_tridiag(rng, n):
+    # symmetric, indefinite and diagonally dominant: no elimination order
+    # loses such a matrix
+    off = rng.normal(size=n - 1)
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    sign = rng.choice([-1.0, 1.0], size=n)
+    return sign * (radius + rng.uniform(0.1, 3.0, size=n)), off
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 16, 17, 50, 101])
+def test_tridiag_solve_meets_the_backward_error_bound(n, monkeypatch):
+    fallbacks = []
+    thomas = _kernels._thomas_solve
+
+    def spy(*args):
+        fallbacks.append(args)
+        return thomas(*args)
+
+    monkeypatch.setattr(_kernels, "_thomas_solve", spy)
+    rng = np.random.default_rng(300 + n)
+    for _ in range(10):
+        diag, off = _dominant_tridiag(rng, n)
+        rhs = rng.normal(size=n)
+        x = _kernels.tridiag_solve(diag, off, rhs)
+        assert _meets_backward_bound(diag, off, rhs, x)
+    assert not fallbacks  # cyclic reduction solved every one
+    # indefinite systems and the near-singular shifts of inverse iteration:
+    # cyclic reduction meets the bound, or the Thomas loop answers
+    for _ in range(10):
+        diag, off = _random_tridiag(rng, n)
+        rhs = rng.normal(size=n)
+        eigs = np.linalg.eigvalsh(
+            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        for shift in (0.0, eigs[0], eigs[-1]):
+            fallbacks.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = _kernels.tridiag_solve(diag - shift, off, rhs)
+                if fallbacks:
+                    assert _same_bits(x, thomas(diag - shift, off, rhs))
+                else:
+                    assert _meets_backward_bound(diag - shift, off, rhs, x)
+
+
+# exactly singular: with the pivots floored at 4 eps times the matrix scale,
+# cyclic reduction solves a system within the bound of [[1, -1], [-1, 1]] and
+# of tridiag(-1, 1, -1); [0] has no scale to perturb and tridiag(-1, 0, -1)
+# no diagonal, so those two get the Thomas loop's bits (x / -pivmin)
+@pytest.mark.parametrize("case, reduced", zip(_ZERO_PIVOT_CASES,
+                                             [False, True, True, False]))
+def test_tridiag_solve_at_a_zero_pivot(case, reduced):
+    diag, off, shift = case
+    rhs = np.random.default_rng(7).normal(size=diag.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _kernels.tridiag_solve(diag - shift, off, rhs)
+        fallback = _kernels._thomas_solve(diag - shift, off, rhs)
+    if reduced:
+        assert _meets_backward_bound(diag - shift, off, rhs, got)
+    else:
+        assert _same_bits(got, fallback)
+
+
+@pytest.mark.parametrize("wave", WAVES)
+def test_no_report_solve_falls_back(wave, monkeypatch):
+    # at the benchmark's step, every inverse-iteration solve of a report is
+    # one cyclic reduction that meets the bound at the first pivot floor
+    reductions, fallbacks = [], []
+    reduce, thomas = _kernels._cyclic_reduction, _kernels._thomas_solve
+
+    def counted(*args):
+        reductions.append(args)
+        return reduce(*args)
+
+    def spy(*args):
+        fallbacks.append(args)
+        return thomas(*args)
+
+    solve = _kernels.tridiag_solve
+    solves = []
+
+    def outer(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(_kernels, "_cyclic_reduction", counted)
+    monkeypatch.setattr(_kernels, "_thomas_solve", spy)
+    monkeypatch.setattr(_kernels, "tridiag_solve", outer)
+    coefficients, omega = wave
+    kgstab.spectral_report(ModelParams(*coefficients), omega, 0.02)
+    assert len(solves) > 20
+    assert len(reductions) == len(solves)
+    assert not fallbacks
 
 
 # the kernel regroups the index-order step of ``oracles.leapfrog_steps``
