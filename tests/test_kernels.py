@@ -212,7 +212,7 @@ def test_tridiag_solve_equals_reference(n):
 # the acceptance bound of tridiag_solve, c = 12, plus the rounding of this
 # dense residual: each row sums at most three products and -rhs, so its
 # residual is off the exact one by at most 4 eps (|T| |x| + |rhs|)
-_BACKWARD_ULPS = 12.0 + 4.0
+_CHECKED_ULPS = 12.0 + 4.0
 
 
 def _meets_backward_bound(diag, off, rhs, x):
@@ -220,7 +220,7 @@ def _meets_backward_bound(diag, off, rhs, x):
     residual = dense @ x - rhs
     allowed = np.abs(dense) @ np.abs(x) + np.abs(rhs)
     return bool(np.isfinite(allowed).all() and np.all(
-        np.abs(residual) <= _BACKWARD_ULPS * np.finfo(float).eps * allowed))
+        np.abs(residual) <= _CHECKED_ULPS * np.finfo(float).eps * allowed))
 
 
 def _dominant_tridiag(rng, n):
