@@ -4,11 +4,11 @@ solves.
 The Sturm recurrence is sequential, so it runs as a scalar loop over Python
 floats, which cost far less per operation than NumPy scalars and round
 identically (both are IEEE doubles).  A Sturm counter converts its matrix
-once, with the suffix bounds that let a count stop early (see
-``sturm_counter``), and then serves every count on that matrix.  A solve
-runs odd-even cyclic reduction in log2 n NumPy passes and accepts it by a
-componentwise backward-error test; a system it fails falls back to the
-Thomas loop over Python floats (see ``tridiag_solve``).
+once, with the suffix bounds that let a count stop early at the midpoint of
+its tail recurrence's fixed points (``sturm_counter``), and then serves
+every count on that matrix.  A solve runs odd-even cyclic reduction in
+log2 n NumPy passes, checked by a componentwise backward-error test, with
+the Thomas loop over Python floats as fallback (``tridiag_solve``).
 """
 
 from __future__ import annotations
@@ -84,35 +84,6 @@ def _pivot_floor(e2) -> float:
     return _SAFE_MIN * max(1.0, float(np.max(e2, initial=0.0)))
 
 
-def _stop_bound(gap, high, pivmin) -> float:
-    """The lowest bound b > pivmin found with fl(gap - fl(high / b)) >= b,
-    for the tail recurrence q -> gap - high/q, or NaN if there is none.
-
-    Such a b lies between the map's fixed points q- <= q+ (q+ q- = high,
-    q+ + q- = gap), where the exact gap - high/b - b = (b - q-)(q+ - b)/b
-    is positive; the lower b is, the sooner a count stops.  The candidates
-    climb from q- by steps that start at a few ulps of the gap times
-    q-/(q+ - q-), the inverse slope of that excess at q- (and at least
-    pivmin), and grow fourfold up to the midpoint gap/2, which is tried
-    last.  A NaN or inf operand gives a NaN or inf candidate, which only
-    the midpoint test can accept.
-    """
-    half = 0.5 * gap
-    disc = gap * gap - 4.0 * high
-    if disc > 0.0:  # false for NaN
-        root = math.sqrt(disc)
-        lower = high / (half + 0.5 * root)
-        step = max(4.0 * _EPS * (gap * lower / root + lower), pivmin)
-        while lower + step < half:
-            b = lower + step
-            if b > pivmin and gap - high / b >= b:
-                return b
-            step *= 4.0
-    if half > pivmin and gap - high / half >= half:
-        return half
-    return math.nan
-
-
 def sturm_counter(diag, off):
     """Count function for the symmetric tridiagonal matrix: ``count(shift)``
     is the number of its eigenvalues at or below ``shift``, within the pivot
@@ -128,12 +99,13 @@ def sturm_counter(diag, off):
     low[i] of d and the suffix maximum high[i] of e^2 over the rows i..n-1.
     A count walks every row up to the first row ``start`` whose edge
     low - 2 sqrt(high) is at or above the shift (the edge is nondecreasing),
-    and from there it stops at the first pivot q >= bound, for a bound >
-    pivmin with fl(fl(low[start] - shift) - fl(high[start] / bound)) >=
-    bound (``_stop_bound``).  Rounding is monotone, so every later pivot is
-    then at least that expression, hence at least bound: no later row is
-    counted or floored, and the count is the full walk's for every input,
-    NaN and +-inf included (a NaN in the suffix fails the check).
+    and from there it stops at the first pivot q >= bound = gap/2, the
+    midpoint of the fixed points of q -> gap - high[start]/q for gap =
+    fl(low[start] - shift), if bound > pivmin and fl(gap - fl(high[start] /
+    bound)) >= bound.  Rounding is monotone, so every later pivot is then at
+    least that expression, hence at least bound: no later row is counted or
+    floored, and the count is the full walk's for every input, NaN and +-inf
+    included (a NaN in the suffix fails the check).
     """
     # squared off-diagonal with a leading 0: the first pivot is then
     # d - shift - 0/1, which is exactly d - shift
@@ -156,8 +128,10 @@ def sturm_counter(diag, off):
         start = int(np.searchsorted(edge, shift))
         bound = math.nan  # q >= NaN never holds: walk every row
         if start < rows:
-            bound = _stop_bound(float(low[start]) - shift, float(high[start]),
-                                pivmin)
+            gap = float(low[start]) - shift
+            half = 0.5 * gap
+            if half > pivmin and gap - float(high[start]) / half >= half:
+                bound = half
         n = 0
         q = 1.0
         pivots = zip(diag_list, e2_list)
@@ -186,6 +160,14 @@ def sturm_count(diag, off, shift):
     return sturm_counter(diag, off)(shift)
 
 
+def matvec(diag, off, v):
+    """The product T v of the symmetric tridiagonal matrix and a vector."""
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
+
+
 # componentwise backward-error bound a cyclic-reduction solve must meet,
 # in units of eps (Oettli-Prager): |T x - b| <= c eps (|T| |x| + |b|)
 _BACKWARD_ULPS = 12.0
@@ -207,14 +189,8 @@ def tridiag_solve(diag, off, rhs):
     # overflow and 0 * inf are caught by the backward-error test
     with np.errstate(all="ignore"):
         x = _cyclic_reduction(diag, off, rhs)
-        magnitude = np.abs(x)
-        residual = diag * x - rhs
-        residual[:-1] += off * x[1:]
-        residual[1:] += off * x[:-1]
-        allowed = np.abs(diag) * magnitude + np.abs(rhs)
-        off_abs = np.abs(off)
-        allowed[:-1] += off_abs * magnitude[1:]
-        allowed[1:] += off_abs * magnitude[:-1]
+        residual = matvec(diag, off, x) - rhs
+        allowed = matvec(np.abs(diag), np.abs(off), np.abs(x)) + np.abs(rhs)
         allowed *= _BACKWARD_ULPS * _EPS
         if np.all(np.abs(residual) <= allowed) and np.all(allowed < np.inf):
             return x

@@ -5,9 +5,10 @@ params / payload / provenance) and rendered by a deterministic serializer:
 identical arguments give byte-identical payloads, with volatile facts (wall
 time, file paths) quarantined in ``provenance``.
 
-Exit codes: 0 success, 2 usage, 3 domain/grid/CFL errors, 4 oracle
-disagreement, 5 blow-up-truncated evolution.  Every failure prints a single
-machine-parsable line ``kgstab: <tag>: <reason>`` on stderr.
+Exit codes: 0 success, 1 eigensolver failure, 2 usage, 3 domain/grid/CFL
+errors, 4 oracle disagreement, 5 blow-up-truncated evolution.  Every
+failure prints a single machine-parsable line ``kgstab: <tag>: <reason>``
+on stderr.
 """
 
 from __future__ import annotations

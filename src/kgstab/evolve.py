@@ -24,7 +24,7 @@ norm (worst measured 5.5e-15).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -189,20 +189,6 @@ def init_state(profile: SolitonProfile, perturbation: str,
 
     return FieldState(steps=0, phi=phi0, phi_prev=phi_prev,
                       step_t=float(step_t), profile=profile)
-
-
-def _advance(state: FieldState, n_steps: int) -> tuple[FieldState, int]:
-    """Take up to n_steps leapfrog steps; returns (new state, steps taken)."""
-    phi = state.phi.copy()
-    prev = state.phi_prev.copy()
-    prof = state.profile
-    p = prof.params
-    taken = int(_kernels.leapfrog_steps(
-        phi, prev, n_steps, prof.step, state.step_t,
-        p.m * p.m, p.a, p.b, _guard(prof),
-    ))
-    new = replace(state, steps=state.steps + taken, phi=phi, phi_prev=prev)
-    return new, taken
 
 
 class _Sampler:

@@ -20,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 
 class DomainError(ValueError):
@@ -59,8 +60,15 @@ class ModelParams:
     def __post_init__(self):
         for name in ("a", "b", "m"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise DomainError(f"{name} must be a finite number, got {value!r}")
+            # any real number, NumPy's included, but not a bool
+            real = isinstance(value, Real) and not isinstance(value, bool)
+            try:
+                finite = real and math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
+                raise DomainError(
+                    f"{name} must be a finite real number, got {value!r}")
             if value <= 0:
                 raise DomainError(f"{name} must be positive, got {value!r}")
             object.__setattr__(self, name, float(value))

@@ -113,19 +113,12 @@ def assemble(p: ModelParams, omega: float, step: float,
                                np.concatenate((off[::-1], off)))
 
 
-def _matvec(diag, off, v):
-    out = diag * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
-    return out
-
-
 def apply(op: TridiagonalOperator, v: np.ndarray) -> np.ndarray:
     """Matrix-vector product of the discretized operator."""
     v = np.asarray(v, dtype=float)
     if v.shape != op.diagonal.shape:
         raise ValueError(f"vector length {v.shape} != operator {op.diagonal.shape}")
-    return _matvec(op.diagonal, op.off_diagonal, v)
+    return _kernels.matvec(op.diagonal, op.off_diagonal, v)
 
 
 def eigenvalue_count_below(op: TridiagonalOperator, shift: float) -> int:
@@ -192,7 +185,7 @@ def _inverse_iteration(diag, off, eigenvalue, rng, neighbors) -> np.ndarray:
             v /= np.linalg.norm(v)
             continue
         v = w / norm
-        residual = _matvec(diag, off, v)
+        residual = _kernels.matvec(diag, off, v)
         rho = float(v @ residual)
         residual -= rho * v
         if np.linalg.norm(residual) <= converged:
@@ -281,7 +274,7 @@ def _lowest_eigenpairs(op: TridiagonalOperator, k: int, count):
             except EigensolverError as exc:
                 failure = exc
             else:
-                value = float(vector @ _matvec(diag, off, vector))
+                value = float(vector @ _kernels.matvec(diag, off, vector))
                 if (goes_up(value - EIGENVALUE_TOL)
                         and not goes_up(value + EIGENVALUE_TOL)):
                     break

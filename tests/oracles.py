@@ -26,6 +26,7 @@ equal bitwise and byte for byte.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from kgstab import (GridError, ModelParams, TridiagonalOperator, _kernels,
                     alpha_of_omega, build_profile, closed_form_profile,
                     composite_simpson, d_second_sign, g_potential,
                     parse_perturbation, sigma_closed)
-from kgstab.evolve import _advance
+from kgstab.evolve import _guard
 from kgstab.soliton import field_acceleration, require_node_budget
 
 
@@ -469,9 +470,27 @@ def full_grid_run(p, omega, perturbation, t_final, sample_every=50,
 # density, and every integral by composite Simpson doubled.  They are the
 # reference for the stated tolerance of the sampler's weighted dot products;
 # ``sampled_run`` is the earlier ``run`` loop around them, a new state per
-# batch.
+# batch from ``advance``, the package's earlier stepping helper.
 
 _quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+def advance(state, n_steps: int):
+    """Take up to n_steps leapfrog steps; returns (new state, steps taken).
+
+    The kernel is read through ``_kernels`` at each call, so a test that
+    swaps ``_kernels.leapfrog_steps`` steps with its replacement.
+    """
+    phi = state.phi.copy()
+    prev = state.phi_prev.copy()
+    prof = state.profile
+    p = prof.params
+    taken = int(_kernels.leapfrog_steps(
+        phi, prev, n_steps, prof.step, state.step_t,
+        p.m * p.m, p.a, p.b, _guard(prof),
+    ))
+    new = replace(state, steps=state.steps + taken, phi=phi, phi_prev=prev)
+    return new, taken
 
 
 @_quiet
@@ -561,7 +580,7 @@ def sampled_run(state, t_final, sample_every=50) -> dict:
     truncation_time = None
     done = 0
     while done < total:
-        state, taken = _advance(state, min(sample_every, total - done))
+        state, taken = advance(state, min(sample_every, total - done))
         done += taken
         if not magnitude(state).max() <= guard:
             truncation_time = state.time

@@ -20,7 +20,8 @@ from kgstab import (ModelParams, alpha_of_omega, build_profile, charge,
                     d_second_sign, energy, k2_prime, omega_of_alpha, r_star,
                     run, sigma_closed, spectral_report, tau_star)
 from kgstab import cli
-from kgstab.evolve import _advance, init_state
+from kgstab.evolve import init_state
+from oracles import advance as _advance
 
 _SETS = (ModelParams(1.0, 1.0, 1.0), ModelParams(1.0, 1.0, 2.0),
          ModelParams(2.0, 1.0, 2.0))

@@ -13,7 +13,6 @@ from kgstab import (CFLError, DomainError, FieldState, GridError, ModelParams,
                     build_profile, cli, closed_form_profile, energy, evolve,
                     field_charge, field_energy, init_state, orbital_distance,
                     parse_perturbation, run, sigma_closed, soliton)
-from kgstab.evolve import _advance
 
 
 def _fresh_state(p, omega, perturbation="none", step_x=0.02, step_t=0.01):
@@ -74,8 +73,8 @@ def test_velocity_is_the_probe_step_difference(p111):
     # the leapfrog identity reads the centred difference around one step
     # ahead from the two stored levels, without taking that step
     state = _fresh_state(p111, 0.9, "bump:0.3")
-    later, _ = _advance(state, 37)
-    ahead, _ = _advance(later, 1)
+    later, _ = oracles.advance(state, 37)
+    ahead, _ = oracles.advance(later, 1)
     probe = (ahead.phi - later.phi_prev) / (2.0 * later.step_t)
     scale = np.abs(probe).max()
     assert np.abs(later.velocity - probe).max() <= 1e-13 * scale
@@ -116,14 +115,14 @@ def test_zero_field_stays_zero(p111):
     zero = dataclasses.replace(
         state, phi=np.zeros_like(state.phi),
         phi_prev=np.zeros_like(state.phi_prev))
-    ahead, taken = _advance(zero, 10)
+    ahead, taken = oracles.advance(zero, 10)
     assert taken == 10
     assert np.abs(ahead.phi).max() == 0.0
 
 
 def test_single_step_phase_accuracy(p111):
     state = _fresh_state(p111, 0.9)
-    ahead, _ = _advance(state, 1)
+    ahead, _ = oracles.advance(state, 1)
     exact = state.phi * np.exp(-1j * 0.9 * state.step_t)
     # the centre and the interior; the boundary pins a ~1e-12 amplitude to
     # zero
@@ -133,11 +132,11 @@ def test_single_step_phase_accuracy(p111):
 
 def test_time_reversal_symmetry(p111):
     state = _fresh_state(p111, 0.9)
-    forward, taken = _advance(state, 50)
+    forward, taken = oracles.advance(state, 50)
     assert taken == 50
     swapped = dataclasses.replace(forward, phi=forward.phi_prev,
                                   phi_prev=forward.phi)
-    back, _ = _advance(swapped, 49)
+    back, _ = oracles.advance(swapped, 49)
     assert np.abs(back.phi - state.phi).max() < 1e-10
 
 
@@ -147,7 +146,7 @@ def test_second_order_convergence_in_time(p111):
     errors = []
     for step_x, step_t in ((0.04, 0.02), (0.02, 0.01)):
         state = _fresh_state(p111, 0.9, step_x=step_x, step_t=step_t)
-        ahead, _ = _advance(state, round(1.0 / step_t))
+        ahead, _ = oracles.advance(state, round(1.0 / step_t))
         exact = closed_form_profile(p111, 0.9, ahead.profile.x) \
             * np.exp(-1j * 0.9 * 1.0)
         exact[-1] = 0.0
@@ -186,7 +185,7 @@ def test_field_energy_within_1e_14_of_the_pow_form(params, omega,
     for _ in range(4):
         reference = _pow_form_energy(state)
         assert abs(field_energy(state) - reference) <= 1e-14 * abs(reference)
-        state, _ = _advance(state, 100)
+        state, _ = oracles.advance(state, 100)
 
 
 def test_orbital_distance_phase_invariant(p111):
@@ -350,8 +349,8 @@ def test_batching_leaves_no_trace_in_the_bits(p111):
     # the kernel swaps its levels every step; how a run is cut into batches,
     # odd or even, must not show in the levels or in the samples
     state = _fresh_state(p111, 0.9, "bump:0.05")
-    split, _ = _advance(_advance(state, 3)[0], 4)
-    whole, _ = _advance(state, 7)
+    split, _ = oracles.advance(oracles.advance(state, 3)[0], 4)
+    whole, _ = oracles.advance(state, 7)
     assert split.steps == whole.steps == 7
     assert split.phi.tobytes() == whole.phi.tobytes()
     assert split.phi_prev.tobytes() == whole.phi_prev.tobytes()
@@ -518,7 +517,8 @@ def test_sampler_within_tolerance_of_composite_simpson(wave, kind, eps,
                                                        steps):
     p, omega = wave
     prof = build_profile(p, omega, 0.05)
-    state, _ = _advance(init_state(prof, f"{kind}:{eps!r}", 0.02), steps)
+    state, _ = oracles.advance(init_state(prof, f"{kind}:{eps!r}", 0.02),
+                               steps)
     energy, charge, distance, sup, tail = evolve._Sampler(prof, 0.02)(
         state.phi, state.phi_prev)
     want = oracles.field_energy(state)
@@ -540,7 +540,7 @@ def test_state_fields_are_the_earlier_bits(p111, perturbation, batches):
     # field_acceleration and np.gradient; the huge start overflows in them
     state = _fresh_state(p111, 0.9, perturbation)
     for steps in batches:
-        ahead, _ = _advance(state, steps)
+        ahead, _ = oracles.advance(state, steps)
         for field in ("velocity", "phi_x", "magnitude"):
             got, want = getattr(ahead, field), getattr(oracles, field)(ahead)
             assert got.tobytes() == want.tobytes(), field
@@ -570,7 +570,7 @@ def test_run_distance_equals_public_orbital_distance(p111, monkeypatch):
     diag = run(p111, 0.9, "bump:0.05", 0.5, sample_every=50)
     state = caught[0]
     assert diag.orbital_distance[0] == orbital_distance(state)
-    ahead, _ = _advance(state, 50)
+    ahead, _ = oracles.advance(state, 50)
     assert diag.orbital_distance[1] == orbital_distance(ahead)
 
 

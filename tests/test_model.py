@@ -24,6 +24,21 @@ def test_rejects_nonfinite_parameters():
         ModelParams(1, math.nan, 1)
 
 
+def test_parameters_take_any_real_number_but_a_bool():
+    # NumPy integers and floats are stored as Python floats, as counts take
+    # NumPy integers; a bool is not a coefficient, nor is a string
+    p = ModelParams(np.int64(1), np.float32(0.5), np.float64(2.0))
+    assert (p.a, p.b, p.m) == (1.0, 0.5, 2.0)
+    assert all(type(v) is float for v in (p.a, p.b, p.m))
+    assert p == ModelParams(1, 0.5, 2)
+    for bad in (True, np.bool_(True), "1", None, 1 + 0j):
+        with pytest.raises(DomainError, match="a must be a finite real"):
+            ModelParams(bad, 1, 1)
+    # an int beyond the float range is refused, not an OverflowError
+    with pytest.raises(DomainError, match="m must be a finite real number"):
+        ModelParams(1, 1, 10**400)
+
+
 def test_tau_values():
     assert ModelParams(1, 1, 1).tau == 2.0
     assert ModelParams(1, 2, 1).tau == 4.0
