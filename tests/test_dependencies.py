@@ -35,4 +35,3 @@ def test_import_loads_no_third_party_module_but_numpy():
 def test_every_public_name_resolves():
     missing = [name for name in kgstab.__all__ if not hasattr(kgstab, name)]
     assert missing == []
-    assert len(set(kgstab.__all__)) == len(kgstab.__all__)
