@@ -5,10 +5,10 @@ params / payload / provenance) and rendered by a deterministic serializer:
 identical arguments give byte-identical payloads, with volatile facts (wall
 time, file paths) quarantined in ``provenance``.
 
-Exit codes: 0 success, 1 eigensolver failure, 2 usage, 3 domain/grid/CFL
-errors, 4 oracle disagreement, 5 blow-up-truncated evolution.  Every
-failure prints a single machine-parsable line ``kgstab: <tag>: <reason>``
-on stderr.
+Exit codes: 0 success, 1 eigensolver failure, 2 usage or an unwritable
+output file (``io-error``), 3 domain/grid/CFL errors, 4 oracle disagreement,
+5 blow-up-truncated evolution.  Every failure prints a single
+machine-parsable line ``kgstab: <tag>: <reason>`` on stderr.
 """
 
 from __future__ import annotations
@@ -96,6 +96,10 @@ SCHEMAS = {
 _SIGMA_GAP_LIMIT = 1e-6
 _SIGMA_CHECK_STEP = 0.005
 
+# Records formatted per chunk: the writers hold one chunk's Python tuples and
+# row strings at a time, besides the text.
+_CHUNK_ROWS = 1024
+
 # JSON string escapes: the quote, the backslash and the control characters.
 _ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\",
                           **{chr(i): f"\\u{i:04x}" for i in range(0x20)}})
@@ -128,6 +132,14 @@ def _record_formats(table) -> list:
             raise TypeError(f"no JSON encoding for field {name!r} of kind "
                             f"{kind!r}")
     return formats
+
+
+def _record_chunks(template: str, table):
+    """The records of ``table`` through ``template``, one joined string per
+    ``_CHUNK_ROWS`` records."""
+    for start in range(0, len(table), _CHUNK_ROWS):
+        chunk = table[start:start + _CHUNK_ROWS].tolist()
+        yield "".join(map(template.__mod__, chunk))
 
 
 def _write_json(obj, depth: int, parts: list) -> None:
@@ -163,7 +175,7 @@ def _write_json(obj, depth: int, parts: list) -> None:
                 f"\n{pad}  {_escape_string(name).replace('%', '%%')}: {fmt}"
                 for name, fmt in zip(obj.dtype.names, _record_formats(obj)))
             template = f"{inner}{{{fields}\n{pad}}}"
-            parts.extend(map(template.__mod__, obj.tolist()))
+            parts.extend(_record_chunks(template, obj))
         else:
             raise TypeError(f"no JSON encoding for {type(obj).__name__}")
         # each member follows a ",\n<pad>" separator: the first one's comma
@@ -180,7 +192,9 @@ def render_json(obj) -> str:
     floats, no locale or timestamp dependence.
 
     A structured NumPy array renders as a list of objects, one per record,
-    each through one %-template.  Every piece goes to one list, joined once.
+    each through one %-template, joined per chunk of 1,024 records.  Every
+    piece goes to one list, joined once, so the rendering peaks at about
+    twice its text.
     """
     parts = []
     _write_json(obj, 0, parts)
@@ -202,21 +216,32 @@ def _envelope(args, p: ModelParams | None, payload: dict, provenance: dict,
 
 
 def _csv(header, rows) -> str:
-    """CSV text: floats at 17 significant digits, anything else via str; the
-    records of a structured array through one %-template."""
-    lines = [",".join(header)]
+    """CSV text: floats at 17 significant digits, anything else via str.
+
+    The records of a structured array go through one %-template, joined per
+    chunk of 1,024 records and then once, so the writer peaks at about twice
+    its text; other rows are formatted value by value.
+    """
     if isinstance(rows, np.ndarray):
-        lines += map(",".join(_record_formats(rows)).__mod__, rows.tolist())
+        lines = _record_chunks(",".join(_record_formats(rows)) + "\n", rows)
     else:
-        lines += [",".join(_format_float(float(v)) if isinstance(v, float)
-                           else str(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+        lines = (",".join(_format_float(float(v)) if isinstance(v, float)
+                          else str(v) for v in row) + "\n" for row in rows)
+    return "".join([",".join(header) + "\n", *lines])
+
+
+class _OutputError(Exception):
+    """An output file could not be opened or written."""
 
 
 def _emit(text: str, out_path=None) -> None:
+    """Write ``text`` with one ``write``, to ``out_path`` or else stdout."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as stream:
-            stream.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as stream:
+                stream.write(text)
+        except OSError as exc:
+            raise _OutputError(exc) from exc
     else:
         sys.stdout.write(text)
 
@@ -357,15 +382,15 @@ def _cmd_classify(args, p: ModelParams, start: float) -> int:
 
 def _cmd_profile(args, p: ModelParams, start: float) -> int:
     prof = soliton.build_profile(p, args.omega, args.h, tail_tol=args.tail)
-    x, r = prof.x.tolist(), prof.values.tolist()
     if args.json:
         payload = {"omega": prof.omega, "half_length": prof.half_length,
                    "step": prof.step, "max_ode_residual": prof.max_ode_residual,
-                   "x": x, "r": r}
+                   "x": prof.x.tolist(), "r": prof.values.tolist()}
         prov = {"grid": {"step": args.h, "tail_tol": args.tail}}
         text = _envelope(args, p, payload, prov, start)
     else:
-        text = _csv(["x", "R"], zip(x, r))
+        rows = np.rec.fromarrays([prof.x, prof.values], names=["x", "R"])
+        text = _csv(rows.dtype.names, rows)
     _emit(text, args.out)
     return 0
 
@@ -402,9 +427,8 @@ def _cmd_spectrum(args, p: ModelParams, start: float) -> int:
     if args.vectors:
         header = ["x", *(f"{kind}_{i}" for kind in ("lplus", "lminus")
                          for i in range(args.k))]
-        rows = ([x, *plus, *minus] for x, plus, minus in zip(
-            report.x.tolist(), report.lplus_eigenvectors.tolist(),
-            report.lminus_eigenvectors.tolist()))
+        rows = np.rec.fromarrays([report.x, *report.lplus_eigenvectors.T,
+                                  *report.lminus_eigenvectors.T], names=header)
         _emit(_csv(header, rows), args.vectors)
     if args.json:
         prov = {"grid": {"step": args.h, "half_length": report.half_length,
@@ -432,10 +456,11 @@ def _cmd_evolve(args, p: ModelParams, start: float) -> int:
     diag = evolve_mod.run(p, args.omega, perturbation, args.t_final,
                           sample_every=args.sample, step_x=args.dx,
                           step_t=args.dt)
-    columns = (diag.times, diag.energy, diag.charge, diag.orbital_distance,
-               diag.sup_amplitude)
-    _emit(_csv(["time", "energy", "charge", "orbital_distance",
-                "sup_amplitude"], zip(*columns)), args.out)
+    rows = np.rec.fromarrays(
+        [diag.times, diag.energy, diag.charge, diag.orbital_distance,
+         diag.sup_amplitude],
+        names=["time", "energy", "charge", "orbital_distance", "sup_amplitude"])
+    _emit(_csv(rows.dtype.names, rows), args.out)
     prov = {"grid": {"step_x": args.dx, "step_t": args.dt,
                      "sample_every": args.sample,
                      "perturbation": perturbation},
@@ -466,6 +491,7 @@ _ERRORS = {
     soliton.GridError: ("grid-error", 3),
     stability.OracleDisagreementError: ("oracle-disagreement", 4),
     spectrum.EigensolverError: ("eigensolver-error", 1),
+    _OutputError: ("io-error", 2),
 }
 
 

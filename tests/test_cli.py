@@ -296,6 +296,26 @@ def test_sweep_json_peak_memory(capsys):
     assert peak < 4 * len(out)
 
 
+def test_sweep_writers_peak_at_twice_their_text():
+    # the table is built, and each writer run once, before tracing: the
+    # traced peak is the writer's alone
+    n = 20000
+    rows = np.rec.fromarrays(
+        stability.sweep_columns(ModelParams(1.0, 1.0, 2.0), n),
+        names=["omega", "alpha", "sigma", "d2_sign"])
+    writers = [lambda: render_json({"n": n, "rows": rows}),
+               lambda: cli._csv(rows.dtype.names, rows)]
+    for write in writers:
+        write()
+        tracemalloc.start()
+        try:
+            text = write()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * len(text)
+
+
 def test_classify_csv_keeps_an_overflowed_tau(capsys):
     # tau = 2 m^2 b / a^2 overflows to inf, which still exceeds every k2:
     # the verdicts stand, though the JSON and text reports refuse tau
@@ -410,6 +430,23 @@ def test_blow_up_exit_code(capsys, tmp_path):
     assert out_path.exists()
 
 
+@pytest.mark.parametrize("argv, path_flag", [
+    (["sweep", "--a", "1", "--b", "1", "--m", "2", "--n", "5"], "--out"),
+    (["profile", "--a", "1", "--b", "1", "--m", "1", "--omega", "0.9",
+      "--h", "0.05"], "--out"),
+    (_SPECTRUM + ["--h", "0.1", "--k", "2"], "--vectors"),
+    (_EVOLVE[:-2] + ["--t-final", "0.1", "--dx", "0.1", "--dt", "0.05"],
+     "--out"),
+])
+def test_unwritable_output_path_exit_code(capsys, tmp_path, argv, path_flag):
+    missing = tmp_path / "missing" / "x.csv"
+    code, out, err = _run(capsys, argv + [path_flag, str(missing)])
+    assert (code, out) == (2, "")
+    assert err.startswith("kgstab: io-error: ")
+    assert str(missing) in err
+    assert len(err.splitlines()) == 1
+
+
 def test_render_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         render_json(object())
@@ -463,6 +500,22 @@ def test_records_render_as_their_rows(values, depth):
         nested_rows = {"k": [nested_rows]}
     assert render_json(nested_records) \
         == oracles.recursive_render_json(nested_rows)
+    header = records.dtype.names
+    assert cli._csv(header, records) == cli._csv(header, records.tolist())
+
+
+@pytest.mark.parametrize("n", [0, 1, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS,
+                               cli._CHUNK_ROWS + 1, 2 * cli._CHUNK_ROWS + 1])
+def test_records_render_across_chunk_boundaries(n):
+    rng = np.random.default_rng(n)
+    records = np.rec.fromarrays(
+        [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+         rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64)], names="x,k")
+    rows = [dict(zip(records.dtype.names, row)) for row in records.tolist()]
+    assert render_json(records) == oracles.recursive_render_json(rows)
+    nested = {"k": [{"k": [records]}]}
+    assert render_json(nested) \
+        == oracles.recursive_render_json({"k": [{"k": [rows]}]})
     header = records.dtype.names
     assert cli._csv(header, records) == cli._csv(header, records.tolist())
 
