@@ -6,9 +6,12 @@ floats, which cost far less per operation than NumPy scalars and round
 identically (both are IEEE doubles).  A Sturm counter converts its matrix
 once, with the suffix bounds that let a count stop early at the midpoint of
 its tail recurrence's fixed points (``sturm_counter``), and then serves
-every count on that matrix.  A solve runs odd-even cyclic reduction in
-log2 n NumPy passes, checked by a componentwise backward-error test, with
-the Thomas loop over Python floats as fallback (``tridiag_solve``).
+every count on that matrix.  A count given a cap also returns as soon as it
+passes the cap, which is all that a bisection asking "at most j?" needs
+(as LAPACK ``dstebz`` only decides an index).  A solve runs odd-even cyclic
+reduction in log2 n NumPy passes, checked by a componentwise backward-error
+test, with the Thomas loop over Python floats as fallback
+(``tridiag_solve``).
 """
 
 from __future__ import annotations
@@ -87,7 +90,8 @@ def _pivot_floor(e2) -> float:
 def sturm_counter(diag, off):
     """Count function for the symmetric tridiagonal matrix: ``count(shift)``
     is the number of its eigenvalues at or below ``shift``, within the pivot
-    floor (LAPACK ``dstebz`` convention).
+    floor (LAPACK ``dstebz`` convention), and ``count(shift, cap)`` is
+    min(count(shift), cap + 1).
 
     Sturm sequence via the LDL^T pivot recurrence q = (d - shift) - e^2/q.
     A pivot inside [-pivmin, pivmin] is replaced by -pivmin, so
@@ -106,6 +110,11 @@ def sturm_counter(diag, off):
     least that expression, hence at least bound: no later row is counted or
     floored, and the count is the full walk's for every input, NaN and +-inf
     included (a NaN in the suffix fails the check).
+
+    With a cap, the walk also returns at the pivot that brings the count to
+    cap + 1: the count only grows along the walk, so ``count(shift, j) <= j``
+    is the full count's answer.  The test sits in the branch of a counted
+    pivot, so a positive pivot costs nothing extra.
     """
     # squared off-diagonal with a leading 0: the first pivot is then
     # d - shift - 0/1, which is exactly d - shift
@@ -121,7 +130,7 @@ def sturm_counter(diag, off):
     rows = diag.shape[0]
     diag_list, e2_list = diag.tolist(), e2.tolist()
 
-    def count(shift) -> int:
+    def count(shift, cap=rows) -> int:  # n never passes rows: no cap
         # Python floats: d - shift rounds as NumPy's would, and an infinite
         # or NaN operand gives inf or NaN with no warning
         shift = float(shift)
@@ -139,6 +148,8 @@ def sturm_counter(diag, off):
             q = (d - shift) - s / q
             if q <= pivmin:
                 n += 1
+                if n > cap:
+                    return n
                 if q >= -pivmin:
                     q = -pivmin
         for d, s in pivots:
@@ -147,6 +158,8 @@ def sturm_counter(diag, off):
             q = (d - shift) - s / q
             if q <= pivmin:
                 n += 1
+                if n > cap:
+                    return n
                 if q >= -pivmin:
                     q = -pivmin
         return n

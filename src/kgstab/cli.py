@@ -6,16 +6,20 @@ identical arguments give byte-identical payloads, with volatile facts (wall
 time, file paths) quarantined in ``provenance``.
 
 Exit codes: 0 success, 1 eigensolver failure, 2 usage or an unwritable
-output file (``io-error``), 3 domain/grid/CFL errors, 4 oracle disagreement,
-5 blow-up-truncated evolution.  Every failure prints a single
-machine-parsable line ``kgstab: <tag>: <reason>`` on stderr.
+output file (``io-error``, checked before computing), 3 domain/grid/CFL
+errors, 4 oracle disagreement, 5 blow-up-truncated evolution.  Every
+failure prints a single machine-parsable line ``kgstab: <tag>: <reason>``
+on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import re
+import stat
 import sys
 import time
 
@@ -244,6 +248,33 @@ def _emit(text: str, out_path=None) -> None:
             raise _OutputError(exc) from exc
     else:
         sys.stdout.write(text)
+
+
+def _check_writable(path: str) -> None:
+    """Raise ``_OutputError``, with the message opening ``path`` for writing
+    would give, unless it is an existing writable file (``/dev/null``
+    included) or a new one in an existing writable directory.  Opens
+    nothing, so a refused command leaves no file behind."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            code = errno.ENOENT
+        elif not os.access(parent, os.W_OK | os.X_OK):
+            code = errno.EACCES
+        else:
+            return
+    except OSError as exc:  # a file on the way to it, say
+        raise _OutputError(exc) from exc
+    else:
+        if stat.S_ISDIR(mode):
+            code = errno.EISDIR
+        elif not os.access(path, os.W_OK):
+            code = errno.EACCES
+        else:
+            return
+    raise _OutputError(OSError(code, os.strerror(code), path))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -497,7 +528,8 @@ _ERRORS = {
 
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.  The clock starts here,
-    and the model (None for tau-star) is built here, for every command."""
+    and the model (None for tau-star) is built here, for every command; then
+    each output path is checked, before any computation."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -508,6 +540,10 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         p = (None if args.command == "tau-star"
              else ModelParams(args.a, args.b, args.m))
+        # an unwritable output refuses the command before it computes
+        for flag in ("out", "vectors"):
+            if getattr(args, flag, None):
+                _check_writable(getattr(args, flag))
         return args.func(args, p, start)
     except tuple(_ERRORS) as exc:
         tag, code = next(entry for family, entry in _ERRORS.items()

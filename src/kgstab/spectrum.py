@@ -22,7 +22,10 @@ the report's negative count included, share one ``_kernels.sturm_counter``.
 A count at a shift below the block's edge (where the smallest remaining
 diagonal entry, less twice the largest remaining off-diagonal magnitude,
 passes the shift) stops once a pivot proves that no later pivot can be
-counted: the same count as the full walk.  Each solve of the refinement is
+counted: the same count as the full walk.  The search for the (j+1)-th
+eigenvalue only asks whether a count is at most j, so its counts are capped
+at j and stop at the (j+1)-th counted pivot, which fixes that answer; the
+negative count is uncapped.  Each solve of the refinement is
 ``_kernels.tridiag_solve``: cyclic reduction in NumPy passes, checked by a
 componentwise backward-error test, with the Thomas loop as its fallback.
 Against the Thomas loop alone, a report keeps its negative counts, its
@@ -139,16 +142,16 @@ def _inverse_iteration(diag, off, eigenvalue, rng, neighbors) -> np.ndarray:
     The first solve (``_kernels.tridiag_solve``: cyclic reduction that
     meets a componentwise backward-error bound, or else the Thomas loop) is
     shifted by ``eigenvalue``, each later one by the Rayleigh quotient of
-    the current vector.  The iteration stops when
-    the residual |Tv - rho v| is down to the rounding level of the matrix
-    scale; inside a cluster the vector can keep turning in the invariant
-    subspace, so a test on its movement would never stop.  The floored
-    pivots turn the near-singular system into a strongly magnifying one,
-    which is exactly what inverse iteration wants.  A solve that overflows
-    (a pivot exactly zero where the floor is the safe minimum) is
-    discarded: the shift is moved off by a few ulps of the matrix scale
-    (as LAPACK ``dstein`` perturbs tiny pivots) and the iteration restarts.  ``neighbors`` are already-computed
-    eigenvectors to orthogonalize against.
+    the current vector.  The iteration stops when the residual |Tv - rho v|
+    is down to the rounding level of the matrix scale; inside a cluster the
+    vector can keep turning in the invariant subspace, so a test on its
+    movement would never stop.  The floored pivots turn the near-singular
+    system into a strongly magnifying one, which is exactly what inverse
+    iteration wants.  A solve that overflows (a pivot exactly zero where the
+    floor is the safe minimum) is discarded: the shift is moved off by a few
+    ulps of the matrix scale (as LAPACK ``dstein`` perturbs tiny pivots) and
+    the iteration restarts.  ``neighbors`` are already-computed eigenvectors
+    to orthogonalize against.
     """
     n = diag.size
     scale = float(np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
@@ -222,7 +225,8 @@ def lowest_eigenpairs(op: TridiagonalOperator,
 
     Every count goes through one ``_kernels.sturm_counter`` built on the
     matrix, which walks the pivots only up to the row from which none can
-    go negative again; the counts equal the full walk's.
+    go negative again, and, capped at j, only up to the (j+1)-th counted
+    pivot: every test ``count <= j`` is the full walk's.
 
     So every returned value lies within tol of the matrix's j-th
     eigenvalue, as Sturm counts (LAPACK ``dstebz`` convention) place it, and
@@ -252,7 +256,7 @@ def _lowest_eigenpairs(op: TridiagonalOperator, k: int, count):
         # the (j+1)-th eigenvalue lies above x while at most j are at or
         # below it
         def goes_up(x):
-            return count(x) <= j
+            return count(x, j) <= j
 
         step = first_step
         hi = lo + step

@@ -447,6 +447,33 @@ def test_unwritable_output_path_exit_code(capsys, tmp_path, argv, path_flag):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, computes", [
+    (["sweep", "--a", "1", "--b", "1", "--m", "0.7416", "--n", "1000000"],
+     (stability, "sweep_columns")),
+    (_EVOLVE[:-2] + ["--t-final", "100"], (cli.evolve_mod, "run")),
+])
+@pytest.mark.parametrize("bad", ["missing dir", "directory", "file parent"])
+def test_unwritable_output_refused_before_computing(capsys, tmp_path,
+                                                    monkeypatch, argv,
+                                                    computes, bad):
+    # the path is refused with open's own message before any work starts
+    calls = []
+    monkeypatch.setattr(*computes, lambda *args, **kwargs: calls.append(1))
+    (tmp_path / "file").touch()
+    path = {"missing dir": tmp_path / "missing" / "x.csv",
+            "directory": tmp_path,
+            "file parent": tmp_path / "file" / "x.csv"}[bad]
+    code, out, err = _run(capsys, argv + ["--out", str(path)])
+    assert (code, out, calls) == (2, "", [])
+    try:
+        open(path, "w").close()
+    except OSError as exc:
+        assert err == f"kgstab: io-error: {exc}\n"
+    else:
+        pytest.fail(f"{path} is writable")
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
+
+
 def test_render_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         render_json(object())

@@ -148,10 +148,25 @@ def test_sturm_counter_equals_the_elementwise_loop(case):
                                                                shift)
 
 
+@settings(max_examples=500)
+@given(case=_counter_cases())
+@example(case=(np.array([1.0, math.inf]), np.array([math.inf]), [0.0]))
+def test_sturm_counter_cap_equals_the_clipped_loop(case):
+    # a capped count returns at the pivot that passes the cap: the full
+    # count clipped to cap + 1, for every cap from 0 to n and every shift
+    diag, off, shifts = case
+    count = _kernels.sturm_counter(diag, off)
+    for shift in shifts:
+        want = oracles.sturm_count_elementwise(diag, off, shift)
+        for cap in range(diag.size + 1):
+            assert count(shift, cap) == min(want, cap + 1)
+
+
 @pytest.mark.parametrize("wave", WAVES)
 def test_sturm_counter_on_the_parity_blocks(wave):
     # shifts across each block's Gershgorin interval, densest below the
-    # continuum edge m^2 - omega^2, where the counts stop early
+    # continuum edge m^2 - omega^2, where the counts stop early; uncapped
+    # and capped at the solver's indices
     coefficients, omega = wave
     p = ModelParams(*coefficients)
     _, diagonals, off = _half_line_rows(p, omega, 0.04, None)
@@ -167,8 +182,10 @@ def test_sturm_counter_on_the_parity_blocks(wave):
             count = _kernels.sturm_counter(diag, off_diag)
             for shift in [*np.linspace(lo, hi, 65),
                           *np.linspace(lo, edge, 193)]:
-                assert count(shift) == oracles.sturm_count_elementwise(
-                    diag, off_diag, shift)
+                want = oracles.sturm_count_elementwise(diag, off_diag, shift)
+                assert count(shift) == want
+                for cap in range(4):
+                    assert count(shift, cap) == min(want, cap + 1)
 
 
 @pytest.mark.parametrize("shift", [math.inf, -math.inf, math.nan])

@@ -454,7 +454,8 @@ def test_report_equals_the_elementwise_counts_report(wave, monkeypatch):
     want = spectral_report(p, omega, 0.04)
 
     def elementwise(diag, off):
-        return lambda shift: oracles.sturm_count_elementwise(diag, off, shift)
+        return lambda shift, cap=None: oracles.sturm_count_elementwise(
+            diag, off, shift)
 
     monkeypatch.setattr(spectrum._kernels, "sturm_counter", elementwise)
     got = spectral_report(p, omega, 0.04)
@@ -656,6 +657,28 @@ def test_lowest_eigenpairs_random_tridiagonal(case):
     for val, vec in pairs:
         residual = _kernels.matvec(diag, off, vec) - val * vec
         assert np.linalg.norm(residual) < 1e-8
+
+
+@settings(max_examples=60)
+@given(_tridiagonals())
+def test_lowest_eigenpairs_capped_counts_change_nothing(case):
+    # the capped count answers every "at most j?" as the full count does, so
+    # a counter that ignores the cap gives the same values and vector bytes
+    diag, off, k = case
+    op = TridiagonalOperator(diag, off)
+    want = lowest_eigenpairs(op, k)
+    sturm_counter = spectrum._kernels.sturm_counter
+
+    def uncapped(diag, off):
+        count = sturm_counter(diag, off)
+        return lambda shift, cap=None: count(shift)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum._kernels, "sturm_counter", uncapped)
+        got = lowest_eigenpairs(op, k)
+    assert [value for value, _ in got] == [value for value, _ in want]
+    assert ([vector.tobytes() for _, vector in got]
+            == [vector.tobytes() for _, vector in want])
 
 
 @st.composite
