@@ -14,10 +14,11 @@ nodes x >= 0 and an odd block on the nodes x > 0, both formed from the rows
 on the lattice's nodes 0 .. N-1; the full grid is built only by ``assemble``
 and for ``spectral_report``'s ``x`` and mirrored vectors.  On each block, the
 lowest eigenpairs come from Sturm-sequence counts that bracket an eigenvalue
-and bisect it to a width of about 1e-3, inverse iteration with a
-Rayleigh-quotient shift that refines it, and two more Sturm counts that
-confirm its index — deliberately self-contained so library results can be
-compared against external eigensolvers in the tests.  The counts on a block,
+and bisect it to a width of 1e-3 (1e-6, 1e-9, then 1e-10 while a pair
+fails), inverse iteration with a Rayleigh-quotient shift that refines it,
+and two more Sturm counts that confirm its index — deliberately
+self-contained so library results can be compared against external
+eigensolvers in the tests.  The counts on a block,
 the report's negative count included, share one ``_kernels.sturm_counter``.
 A count at a shift below the block's edge (where the smallest remaining
 diagonal entry, less twice the largest remaining off-diagonal magnitude,
@@ -52,12 +53,14 @@ _COARSE_WIDTH = 1e-3
 _RESIDUAL_ULPS = 100.0
 # distance of each returned eigenvalue from the matrix's own
 EIGENVALUE_TOL = 1e-10
+# bisection widths of an eigenpair's successive refinements
+_WIDTHS = (_COARSE_WIDTH, 1e-6, 1e-9, EIGENVALUE_TOL)
 # eigenvalues within KERNEL_BAND * step^2 of zero are kernel candidates
 KERNEL_BAND = 10.0
 
 
 class EigensolverError(RuntimeError):
-    """Inverse iteration failed to converge on an eigenvector."""
+    """No bisection width gave a refined and Sturm-confirmed eigenpair."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,8 +139,8 @@ def _positive_peak(v: np.ndarray) -> np.ndarray:
     return -v if v[peak] < 0.0 else v
 
 
-def _inverse_iteration(diag, off, eigenvalue, rng, neighbors) -> np.ndarray:
-    """Eigenvector for an eigenvalue estimate, by Rayleigh-quotient iteration.
+def _inverse_iteration(diag, off, eigenvalue, rng, neighbors):
+    """(rho, v) near an eigenvalue estimate, by Rayleigh-quotient iteration.
 
     The first solve (``_kernels.tridiag_solve``: cyclic reduction that
     meets a componentwise backward-error bound, or else the Thomas loop) is
@@ -151,7 +154,8 @@ def _inverse_iteration(diag, off, eigenvalue, rng, neighbors) -> np.ndarray:
     floor is the safe minimum) is discarded: the shift is moved off by a few
     ulps of the matrix scale (as LAPACK ``dstein`` perturbs tiny pivots) and
     the iteration restarts.  ``neighbors`` are already-computed eigenvectors
-    to orthogonalize against.
+    to orthogonalize against.  v is positive at its first largest entry and
+    rho is its Rayleigh quotient; None means 100 iterations did not converge.
     """
     n = diag.size
     scale = float(np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
@@ -192,13 +196,9 @@ def _inverse_iteration(diag, off, eigenvalue, rng, neighbors) -> np.ndarray:
         rho = float(v @ residual)
         residual -= rho * v
         if np.linalg.norm(residual) <= converged:
-            break
+            return rho, _positive_peak(v)
         shift = rho
-    else:
-        raise EigensolverError(
-            f"inverse iteration stalled at eigenvalue {eigenvalue!r}"
-        )
-    return _positive_peak(v)
+    return None
 
 
 def _check_k(k: int, n: int) -> int:
@@ -219,9 +219,9 @@ def lowest_eigenpairs(op: TridiagonalOperator,
     Rayleigh-quotient shift then refines the vector, and the eigenvalue is
     its Rayleigh quotient.  Two Sturm counts accept it when
     ``count(value - tol) <= j < count(value + tol)``, with tol =
-    EIGENVALUE_TOL.  When they do not, or the refinement stalls, the
-    bisection width shrinks 1000-fold, down to tol, and the refinement is
-    repeated; :class:`EigensolverError` is raised only after that.
+    EIGENVALUE_TOL.  When they do not, or the refinement stalls, the bracket
+    is bisected again to 1e-6, 1e-9 and then tol, and the refinement
+    repeated; :class:`EigensolverError` is raised when tol fails too.
 
     Every count goes through one ``_kernels.sturm_counter`` built on the
     matrix, which walks the pivots only up to the row from which none can
@@ -270,26 +270,19 @@ def _lowest_eigenpairs(op: TridiagonalOperator, k: int, count):
         # an eigenvector of a distant eigenvalue costs one dot product and
         # changes nothing, while a missed cluster member skews the vectors
         earlier = [v for _, v in pairs]
-        width = _COARSE_WIDTH
-        while True:
+        for width in _WIDTHS:
             shift = bisect(goes_up, lo, hi, width)
-            try:
-                vector = _inverse_iteration(diag, off, shift, rng, earlier)
-            except EigensolverError as exc:
-                failure = exc
-            else:
-                value = float(vector @ _kernels.matvec(diag, off, vector))
+            pair = _inverse_iteration(diag, off, shift, rng, earlier)
+            if pair is not None:
+                value, vector = pair
                 if (goes_up(value - EIGENVALUE_TOL)
                         and not goes_up(value + EIGENVALUE_TOL)):
                     break
-                failure = EigensolverError(
-                    f"eigenpair {j} not confirmed by Sturm counts near "
-                    f"{value!r}")
-            if width <= EIGENVALUE_TOL:
-                raise failure
             # the last bisection bracket lies within width / 2 of shift
             lo, hi = max(lo, shift - width), min(hi, shift + width)
-            width = max(1e-3 * width, EIGENVALUE_TOL)
+        else:
+            raise EigensolverError(f"eigenpair {j} not refined and confirmed "
+                                   f"near {shift!r}")
         pairs.append((value, vector))
         lo = value - EIGENVALUE_TOL  # eigenvalues are nondecreasing
     # members of a cluster narrower than EIGENVALUE_TOL may come out of order

@@ -35,6 +35,8 @@ from .soliton import d_second_numeric
 _SERIES_CUTOFF = 1e-2
 # Bisection width in alpha of tau_star's argmax and of classify's roots.
 ALPHA_TOL = 1e-12
+# The cell of the 0.05 alpha grid where k2_prime turns from > 0 to <= 0.
+_ARGMAX_BRACKET = (0.05 * 16, 0.05 * 17)
 # |tau - k2| below which d_second_sign reports 0.
 SIGN_TOL = 1e-10
 MAX_ROWS = 1_000_000  # most rows one sweep may hold
@@ -132,23 +134,13 @@ def k2_prime(alpha: float) -> float:
 def tau_star(tol_alpha: float = ALPHA_TOL) -> TauStarResult:
     """Critical coupling tau_star = sup k2 and its argmax alpha_d.
 
-    k2_prime changes sign exactly once on (0, 1): bracket the change on a
-    coarse grid, then bisect to ``tol_alpha``.
+    k2_prime changes sign exactly once on (0, 1), inside the constant
+    bracket _ARGMAX_BRACKET: bisect it to ``tol_alpha``.
     """
     if not 0.0 < tol_alpha < 0.1:
         raise DomainError(f"tol_alpha={tol_alpha!r} out of range")
-    grid = [0.05 * i for i in range(1, 20)]
-    lo = hi = None
-    prev_a, prev_s = grid[0], k2_prime(grid[0])
-    for a in grid[1:]:
-        s = k2_prime(a)
-        if prev_s > 0.0 and s <= 0.0:
-            lo, hi = prev_a, a
-            break
-        prev_a, prev_s = a, s
-    if lo is None:
-        raise RuntimeError("no sign change of k2_prime found on (0, 1)")
-    alpha_d = bisect(lambda mid: k2_prime(mid) > 0.0, lo, hi, tol_alpha)
+    alpha_d = bisect(lambda mid: k2_prime(mid) > 0.0, *_ARGMAX_BRACKET,
+                     tol_alpha)
     return TauStarResult(tau_star=k2(alpha_d), alpha_d=alpha_d)
 
 

@@ -474,6 +474,34 @@ def test_unwritable_output_refused_before_computing(capsys, tmp_path,
     assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_device_exit_code(capsys):
+    # /dev/full passes the early check, and the write itself fails
+    code, out, err = _run(capsys, ["sweep", "--a", "1", "--b", "1", "--m",
+                                   "2", "--n", "5", "--out", "/dev/full"])
+    assert (code, out) == (2, "")
+    assert err == "kgstab: io-error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("exists", [True, False])
+def test_access_refusal_exit_code(capsys, tmp_path, monkeypatch, exists):
+    # os.access refuses the file, or the directory of a new one: exit 2 with
+    # open's message for EACCES, before the sweep is computed
+    calls = []
+    monkeypatch.setattr(stability, "sweep_columns",
+                        lambda *args, **kwargs: calls.append(1))
+    monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
+    path = tmp_path / "x.csv"
+    if exists:
+        path.touch()
+    code, out, err = _run(capsys, ["sweep", "--a", "1", "--b", "1", "--m",
+                                   "2", "--n", "5", "--out", str(path)])
+    assert (code, out, calls) == (2, "", [])
+    assert err == ("kgstab: io-error: [Errno 13] Permission denied: "
+                   f"{str(path)!r}\n")
+    assert path.exists() is exists
+
+
 def test_render_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         render_json(object())

@@ -177,6 +177,22 @@ def test_charge_vanishes_toward_upper_endpoint(p111):
     assert near_edge < midwindow
 
 
+def test_build_profile_rejects_an_unresolved_profile():
+    # sqrt(c) h is about 0.5: the centered second difference misses the
+    # closed form's curvature by more than 10 h^2 R(0)
+    with pytest.raises(GridError, match="ODE residual"):
+        build_profile(ModelParams(10.0, 0.5, 10.0), 1.0, 0.05)
+
+
+def test_energy_needs_five_nodes(p111):
+    profile = soliton.SolitonProfile(
+        omega=0.9, params=p111, half_length=0.1, step=0.05,
+        values=closed_form_profile(p111, 0.9, np.array([0.0, 0.05, 0.1])),
+        max_ode_residual=0.0)
+    with pytest.raises(GridError, match="at least 5 points"):
+        energy(profile)
+
+
 def test_energy_d_identity(p111):
     # d(omega) = E - omega Q has d' = -Q; check by centered differences
     h_w = 1e-3

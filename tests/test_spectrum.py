@@ -356,7 +356,8 @@ def test_inverse_iteration_at_exact_zero_pivot(n):
     diag = np.full(n, 2.0)
     off = np.full(n - 1, -1.0)
     with np.errstate(over="ignore"):  # the overflowing solve's norm
-        v = _inverse_iteration(diag, off, 1.0, np.random.default_rng(0), [])
+        _, v = _inverse_iteration(diag, off, 1.0, np.random.default_rng(0),
+                                  [])
     assert np.linalg.norm(_kernels.matvec(diag, off, v) - v) < 1e-12
 
 
@@ -369,7 +370,8 @@ def test_exact_zero_pivot_prints_no_warning(n, k):
     op = TridiagonalOperator(diagonal=diag, off_diagonal=off)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v = _inverse_iteration(diag, off, 1.0, np.random.default_rng(0), [])
+        _, v = _inverse_iteration(diag, off, 1.0, np.random.default_rng(0),
+                                  [])
         pairs = lowest_eigenpairs(op, k)
     assert np.linalg.norm(_kernels.matvec(diag, off, v) - v) < 1e-12
     assert pairs[-1][0] == pytest.approx(1.0, abs=1e-12)
@@ -679,6 +681,36 @@ def test_lowest_eigenpairs_capped_counts_change_nothing(case):
     assert [value for value, _ in got] == [value for value, _ in want]
     assert ([vector.tobytes() for _, vector in got]
             == [vector.tobytes() for _, vector in want])
+
+
+@settings(max_examples=60)
+@given(_tridiagonals())
+def test_lowest_eigenpairs_values_are_rayleigh_quotients(case):
+    # each value is the Rayleigh quotient inverse iteration accepted, bit for
+    # bit that of the vector returned with it
+    diag, off, k = case
+    for value, vector in lowest_eigenpairs(TridiagonalOperator(diag, off), k):
+        quotient = float(vector @ _kernels.matvec(diag, off, vector))
+        assert value.hex() == quotient.hex()
+
+
+def test_unconverged_refinements_raise_after_the_last_width(monkeypatch):
+    # every refinement fails: one bisection and refinement per width, each
+    # bracket narrower than the last, and then EigensolverError
+    shifts = []
+
+    def unconverged(diag, off, eigenvalue, rng, neighbors):
+        shifts.append(eigenvalue)
+
+    monkeypatch.setattr(spectrum, "_inverse_iteration", unconverged)
+    op = TridiagonalOperator(np.full(10, 2.0), np.full(9, -1.0))
+    with pytest.raises(EigensolverError,
+                       match="^eigenpair 0 not refined and confirmed near "):
+        lowest_eigenpairs(op, 2)
+    assert len(shifts) == len(spectrum._WIDTHS)
+    ground = 2.0 - 2.0 * math.cos(math.pi / 11.0)
+    for shift, width in zip(shifts, spectrum._WIDTHS):
+        assert abs(shift - ground) <= width
 
 
 @st.composite

@@ -11,7 +11,8 @@ from kgstab import (DomainError, ModelParams, OracleDisagreementError,
                     StabilityReport, build_profile, charge, classify,
                     d_second_sign, k1, k2, k2_prime, omega_of_alpha,
                     sigma_closed, tau_star)
-from kgstab.stability import MAX_ROWS, _SERIES_CUTOFF, sweep_columns
+from kgstab.stability import (MAX_ROWS, _ARGMAX_BRACKET, _SERIES_CUTOFF,
+                              sweep_columns)
 
 
 def test_k1_domain_checks():
@@ -83,6 +84,18 @@ def test_k2_prime_single_sign_change():
     flips = np.nonzero(np.diff(signs))[0]
     assert len(flips) == 1
     assert signs[0] > 0 and signs[-1] < 0
+
+
+def test_tau_star_bracket_holds_the_only_sign_change():
+    lo, hi = _ARGMAX_BRACKET
+    assert k2_prime(lo) > 0.0 >= k2_prime(hi)
+    alphas = [i * 1e-3 for i in range(1, 1000)]
+    positive = [k2_prime(alpha) > 0.0 for alpha in alphas]
+    changes = [(left, right) for left, right, up, next_up
+               in zip(alphas, alphas[1:], positive, positive[1:])
+               if up != next_up]
+    assert len(changes) == 1
+    assert lo <= changes[0][0] < changes[0][1] <= hi
 
 
 def test_k2_prime_matches_finite_difference():
@@ -231,6 +244,15 @@ def test_classify_below_one_single_interval():
     assert hi == pytest.approx(0.7, rel=1e-14)
 
 
+def test_classify_with_a_collapsed_branch():
+    # tau is about 2e-30, so alpha stays below sqrt(tau), about 1.4e-15: the
+    # only branch (1e-12, sqrt(tau) - 1e-15) is empty and nothing is bisected
+    report = classify(ModelParams(1e15, 1.0, 1.0))
+    assert report.tau < 1e-29
+    assert report.roots_alpha == report.roots_omega == ()
+    assert report.intervals == ((0.0, 1.0, "unstable"),)
+
+
 def test_classify_scaling_invariance(p_tau11):
     # tau is invariant under (a, b) -> (lam a, lam^2 b); the omega roots and
     # verdicts must not move
@@ -279,7 +301,8 @@ def _outcome(call):
 
 # (a, b, m) the scalar sweep refuses, in order: a collapsed window, m^2
 # overflowing, a window collapsed by a^2 underflowing, sigma's scale
-# overflowing to nan, sigma overflowing to inf, and 4 b^2 underflowing
+# overflowing to nan, sigma overflowing to inf, 4 b^2 underflowing, and a
+# window of a few ulps whose first row passes and whose last rounds to m
 _REFUSED = [
     (1e-8, 1.0, 1.0),
     (8.394974948008668e+132, 1.808559337741882e-163, 1.4535076851165435e+267),
@@ -287,6 +310,7 @@ _REFUSED = [
     (1.5252458374853487e+102, 1.0497999790144707e-118, 3.534790557054179e+52),
     (1.000162645918005e+50, 6.0350896144204805e-105, 6.261289151007875e+102),
     (1e-80, 1e-170, 1.0),
+    (5.16377711167197e-07, 165.43148167560742, 1.0000000000000002),
 ]
 # tau ranges: all stable, stable/unstable/stable, all unstable
 _TAU_REGIMES = [(1.5, 3.0), (1.03, 1.12), (0.90, 0.98)]
