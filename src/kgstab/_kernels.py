@@ -41,7 +41,7 @@ def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
     one real weight per node, w = (2 - 2r - dt^2 m^2) + |phi| (3a dt^2
     - 4b dt^2 |phi|) in Horner form: 2 - 2r - dt^2 (m^2 + G'(|phi|)/|phi|),
     with G'(s)/s as ``model.g_prime_over_s`` defines it, folded into the
-    weight (``soliton.accelerate_into`` holds the other copy).  The new
+    weight (``soliton.field_acceleration`` holds the other copy).  The new
     level overwrites prev's storage and the two swap roles; after an odd
     step count one copy-back moves the newest level into ``phi``.
     """

@@ -262,7 +262,7 @@ def _check_writable(path: str) -> None:
         if not os.path.isdir(parent):
             code = errno.ENOENT
         elif not os.access(parent, os.W_OK | os.X_OK):
-            code = errno.EACCES
+            code = _refusal(parent)
         else:
             return
     except OSError as exc:  # a file on the way to it, say
@@ -271,10 +271,18 @@ def _check_writable(path: str) -> None:
         if stat.S_ISDIR(mode):
             code = errno.EISDIR
         elif not os.access(path, os.W_OK):
-            code = errno.EACCES
+            code = _refusal(path)
         else:
             return
     raise _OutputError(OSError(code, os.strerror(code), path))
+
+
+def _refusal(path: str) -> int:
+    """The errno of open where ``os.access`` refuses ``path``: EROFS on a
+    read-only filesystem, EACCES otherwise."""
+    if os.statvfs(path).f_flag & os.ST_RDONLY:
+        return errno.EROFS
+    return errno.EACCES
 
 
 class _Parser(argparse.ArgumentParser):

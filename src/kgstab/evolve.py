@@ -12,13 +12,13 @@ field operator, and R and omega from the profile's samples.
 
 ``run`` allocates its two time levels once and the kernel steps them in
 place.  One sampler per run holds the profile's doubled composite Simpson
-weights, the orbit's side of the distance and its own buffers; per sample
-it forms |phi|, psi and phi_x once, and takes every integral as a weighted
-dot product of those arrays.  The sums run in another order than
-``composite_simpson``'s, so the diagnostics differ from its in the last
-digits: energy and charge by at most 1e-14 relative (worst measured 7.1e-15
-and 1.2e-15), the squared distance by at most 1e-14 of the orbit's squared
-norm (worst measured 5.5e-15).
+weights, the orbit's side of the distance and the tail sensor's node; per
+sample it forms |phi|, psi and phi_x as new arrays, and takes every
+integral as a weighted dot product of those arrays.  The sums run in
+another order than ``composite_simpson``'s, so the diagnostics differ from
+its in the last digits: energy and charge by at most 1e-14 relative (worst
+measured 7.1e-15 and 1.2e-15), the squared distance by at most 1e-14 of the
+orbit's squared norm (worst measured 5.5e-15).
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import numpy as np
 
 from . import _kernels
 from .model import DomainError, ModelParams, as_count, g_potential
-from .soliton import (GridError, SolitonProfile, accelerate_into,
-                      build_profile, field_acceleration, half_line)
+from .soliton import (GridError, SolitonProfile, build_profile,
+                      field_acceleration, half_line)
 
 # Amplitude guard: a run whose sup exceeds this many times R(0) has left any
 # neighbourhood of the orbit and is about to overflow; record and stop.
@@ -111,7 +111,7 @@ class FieldState:
 
     @cached_property
     def _fields(self) -> _Sampler:
-        """A sampler whose buffers hold this state's |phi|, psi and phi_x."""
+        """A sampler that holds this state's |phi|, psi and phi_x."""
         sampler = _Sampler(self.profile, self.step_t)
         sampler.fields(self.phi, self.phi_prev)
         return sampler
@@ -138,21 +138,13 @@ class FieldState:
         return self._fields.mag
 
 
-def _gradient(values: np.ndarray, step: float,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Centred first derivative of an even function sampled on x >= 0; it
-    vanishes at the centre, as the mirror requires.
-
-    ``np.gradient``'s operations (one-sided at the Dirichlet end), written
-    into ``out`` when it is given.
-    """
-    if out is None:
-        out = np.empty_like(values)
-    np.subtract(values[2:], values[:-2], out=out[1:-1])
-    np.divide(out[1:-1], 2.0 * step, out=out[1:-1])
-    out[-1] = (values[-1] - values[-2]) / step
-    out[0] = 0.0
-    return out
+def _gradient(values: np.ndarray, step: float) -> np.ndarray:
+    """Centred first derivative of an even function sampled on x >= 0
+    (``np.gradient``, one-sided at the Dirichlet end); it vanishes at the
+    centre, as the mirror requires."""
+    grad = np.gradient(values, step)
+    grad[0] = 0.0
+    return grad
 
 
 def _guard(profile: SolitonProfile) -> float:
@@ -196,11 +188,10 @@ class _Sampler:
 
     It holds the doubled composite Simpson weights W of the half-line, the
     orbit's side of the distance (R, R', the orbit's velocity -i omega R and
-    its squared norm), the tail sensor's first node and the buffers of one
-    state's |phi|, psi and phi_x.  ``fields`` fills those buffers with the
-    operations of ``field_acceleration`` and ``np.gradient``, so psi and
-    phi_x are bitwise theirs; ``integrals`` takes every integral as a
-    weighted dot product on them.
+    its squared norm) and the tail sensor's first node.  ``fields`` sets one
+    state's |phi|, psi and phi_x from ``field_acceleration`` and
+    ``np.gradient``; ``integrals`` takes every integral as a weighted dot
+    product on them.
     """
 
     def __init__(self, profile: SolitonProfile, step_t: float):
@@ -230,49 +221,33 @@ class _Sampler:
         self.orbit_psi = -1j * omega * w_r
         self.tail = int(np.argmax(profile.x
                                   >= profile.half_length - _TAIL_MARGIN))
-        self.mag = np.empty(n)
-        self.psi = np.empty(n, dtype=complex)
-        self.phi_x = np.empty(n, dtype=complex)
-        self._acc = np.zeros(n, dtype=complex)  # the end entry stays 0
-        self._force = np.empty(n - 1, dtype=complex)
-        self._weight = np.empty(n - 1)
-        self._scratch = np.empty(n - 1)
-        self._weighted = np.empty(2 * n)
 
     @_quiet
     def fields(self, phi: np.ndarray, phi_prev: np.ndarray) -> None:
-        """Fill ``mag``, ``psi`` and ``phi_x`` from the two levels.
+        """Set ``mag``, ``psi`` and ``phi_x`` of the state (phi, phi_prev).
 
         psi is ``FieldState.velocity``: (phi - phi_prev) / dt
-        + (dt/2) phi_tt(phi), the acceleration read from |phi| formed once.
+        + (dt/2) phi_tt(phi).
         """
         dt = self.step_t
         prof = self.profile
-        np.abs(phi, out=self.mag)
-        accelerate_into(self._acc, phi, self.mag[:-1], prof.step,
-                        prof.params, self._force, self._weight,
-                        self._scratch)
-        np.multiply(0.5 * dt, self._acc, out=self._acc)
-        np.subtract(phi, phi_prev, out=self.psi)
-        np.divide(self.psi, dt, out=self.psi)
-        np.add(self.psi, self._acc, out=self.psi)
-        _gradient(phi, prof.step, out=self.phi_x)
+        self.mag = np.abs(phi)
+        self.psi = (phi - phi_prev) / dt + (0.5 * dt) * field_acceleration(
+            phi, prof.step, prof.params)
+        self.phi_x = _gradient(phi, prof.step)
 
     @_quiet
     def integrals(self, phi: np.ndarray) -> tuple:
         """(energy, charge, orbital distance, sup |phi|, sup |phi| over the
-        tail sensor) of the state whose ``fields`` the buffers hold."""
-        w2 = self._weighted
+        tail sensor) of the state ``fields`` last set."""
         psi_r = self.psi.view(float)
-        np.multiply(self.weights2, psi_r, out=w2)
-        kinetic = np.dot(w2, psi_r)                        # ||psi||^2
-        pairing = np.vdot(phi, w2.view(complex))           # <phi, psi>
+        w_psi = self.weights2 * psi_r
+        kinetic = np.dot(w_psi, psi_r)                     # ||psi||^2
+        pairing = np.vdot(phi, w_psi.view(complex))        # <phi, psi>
         phi_x_r = self.phi_x.view(float)
-        np.multiply(self.weights2, phi_x_r, out=w2)
-        gradient = np.dot(w2, phi_x_r)                     # ||phi'||^2
+        gradient = np.dot(self.weights2 * phi_x_r, phi_x_r)  # ||phi'||^2
         mag = self.mag
-        w_mag = np.multiply(self.weights, mag, out=w2[:mag.size])
-        mass = np.dot(w_mag, mag)                          # ||phi||^2
+        mass = np.dot(self.weights * mag, mag)             # ||phi||^2
         potential = np.dot(self.weights,
                            g_potential(self.profile.params, mag))
         energy = 0.5 * (kinetic + gradient + self.m2 * mass) + potential

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -502,6 +503,33 @@ def test_access_refusal_exit_code(capsys, tmp_path, monkeypatch, exists):
     assert path.exists() is exists
 
 
+@pytest.mark.parametrize("exists", [True, False])
+def test_read_only_filesystem_exit_code(capsys, tmp_path, monkeypatch,
+                                        exists):
+    # os.access refuses a path on a read-only filesystem: exit 2 with open's
+    # message for EROFS, before the sweep is computed
+    calls, asked = [], []
+    monkeypatch.setattr(stability, "sweep_columns",
+                        lambda *args, **kwargs: calls.append(1))
+    monkeypatch.setattr(cli.os, "access", lambda *args, **kwargs: False)
+
+    def statvfs(path):
+        asked.append(path)
+        return os.statvfs_result((4096,) * 8 + (os.ST_RDONLY, 255))
+
+    monkeypatch.setattr(cli.os, "statvfs", statvfs)
+    path = tmp_path / "x.csv"
+    if exists:
+        path.touch()
+    code, out, err = _run(capsys, ["sweep", "--a", "1", "--b", "1", "--m",
+                                   "2", "--n", "5", "--out", str(path)])
+    assert (code, out, calls) == (2, "", [])
+    assert err == ("kgstab: io-error: [Errno 30] Read-only file system: "
+                   f"{str(path)!r}\n")
+    assert asked == [str(path) if exists else str(tmp_path)]
+    assert path.exists() is exists
+
+
 def test_render_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         render_json(object())
@@ -646,6 +674,38 @@ def test_entry_point_exit_codes():
         )
         assert result.returncode == expected, result.stderr
         assert "Traceback" not in result.stderr
+
+
+def _module_entry(argv, fresh, capsys, monkeypatch):
+    """(exit code, stdout, stderr) of ``python -m kgstab.cli ARGV``: in a
+    fresh interpreter, or through runpy in this one, where a statement trace
+    of the suite sees the module's ``__main__`` block run."""
+    if fresh:
+        src = Path(kgstab.__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(src),
+                                             os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "kgstab.cli", *argv], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": path})
+        return result.returncode, result.stdout, result.stderr
+    # runpy warns of a module it runs that is already imported
+    monkeypatch.delitem(sys.modules, "kgstab.cli", raising=False)
+    monkeypatch.setattr(sys, "argv", ["kgstab", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("kgstab.cli", run_name="__main__")
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("fresh", [True, False])
+def test_module_entry_exit_codes_and_output(capsys, monkeypatch, fresh):
+    code, out, err = _module_entry(["tau-star"], fresh, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert out.startswith("tau_star = ")
+    code, out, err = _module_entry(["spectrum"], fresh, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("kgstab: usage-error: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_tolerances_in_provenance_are_the_library_defaults(capsys):

@@ -536,8 +536,8 @@ def test_sampler_within_tolerance_of_composite_simpson(wave, kind, eps,
 @pytest.mark.parametrize("perturbation, batches", [
     ("none", (0, 1, 6)), ("bump:-200", (0, 1, 6)), ("scale:1e300", (0,))])
 def test_state_fields_are_the_earlier_bits(p111, perturbation, batches):
-    # psi and phi_x come from the sampler's buffers by the operations of
-    # field_acceleration and np.gradient; the huge start overflows in them
+    # psi and phi_x are the earlier buffered field operator's and
+    # np.gradient's bits; the huge start overflows in them
     state = _fresh_state(p111, 0.9, perturbation)
     for steps in batches:
         ahead, _ = oracles.advance(state, steps)

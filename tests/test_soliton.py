@@ -7,8 +7,8 @@ import pytest
 import oracles
 from kgstab import (DomainError, GridError, ModelParams, build_profile,
                     charge, closed_form_profile, closed_form_slope,
-                    composite_simpson, d_second_numeric, energy, r_star,
-                    sigma_closed, soliton)
+                    composite_simpson, d_second_numeric, energy,
+                    init_state, r_star, sigma_closed, soliton)
 
 
 def test_closed_form_at_origin_equals_peak_amplitude(p111):
@@ -140,6 +140,50 @@ def test_ode_residual_metadata_scales_with_grid(p111):
     fine = build_profile(p111, 0.9, 0.01)
     assert coarse.max_ode_residual / fine.max_ode_residual == pytest.approx(
         4.0, rel=0.1)
+
+
+def _operator_inputs(p111, p_tau11, p_tau098):
+    """(phi, step, params) cases of the field operator: real profile
+    samples, complex states along a run, a start that overflows, a NaN node
+    and the smallest lattice ``half_line`` accepts."""
+    cases = {}
+    for name, p, omega in [("111", p111, 0.9), ("tau11", p_tau11, 0.5),
+                           ("tau098", p_tau098, 0.3)]:
+        prof = build_profile(p, omega, 0.02)
+        cases[f"profile-{name}"] = (prof.values, prof.step, p)
+    prof = build_profile(p111, 0.9, 0.05)
+    for perturbation in ("bump:0.3", "scale:-0.2"):
+        state = init_state(prof, perturbation, 0.02)
+        for steps in (0, 7, 60):
+            ahead, _ = oracles.advance(state, steps)
+            cases[f"{perturbation}-{steps}"] = (ahead.phi, prof.step, p111)
+    cases["scale:1e300"] = (init_state(prof, "scale:1e300", 0.02).phi,
+                            prof.step, p111)
+    nan = prof.values.copy()
+    nan[17] = math.nan
+    cases["nan-node"] = (nan, prof.step, p111)
+    grid = soliton.half_line(p111, 0.9, 2.5, half_length=10.0)
+    assert grid.size == 5  # 4 intervals, the fewest it accepts
+    values = closed_form_profile(p111, 0.9, grid)
+    cases["smallest-real"] = (values, 2.5, p111)
+    cases["smallest-complex"] = (values * np.exp(0.3j), 2.5, p111)
+    return cases
+
+
+def test_field_acceleration_is_the_buffered_operator_bitwise(p111, p_tau11,
+                                                             p_tau098):
+    # the plain expressions keep the earlier buffered operations' order
+    finite = {}
+    for name, (phi, step, p) in _operator_inputs(p111, p_tau11,
+                                                 p_tau098).items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = soliton.field_acceleration(phi, step, p)
+            want = oracles.buffered_field_acceleration(phi, step, p)
+        assert got.dtype == want.dtype == phi.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+        finite[name] = bool(np.isfinite(got).all())
+    assert not finite["scale:1e300"] and not finite["nan-node"]
+    assert finite["bump:0.3-60"] and finite["smallest-complex"]
 
 
 def test_composite_simpson_requires_odd_count():

@@ -10,7 +10,7 @@ import oracles
 from kgstab import (DomainError, ModelParams, OracleDisagreementError,
                     StabilityReport, build_profile, charge, classify,
                     d_second_sign, k1, k2, k2_prime, omega_of_alpha,
-                    sigma_closed, tau_star)
+                    sigma_closed, stability, tau_star)
 from kgstab.stability import (MAX_ROWS, _ARGMAX_BRACKET, _SERIES_CUTOFF,
                               sweep_columns)
 
@@ -279,6 +279,31 @@ def test_classify_oracle_check_raises_below_one(p_tau098):
     assert err.closed_sign == -1
     assert err.oracle_value > 0.0
     assert "contradicts" in str(err)
+
+
+def test_classify_oracle_check_skips_a_sample_beside_a_root(monkeypatch):
+    # tau = 1.0731125: the fifth window sample, omega ~ 0.64228, lies 1e-3
+    # window-widths from the upper root 0.6428..., inside the 1e-2 guard.
+    # The stand-in oracle agrees with the closed form, so the known tau < tau*
+    # conflict (at omega ~ 0.2814) does not raise first.
+    p = ModelParams(1.0, 1.0, 0.7325)
+    assert p.tau == pytest.approx(1.0731125, rel=1e-15)
+    sent = []
+
+    def agreeing(p_, omega):
+        sent.append(omega)
+        return float(d_second_sign(p_, omega))
+
+    monkeypatch.setattr(stability, "d_second_numeric", agreeing)
+    report = classify(p, check_oracle=True)
+    window = report.omega_window
+    samples = [window.omega_star + k * window.width / 6.0 for k in range(1, 6)]
+    guarded = samples[4]
+    gap = abs(guarded - report.roots_omega[1]) / window.width
+    assert 5e-4 < gap < 2e-3
+    points = [0.5 * (lo + hi) for (lo, hi, _) in report.intervals] + samples
+    assert sorted(sent) == sorted(set(points) - {guarded})
+    assert len(sent) == 7
 
 
 def test_report_to_dict_roundtrip(p_tau11):
