@@ -303,7 +303,6 @@ def test_classify_oracle_check_skips_a_sample_beside_a_root(monkeypatch):
     assert 5e-4 < gap < 2e-3
     points = [0.5 * (lo + hi) for (lo, hi, _) in report.intervals] + samples
     assert sorted(sent) == sorted(set(points) - {guarded})
-    assert len(sent) == 7
 
 
 def test_report_to_dict_roundtrip(p_tau11):
