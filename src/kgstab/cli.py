@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import re
@@ -381,6 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser``'s tree, built on the first ``main`` call and reused:
+    each parse fills a new namespace and leaves the tree as it was."""
+    return build_parser()
+
+
 def _cmd_tau_star(args, p: None, start: float) -> int:
     crit = stability.tau_star()
     if args.json:
@@ -535,12 +543,12 @@ _ERRORS = {
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code.  The clock starts here,
-    and the model (None for tau-star) is built here, for every command; then
+    """Run one subcommand and return its exit code.  The argument parser is
+    built once per process, on the first call.  The clock starts here, and
+    the model (None for tau-star) is built here, for every command; then
     each output path is checked, before any computation."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0

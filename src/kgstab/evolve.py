@@ -13,12 +13,14 @@ field operator, and R and omega from the profile's samples.
 ``run`` allocates its two time levels once and the kernel steps them in
 place.  One sampler per run holds the profile's doubled composite Simpson
 weights, the orbit's side of the distance and the tail sensor's node; per
-sample it forms |phi|, psi and phi_x as new arrays, and takes every
-integral as a weighted dot product of those arrays.  The sums run in
-another order than ``composite_simpson``'s, so the diagnostics differ from
-its in the last digits: energy and charge by at most 1e-14 relative (worst
-measured 7.1e-15 and 1.2e-15), the squared distance by at most 1e-14 of the
-orbit's squared norm (worst measured 5.5e-15).
+sample it forms psi, |phi| and phi_x as new arrays (psi in place on the
+arrays it allocates, with no complex division), keeps no buffer between
+samples, and takes every integral as a weighted dot product of those
+arrays.  The sums run in another order than ``composite_simpson``'s, so the
+diagnostics differ from its in the last digits: energy and charge by at
+most 1e-14 relative (worst measured 7.1e-15 and 1.2e-15), the squared
+distance by at most 1e-14 of the orbit's squared norm (worst measured
+5.5e-15).
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class FieldState:
 
     @cached_property
     def _fields(self) -> _Sampler:
-        """A sampler that holds this state's |phi|, psi and phi_x."""
+        """A sampler that holds this state's psi, |phi| and phi_x."""
         sampler = _Sampler(self.profile, self.step_t)
         sampler.fields(self.phi, self.phi_prev)
         return sampler
@@ -189,9 +191,9 @@ class _Sampler:
     It holds the doubled composite Simpson weights W of the half-line, the
     orbit's side of the distance (R, R', the orbit's velocity -i omega R and
     its squared norm) and the tail sensor's first node.  ``fields`` sets one
-    state's |phi|, psi and phi_x from ``field_acceleration`` and
-    ``np.gradient``; ``integrals`` takes every integral as a weighted dot
-    product on them.
+    state's psi, |phi| and phi_x from ``field_acceleration`` and
+    ``np.gradient``, as new arrays; ``integrals`` takes every integral as a
+    weighted dot product on them.
     """
 
     def __init__(self, profile: SolitonProfile, step_t: float):
@@ -224,16 +226,28 @@ class _Sampler:
 
     @_quiet
     def fields(self, phi: np.ndarray, phi_prev: np.ndarray) -> None:
-        """Set ``mag``, ``psi`` and ``phi_x`` of the state (phi, phi_prev).
+        """Set ``psi``, ``mag`` and ``phi_x`` of the state (phi, phi_prev).
 
         psi is ``FieldState.velocity``: (phi - phi_prev) / dt
-        + (dt/2) phi_tt(phi).
+        + (dt/2) phi_tt(phi), formed in that operand order in place on the
+        arrays this call allocates; the division is the product with
+        complex(1 / dt), as in ``field_acceleration``.  psi comes first,
+        and the operator's array is freed before |phi| and phi_x are formed,
+        which keeps the sample's heap peak low: glibc then mostly stops
+        trimming the heap top and faulting it in again on the next sample
+        (measured, not guaranteed; the faults follow the whole allocation
+        sequence).
         """
         dt = self.step_t
         prof = self.profile
+        acc = field_acceleration(phi, prof.step, prof.params)
+        np.multiply(0.5 * dt, acc, out=acc)
+        psi = np.subtract(phi, phi_prev)
+        psi *= complex(1.0 / dt)
+        psi += acc
+        del acc
+        self.psi = psi
         self.mag = np.abs(phi)
-        self.psi = (phi - phi_prev) / dt + (0.5 * dt) * field_acceleration(
-            phi, prof.step, prof.params)
         self.phi_x = _gradient(phi, prof.step)
 
     @_quiet

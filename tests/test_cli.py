@@ -19,7 +19,7 @@ import kgstab
 import oracles
 from kgstab import (ModelParams, build_profile, cli, sigma_closed, soliton,
                     spectral_report, spectrum, stability, tau_star)
-from kgstab.cli import SCHEMAS, main, render_json
+from kgstab.cli import SCHEMAS, build_parser, main, render_json
 
 _TAU11_M = math.sqrt(0.55)  # tau = 1.1: window splits into three intervals
 _EVOLVE = ["evolve", "--a", "1", "--b", "1", "--m", "1", "--omega", "0.9",
@@ -203,6 +203,39 @@ def test_profile_csv_to_file(capsys, tmp_path):
     x0, r0 = lines[1].split(",")
     assert float(x0) == 0.0
     assert float(r0) == pytest.approx(0.10629960629940943, rel=1e-15)
+
+
+def test_parser_is_built_once_and_keeps_no_parsed_state(capsys, tmp_path,
+                                                        monkeypatch):
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        profile = ["profile", "--a", "1", "--b", "1", "--m", "1",
+                   "--omega", "0.9", "--h", "0.05"]
+        out_path = tmp_path / "profile.csv"
+        code, out, err = _run(capsys, profile + ["--out", str(out_path)])
+        assert (code, out, err) == (0, "", "")
+        written = out_path.read_text()
+        # neither --out nor --json of an earlier call reaches a later one
+        code, out, err = _run(capsys, profile)
+        assert (code, out, err) == (0, written, "")
+        json_out = _run(capsys, profile + ["--json"])[1]
+        assert json_out.startswith("{")
+        assert _run(capsys, profile) == (0, written, "")
+        # a usage error leaves the parser as it was
+        code, out, err = _run(capsys, ["profile", "--a", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("kgstab: usage-error: ")
+        assert _run(capsys, profile) == (0, written, "")
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_sigma_check_json(capsys):

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -534,10 +537,12 @@ def test_sampler_within_tolerance_of_composite_simpson(wave, kind, eps,
 
 
 @pytest.mark.parametrize("perturbation, batches", [
-    ("none", (0, 1, 6)), ("bump:-200", (0, 1, 6)), ("scale:1e300", (0,))])
+    ("none", (0, 1, 6)), ("bump:-200", (0, 1, 6)), ("scale:1e300", (0,)),
+    ("bump:1e300", (0,))])
 def test_state_fields_are_the_earlier_bits(p111, perturbation, batches):
     # psi and phi_x are the earlier buffered field operator's and
-    # np.gradient's bits; the huge start overflows in them
+    # np.gradient's bits; the huge starts overflow in them, and the bump's
+    # psi holds NaN real parts
     state = _fresh_state(p111, 0.9, perturbation)
     for steps in batches:
         ahead, _ = oracles.advance(state, steps)
@@ -683,3 +688,42 @@ def test_run_finite_or_domain_error(kind, magnitude, sign):
     summary = diag.summary()
     assert all(math.isfinite(value) for value in summary.values()
                if isinstance(value, float))
+
+
+# The sampler on 16 states that fill a 5,591-node lattice, printed bit for
+# bit.  Its two real dot products run over 11,182-float views, and a
+# summation order that changes the last bit does so in about half of them.
+_SAMPLE_STATES = """
+import numpy as np
+from kgstab import ModelParams, build_profile, evolve
+prof = build_profile(ModelParams(1, 1, 1), 0.9, 0.02, half_length=111.8)
+sampler = evolve._Sampler(prof, 0.01)
+rng = np.random.default_rng(7)
+n = prof.values.size
+for _ in range(16):
+    fill = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-6, 0, (2, n))
+    phi = prof.values + fill[0] + 1j * fill[1]
+    phi[-1] = 0.0
+    print([value.hex() for value in sampler(phi, phi * np.exp(0.009j))])
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS runs one thread on one CPU")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "_Sampler.integrals takes np.dot over 2n-float views; past OpenBLAS's "
+    "10,000-entry threshold, ddot sums in an order that depends on "
+    "OPENBLAS_NUM_THREADS"))
+def test_sampler_does_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evolve.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", _SAMPLE_STATES],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        outputs.append(done.stdout)
+    assert len(outputs[0].splitlines()) == 16
+    assert outputs[0] == outputs[1]

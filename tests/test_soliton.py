@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from kgstab import (DomainError, GridError, ModelParams, build_profile,
@@ -162,6 +164,9 @@ def _operator_inputs(p111, p_tau11, p_tau098):
     nan = prof.values.copy()
     nan[17] = math.nan
     cases["nan-node"] = (nan, prof.step, p111)
+    cases["nan-node-complex"] = (nan * np.exp(0.3j), prof.step, p111)
+    cases["subnormal-complex"] = (prof.values * 1e-310 * np.exp(0.3j),
+                                  prof.step, p111)
     grid = soliton.half_line(p111, 0.9, 2.5, half_length=10.0)
     assert grid.size == 5  # 4 intervals, the fewest it accepts
     values = closed_form_profile(p111, 0.9, grid)
@@ -183,7 +188,67 @@ def test_field_acceleration_is_the_buffered_operator_bitwise(p111, p_tau11,
         assert got.tobytes() == want.tobytes(), name
         finite[name] = bool(np.isfinite(got).all())
     assert not finite["scale:1e300"] and not finite["nan-node"]
+    assert not finite["nan-node-complex"]
     assert finite["bump:0.3-60"] and finite["smallest-complex"]
+    assert finite["subnormal-complex"]
+
+
+# NumPy divides a complex array by a real d with Smith's rule,
+# (re + im*0) fl(1/d) + i (im - re*0) fl(1/d); field_acceleration and the
+# evolve sampler rest on the product with complex(1/d) rounding the same
+_PARTS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_ENTRIES = st.lists(st.builds(complex, _PARTS, _PARTS), min_size=1,
+                    max_size=40)
+_DIVISORS = st.one_of(
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    st.sampled_from([0.01, 4e-4, 0.04, 1.0 / 3.0, 6.25]))
+
+
+def _quotient_and_product(entries, d):
+    z = np.array(entries, dtype=complex)
+    with np.errstate(all="ignore"):
+        return z, z / d, z * complex(1.0 / d)
+
+
+def _negative_zero(x):
+    return (x == 0.0) & np.signbit(x)
+
+
+@settings(max_examples=300)
+@given(entries=_ENTRIES, d=_DIVISORS)
+def test_complex_division_by_a_real_is_the_product_with_its_reciprocal(
+        entries, d):
+    z, quotient, product = _quotient_and_product(entries, d)
+    s = 1.0 / d
+    with np.errstate(all="ignore"):
+        scaled = (z.real * s, z.imag * s)
+    # the bits may differ only in the sign of a zero part, where a part or
+    # a part times 1/d is -0, or in the NaN bits of a NaN real part whose
+    # imaginary part is NaN or infinite
+    exempt = (_negative_zero(z.real) | _negative_zero(z.imag)
+              | _negative_zero(scaled[0]) | _negative_zero(scaled[1])
+              | (np.isnan(z.real) & ~np.isfinite(z.imag)))
+    bits_q = quotient.view(np.uint64).reshape(-1, 2)
+    bits_p = product.view(np.uint64).reshape(-1, 2)
+    assert (bits_q == bits_p)[~exempt].all()
+    # and the values agree everywhere
+    for part in ("real", "imag"):
+        q, p = getattr(quotient, part), getattr(product, part)
+        assert (np.isnan(q) == np.isnan(p)).all()
+        assert (q[~np.isnan(q)] == p[~np.isnan(p)]).all()
+
+
+@settings(max_examples=100)
+@given(part=st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+       d=st.floats(min_value=1e-300, max_value=1e300))
+def test_a_negative_zero_part_beside_a_finite_one_flips_a_zero_sign(part, d):
+    # the class the product does not reproduce: the quotient's real part of
+    # -0 + i*part is (-0 + part*0) fl(1/d), +0 for part > 0, where the
+    # product keeps -0 (and the mirror case for the imaginary part)
+    for entry in (complex(-0.0, part), complex(part, -0.0)):
+        _, quotient, product = _quotient_and_product([entry], d)
+        assert quotient.tobytes() != product.tobytes()
+        assert quotient[0] == product[0]
 
 
 def test_composite_simpson_requires_odd_count():
