@@ -481,8 +481,8 @@ def _cmd_spectrum(args, p: ModelParams, start: float) -> int:
         prov = {"grid": {"step": args.h, "half_length": report.half_length,
                          "k": args.k},
                 "tolerances": {"eigenvalue_tol": spectrum.EIGENVALUE_TOL,
-                               "kernel_band":
-                                   spectrum.KERNEL_BAND * args.h * args.h}}
+                               "kernel_band": spectrum.kernel_band(
+                                   p, args.omega, args.h)}}
         _emit(_envelope(args, p, report.to_dict(), prov, start))
     else:
         print(f"omega = {_format_float(report.omega)}")

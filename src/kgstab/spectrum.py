@@ -13,29 +13,41 @@ profile is even, so each operator splits exactly into an even block on the
 nodes x >= 0 and an odd block on the nodes x > 0, both formed from the rows
 on the lattice's nodes 0 .. N-1; the full grid is built only by ``assemble``
 and for ``spectral_report``'s ``x`` and mirrored vectors.  On each block, the
-lowest eigenpairs come from Sturm-sequence counts that bracket an eigenvalue
-and bisect it to a width of 1e-3 (1e-6, 1e-9, then 1e-10 while a pair
-fails), inverse iteration with a Rayleigh-quotient shift that refines it,
-and two more Sturm counts that confirm its index — deliberately
-self-contained so library results can be compared against external
-eigensolvers in the tests.  The counts on a block,
-the report's negative count included, share one ``_kernels.sturm_counter``.
-A count at a shift below the block's edge (where the smallest remaining
-diagonal entry, less twice the largest remaining off-diagonal magnitude,
-passes the shift) stops once a pivot proves that no later pivot can be
-counted: the same count as the full walk.  The search for the (j+1)-th
-eigenvalue only asks whether a count is at most j, so its counts are capped
-at j and stop at the (j+1)-th counted pivot, which fixes that answer; the
-negative count is uncapped.  Each solve of the refinement is
-``_kernels.tridiag_solve``: cyclic reduction in NumPy passes, checked by a
-componentwise backward-error test, with the Thomas loop as its fallback.
-Against the Thomas loop alone, a report keeps its negative counts, its
-eigenvalues within 1e-12, kernel matches within 1e-14 and eigenvectors
-within 1e-12 in |cos| (tested on the test waves).
+lowest eigenpairs come from Sturm-sequence counts that bracket an
+eigenvalue and bisect it to a width of 1e-3 (1e-6, 1e-9, then 1e-10 while a
+pair fails), inverse iteration that refines it, and two more Sturm counts
+that confirm its index — deliberately self-contained so library results can
+be compared against external eigensolvers in the tests.  The refinement
+shifts by the Rayleigh quotient only while it stays inside the bisection
+bracket; one outside it keeps the previous shift for a plain
+inverse-iteration step (as LAPACK ``dstein`` and Parlett's safeguarded
+Rayleigh-quotient iteration do), so the refinement does not jump to a
+neighbouring eigenvalue and bisect again.  Its start and restart vectors
+come from ``_start_vectors``, a counter-based SplitMix64 stream of (pair,
+draw, node), as ``dstein`` draws its own from ``dlarnv``: no code path
+imports ``numpy.random``.  Against the earlier refinement (a
+Rayleigh-quotient shift at every step, from ``numpy.random`` start
+vectors), a report keeps its negative counts, its eigenvalues within 1e-12,
+kernel matches within 1e-14 and eigenvectors within 1e-12 in |cos| (tested
+on the test waves).  The counts on a block, the report's negative count
+included, share one ``_kernels.sturm_counter``.  A count at a shift below
+the block's edge (where the smallest remaining diagonal entry, less twice
+the largest remaining off-diagonal magnitude, passes the shift) stops once
+a pivot proves that no later pivot can be counted: the same count as the
+full walk.  The search for the (j+1)-th eigenvalue only asks whether a
+count is at most j, so its counts are capped at j and stop at the (j+1)-th
+counted pivot, which fixes that answer; the negative count is uncapped.
+Each solve of the refinement is ``_kernels.tridiag_solve``: cyclic
+reduction in NumPy passes, checked by a componentwise backward-error test,
+with the Thomas loop as its fallback.  Against the Thomas loop alone, a
+report keeps its negative counts, its eigenvalues within 1e-12, kernel
+matches within 1e-14 and eigenvectors within 1e-12 in |cos| (tested on the
+test waves).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,8 +67,20 @@ _RESIDUAL_ULPS = 100.0
 EIGENVALUE_TOL = 1e-10
 # bisection widths of an eigenpair's successive refinements
 _WIDTHS = (_COARSE_WIDTH, 1e-6, 1e-9, EIGENVALUE_TOL)
-# eigenvalues within KERNEL_BAND * step^2 of zero are kernel candidates
+# eigenvalues within KERNEL_BAND * (c step)^2 of zero are kernel candidates
 KERNEL_BAND = 10.0
+
+
+def kernel_band(p: ModelParams, omega: float, step: float) -> float:
+    """Half-width b = KERNEL_BAND (c h)^2 of the band (-b, b) of discrete
+    kernel candidates, with c = m^2 - omega^2.
+
+    L+/c and L-/c depend on the lattice only through h sqrt(c), so the
+    discrete kernel eigenvalues, O((h sqrt(c))^2) in units of c, are
+    O(c^2 h^2): a band of 10 h^2 alone holds them only for middling c.
+    """
+    c = p.m * p.m - omega * omega
+    return KERNEL_BAND * (c * step) ** 2
 
 
 class EigensolverError(RuntimeError):
@@ -139,31 +163,58 @@ def _positive_peak(v: np.ndarray) -> np.ndarray:
     return -v if v[peak] < 0.0 else v
 
 
-def _inverse_iteration(diag, off, eigenvalue, rng, neighbors):
-    """(rho, v) near an eigenvalue estimate, by Rayleigh-quotient iteration.
+def _start_vectors(n: int, pair: int):
+    """Endless unit start vectors of n entries for eigenpair ``pair``.
 
-    The first solve (``_kernels.tridiag_solve``: cyclic reduction that
-    meets a componentwise backward-error bound, or else the Thomas loop) is
-    shifted by ``eigenvalue``, each later one by the Rayleigh quotient of
-    the current vector.  The iteration stops when the residual |Tv - rho v|
-    is down to the rounding level of the matrix scale; inside a cluster the
-    vector can keep turning in the invariant subspace, so a test on its
-    movement would never stop.  The floored pivots turn the near-singular
-    system into a strongly magnifying one, which is exactly what inverse
-    iteration wants.  A solve that overflows (a pivot exactly zero where the
-    floor is the safe minimum) is discarded: the shift is moved off by a few
-    ulps of the matrix scale (as LAPACK ``dstein`` perturbs tiny pivots) and
-    the iteration restarts.  ``neighbors`` are already-computed eigenvectors
-    to orthogonalize against.  v is positive at its first largest entry and
-    rho is its Rayleigh quotient; None means 100 iterations did not converge.
+    Entry i of draw d is output i + 1 of the SplitMix64 stream (Steele, Lea
+    and Flood 2014) seeded with pair * 2^32 + d, its top 53 bits mapped to
+    [-1, 1), and each draw is normalized.  Counter-based, so the vectors
+    depend on (pair, draw, node) alone, as LAPACK ``dstein``'s do on its own
+    ``dlarnv`` generator; and ``numpy.random`` is never imported.
     """
-    n = diag.size
+    states = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(
+        0x9E3779B97F4A7C15)
+    for draw in itertools.count():
+        z = states + np.uint64((pair << 32) + draw)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        v = (z >> np.uint64(11)) * 2.0**-52 - 1.0
+        yield v / np.linalg.norm(v)
+
+
+def _inverse_iteration(diag, off, eigenvalue, width, starts, neighbors):
+    """(rho, v) near an eigenvalue estimate, by safeguarded Rayleigh-quotient
+    iteration.
+
+    ``eigenvalue`` is the midpoint of a bisection bracket at most ``width``
+    wide.  The first solve (``_kernels.tridiag_solve``: cyclic reduction
+    that meets a componentwise backward-error bound, or else the Thomas
+    loop) is shifted by ``eigenvalue``; each later one by the Rayleigh
+    quotient of the current vector while that lies in [eigenvalue - width/2,
+    eigenvalue + width/2], and otherwise by the previous shift again: a
+    plain inverse-iteration step, as in LAPACK ``dstein`` and Parlett's
+    safeguarded iteration, which keeps converging to the eigenvector nearest
+    the bracket where a quotient outside it would jump to a neighbour.  The
+    iteration stops when the residual |Tv - rho v| is down to the rounding
+    level of the matrix scale; inside a cluster the vector can keep turning
+    in the invariant subspace, so a test on its movement would never stop.
+    The floored pivots turn the near-singular system into a strongly
+    magnifying one, which is exactly what inverse iteration wants.  A solve
+    that overflows (a pivot exactly zero where the floor is the safe
+    minimum) is discarded: the shift is moved off by a few ulps of the
+    matrix scale (as ``dstein`` perturbs tiny pivots) and the iteration
+    restarts.  The start vector and every restart are the next of
+    ``starts`` (``_start_vectors``).  ``neighbors`` are already-computed
+    eigenvectors to orthogonalize against.  v is positive at its first
+    largest entry and rho is its Rayleigh quotient; None means 100
+    iterations did not converge.
+    """
     scale = float(np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
     nudge = 4.0 * np.finfo(float).eps * scale
     converged = _RESIDUAL_ULPS * np.finfo(float).eps * scale
     shift = eigenvalue
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v = next(starts)
     for _ in range(100):
         w = _kernels.tridiag_solve(diag - shift, off, v)
         # scaled to a unit peak, so the norm of a finite solve cannot
@@ -188,8 +239,7 @@ def _inverse_iteration(diag, off, eigenvalue, rng, neighbors):
         if not np.isfinite(norm):
             shift += nudge
         if norm == 0.0 or not np.isfinite(norm):
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
+            v = next(starts)
             continue
         v = w / norm
         residual = _kernels.matvec(diag, off, v)
@@ -197,7 +247,8 @@ def _inverse_iteration(diag, off, eigenvalue, rng, neighbors):
         residual -= rho * v
         if np.linalg.norm(residual) <= converged:
             return rho, _positive_peak(v)
-        shift = rho
+        if abs(rho - eigenvalue) <= 0.5 * width:
+            shift = rho
     return None
 
 
@@ -216,11 +267,11 @@ def lowest_eigenpairs(op: TridiagonalOperator,
     Gershgorin lower bound for the first) by doubling a step, at first the
     mean eigenvalue spacing, until the Sturm count passes j, and bisected
     only until the bracket is about 1e-3 wide.  Inverse iteration with a
-    Rayleigh-quotient shift then refines the vector, and the eigenvalue is
-    its Rayleigh quotient.  Two Sturm counts accept it when
-    ``count(value - tol) <= j < count(value + tol)``, with tol =
-    EIGENVALUE_TOL.  When they do not, or the refinement stalls, the bracket
-    is bisected again to 1e-6, 1e-9 and then tol, and the refinement
+    Rayleigh-quotient shift, kept inside that bracket, then refines the
+    vector, and the eigenvalue is its Rayleigh quotient.  Two Sturm counts
+    accept it when ``count(value - tol) <= j < count(value + tol)``, with
+    tol = EIGENVALUE_TOL.  When they do not, or the refinement stalls, the
+    bracket is bisected again to 1e-6, 1e-9 and then tol, and the refinement
     repeated; :class:`EigensolverError` is raised when tol fails too.
 
     Every count goes through one ``_kernels.sturm_counter`` built on the
@@ -265,14 +316,15 @@ def _lowest_eigenpairs(op: TridiagonalOperator, k: int, count):
             hi = lo + step
         hi = min(hi, hi_bound)
 
-        rng = np.random.default_rng(1234 + j)
+        starts = _start_vectors(n, j)
         # every earlier vector, not only those of a cluster: projecting out
         # an eigenvector of a distant eigenvalue costs one dot product and
         # changes nothing, while a missed cluster member skews the vectors
         earlier = [v for _, v in pairs]
         for width in _WIDTHS:
             shift = bisect(goes_up, lo, hi, width)
-            pair = _inverse_iteration(diag, off, shift, rng, earlier)
+            pair = _inverse_iteration(diag, off, shift, width, starts,
+                                      earlier)
             if pair is not None:
                 value, vector = pair
                 if (goes_up(value - EIGENVALUE_TOL)
@@ -388,12 +440,12 @@ def spectral_report(p: ModelParams, omega: float, step: float,
     and is positive at its largest entry; an odd vector's largest entries
     come in a mirror pair, and the one at x < 0 is positive.
 
-    Negative counts sum both blocks' Sturm counts at -b, b = KERNEL_BAND h^2
-    (10 h^2): eigenvalues inside the band (-b, b) are discrete-kernel
-    candidates, not signs of genuine negative directions.  Kernel matches
-    compare the relevant eigenvector with the sampled profile (L_minus vs R)
-    or its slope (L_plus vs R', the second pair, so a ``k`` below 2 raises
-    DomainError).
+    Negative counts sum both blocks' Sturm counts at -b, b =
+    ``kernel_band`` (10 c^2 h^2, c = m^2 - omega^2): eigenvalues inside the
+    band (-b, b) are discrete-kernel candidates, not signs of genuine
+    negative directions.  Kernel matches compare the relevant eigenvector
+    with the sampled profile (L_minus vs R) or its slope (L_plus vs R', the
+    second pair, so a ``k`` below 2 raises DomainError).
     """
     k = as_count("k", k)
     if k < 2:
@@ -401,7 +453,7 @@ def spectral_report(p: ModelParams, omega: float, step: float,
                           "match needs the second eigenpair")
     nodes, diagonals, off = _half_line_rows(p, omega, step, half_length)
     _check_k(k, 2 * off.size + 1)
-    band = KERNEL_BAND * step * step
+    band = kernel_band(p, omega, step)
     pairs_plus, neg_plus = _parity_eigenpairs(diagonals["lplus"], off, k, band)
     pairs_minus, neg_minus = _parity_eigenpairs(diagonals["lminus"], off, k,
                                                 band)

@@ -7,7 +7,7 @@ special functions from truncated series, extrema from golden-section search.
 Expected values in the tests are produced by these routines, not copied from
 the implementation under test.
 
-The exceptions are the last eight sections.  One holds reference forms of
+The exceptions are the last nine sections.  One holds reference forms of
 the package's kernels, written as plain index loops, as the earlier
 element-by-element Sturm loop, or with fresh temporaries each step.  They
 do the same arithmetic in the same order, so the tests demand bitwise
@@ -16,6 +16,10 @@ leapfrog kernel, the reference for the stated tolerance of the regrouped
 one.  Three keep the package's earlier eigen path, its earlier full-grid
 evolution and its earlier composite-Simpson diagnostics, the references for
 the stated tolerances of the faster paths that replaced them.  One keeps
+the earlier eigenpair refinement, a Rayleigh-quotient shift at every step
+from ``numpy.random`` start vectors, the reference for the stated tolerance
+of the safeguarded one, beside SplitMix64 on Python integers, which the
+package's start vectors must equal bitwise.  One keeps
 the field operator's earlier form into caller-held buffers, which the
 plain-expression ``field_acceleration`` must equal bitwise.  One keeps
 the operators' earlier full-grid assembly, which the package's assembly on
@@ -336,6 +340,47 @@ def bisection_eigenpairs(diag, off, k: int, tol: float = 1e-10):
         pairs.append((value, vector))
         lo = value - tol
     return pairs
+
+
+# --- the refinement before the bracket safeguard ---------------------------
+#
+# The package's earlier refinement took the Rayleigh quotient as its next
+# shift wherever it lay, and drew its start vectors from NumPy's default
+# generator, seeded 1234 + j for the j-th pair of a block.
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(seed: int, count: int) -> list:
+    """The first ``count`` outputs of SplitMix64 (Steele, Lea and Flood
+    2014) seeded with ``seed``, on Python integers."""
+    out = []
+    for _ in range(count):
+        seed = (seed + 0x9E3779B97F4A7C15) & _MASK64
+        z = seed
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def normal_start_vectors(n: int, pair: int):
+    """The earlier start vectors of pair ``pair``: normalized standard
+    normal draws of ``np.random.default_rng(1234 + pair)``."""
+    rng = np.random.default_rng(1234 + pair)
+    while True:
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        yield v
+
+
+def rayleigh_every_step(inverse_iteration):
+    """``inverse_iteration`` (the package's) with a bracket of unbounded
+    width, so that every Rayleigh quotient is the next shift."""
+    def refine(diag, off, eigenvalue, width, starts, neighbors):
+        return inverse_iteration(diag, off, eigenvalue, math.inf, starts,
+                                 neighbors)
+    return refine
 
 
 # --- the evolution before the half-line split ------------------------------

@@ -21,6 +21,7 @@ from kgstab import (ModelParams, alpha_of_omega, build_profile, charge,
                     run, sigma_closed, spectral_report, tau_star)
 from kgstab import cli
 from kgstab.evolve import init_state
+from kgstab.spectrum import kernel_band
 from oracles import advance as _advance
 
 _SETS = (ModelParams(1.0, 1.0, 1.0), ModelParams(1.0, 1.0, 2.0),
@@ -137,8 +138,8 @@ def test_criterion5_linearized_operator_spectra():
         start = time.perf_counter()
         p = ModelParams(1.0, 1.0, 1.0)
         h = 0.02
-        band = 10.0 * h * h
         for omega in (0.75, 0.8, 0.9):
+            band = kernel_band(p, omega, h)
             report = spectral_report(p, omega, h)
             assert report.negative_count_lplus == 1
             assert report.negative_count_lminus == 0

@@ -754,7 +754,7 @@ def test_tolerances_in_provenance_are_the_library_defaults(capsys):
     envelope = _run_json(capsys, argv, "spectrum")
     assert envelope["provenance"]["tolerances"] == {
         "eigenvalue_tol": spectrum.EIGENVALUE_TOL,
-        "kernel_band": spectrum.KERNEL_BAND * 0.1 * 0.1}
+        "kernel_band": spectrum.kernel_band(ModelParams(1, 1, 1), 0.9, 0.1)}
 
 
 def test_sigma_check_gap_exit_code(capsys, monkeypatch):
