@@ -1,5 +1,6 @@
-"""Hot numerical kernels: leapfrog stepping, Sturm counts and tridiagonal
-solves.
+"""Hot numerical kernels: leapfrog stepping, Sturm counts, tridiagonal
+solves and the one sum of products (``dot``) that every integral, norm and
+projection of the package takes, in NumPy's pairwise order, never BLAS's.
 
 The Sturm recurrence is sequential, so it runs as a scalar loop over Python
 floats, which cost far less per operation than NumPy scalars and round
@@ -171,6 +172,19 @@ def sturm_count(diag, off, shift):
     """Number of eigenvalues of the symmetric tridiagonal matrix at or below
     ``shift``: one count of ``sturm_counter(diag, off)``."""
     return sturm_counter(diag, off)(shift)
+
+
+def dot(a, b):
+    """The sum of a[i] * b[i] over two 1-D arrays, in one fixed order.
+
+    NumPy's pairwise summation of the product array, never BLAS: past 10,000
+    entries OpenBLAS's dot splits its sum over as many threads as
+    ``OPENBLAS_NUM_THREADS`` allows, so its last digits follow that setting.
+    The products are a new array, so the order depends on the length alone,
+    not on the operands' alignment.  No conjugation: a complex pairing
+    passes its first operand conjugated.
+    """
+    return np.add.reduce(a * b)
 
 
 def matvec(diag, off, v):

@@ -15,12 +15,15 @@ place.  One sampler per run holds the profile's doubled composite Simpson
 weights, the orbit's side of the distance and the tail sensor's node; per
 sample it forms psi, |phi| and phi_x as new arrays (psi in place on the
 arrays it allocates, with no complex division), keeps no buffer between
-samples, and takes every integral as a weighted dot product of those
-arrays.  The sums run in another order than ``composite_simpson``'s, so the
-diagnostics differ from its in the last digits: energy and charge by at
-most 1e-14 relative (worst measured 7.1e-15 and 1.2e-15), the squared
+samples, and takes every integral as a weighted sum of products of those
+arrays, ``_kernels.dot``: NumPy's pairwise summation and never BLAS, so no
+diagnostic depends on ``OPENBLAS_NUM_THREADS`` or on where the arrays lie
+in memory.  The sums run in another order than ``composite_simpson``'s, so
+the diagnostics differ from its in the last digits: energy and charge by at
+most 1e-14 relative (worst measured 1.5e-15 and 6.4e-16), the squared
 distance by at most 1e-14 of the orbit's squared norm (worst measured
-5.5e-15).
+5.3e-15).  The same bounds hold against the BLAS dot products that the sums
+replaced (worst measured 6.2e-15, 1.4e-15 and 7.5e-15).
 """
 
 from __future__ import annotations
@@ -193,7 +196,8 @@ class _Sampler:
     its squared norm) and the tail sensor's first node.  ``fields`` sets one
     state's psi, |phi| and phi_x from ``field_acceleration`` and
     ``np.gradient``, as new arrays; ``integrals`` takes every integral as a
-    weighted dot product on them.
+    weighted ``_kernels.dot`` on them, conjugating a complex pairing's first
+    operand itself.
     """
 
     def __init__(self, profile: SolitonProfile, step_t: float):
@@ -210,17 +214,19 @@ class _Sampler:
         w *= 2.0 * h / 3.0
         self.weights = w
         self.weights2 = np.repeat(w, 2)  # on a complex array's real view
-        # the orbit (R, -i omega R): its pairing with a state is
-        # vdot(W m^2 R, phi) + vdot(W R', phi_x) + vdot(W (-i omega R), psi)
+        # the orbit (R, -i omega R), stored conjugated: its pairing with a
+        # state is dot(W m^2 R, phi) + dot(W R', phi_x)
+        # + dot(conj(W (-i omega R)), psi)
         omega = profile.omega
         r = profile.values
         r_x = _gradient(r, h)
         w_r, w_r_x = w * r, w * r_x
-        self.norm = float(np.dot(w_r, (self.m2 + omega * omega) * r)
-                          + np.dot(w_r_x, r_x))
+        dot = _kernels.dot
+        self.norm = float(dot(w_r, (self.m2 + omega * omega) * r)
+                          + dot(w_r_x, r_x))
         self.orbit_phi = (self.m2 * w_r).astype(complex)
         self.orbit_phi_x = w_r_x.astype(complex)
-        self.orbit_psi = -1j * omega * w_r
+        self.orbit_psi = np.conj(-1j * omega * w_r)
         self.tail = int(np.argmax(profile.x
                                   >= profile.half_length - _TAIL_MARGIN))
 
@@ -254,21 +260,20 @@ class _Sampler:
     def integrals(self, phi: np.ndarray) -> tuple:
         """(energy, charge, orbital distance, sup |phi|, sup |phi| over the
         tail sensor) of the state ``fields`` last set."""
+        dot = _kernels.dot
         psi_r = self.psi.view(float)
         w_psi = self.weights2 * psi_r
-        kinetic = np.dot(w_psi, psi_r)                     # ||psi||^2
-        pairing = np.vdot(phi, w_psi.view(complex))        # <phi, psi>
+        kinetic = dot(w_psi, psi_r)                        # ||psi||^2
+        pairing = dot(np.conj(phi), w_psi.view(complex))   # <phi, psi>
         phi_x_r = self.phi_x.view(float)
-        gradient = np.dot(self.weights2 * phi_x_r, phi_x_r)  # ||phi'||^2
+        gradient = dot(self.weights2 * phi_x_r, phi_x_r)   # ||phi'||^2
         mag = self.mag
-        mass = np.dot(self.weights * mag, mag)             # ||phi||^2
-        potential = np.dot(self.weights,
-                           g_potential(self.profile.params, mag))
+        mass = dot(self.weights * mag, mag)                # ||phi||^2
+        potential = dot(self.weights, g_potential(self.profile.params, mag))
         energy = 0.5 * (kinetic + gradient + self.m2 * mass) + potential
         norm_u = self.m2 * mass + gradient + kinetic
-        z = (np.vdot(self.orbit_phi, phi) + np.vdot(self.orbit_phi_x,
-                                                    self.phi_x)
-             + np.vdot(self.orbit_psi, self.psi))
+        z = (dot(self.orbit_phi, phi) + dot(self.orbit_phi_x, self.phi_x)
+             + dot(self.orbit_psi, self.psi))
         # max(d2, 0.0) passes a NaN on, where max(0.0, d2) would return 0.0
         distance = math.sqrt(max(norm_u + self.norm - 2.0 * abs(z), 0.0))
         return (float(energy), float(-pairing.imag), distance,

@@ -117,12 +117,17 @@ def as_count(name: str, value) -> int:
 
 
 def bisect(goes_up, lo: float, hi: float, tol: float) -> float:
-    """Halve [lo, hi] until it is at most ``tol`` wide; return its midpoint.
+    """Halve [lo, hi] until it is at most ``tol`` wide, or until no float
+    lies strictly between its ends; return its midpoint.
 
-    ``goes_up(mid)`` is true when the point sought lies above ``mid``.
+    ``goes_up(mid)`` is true when the point sought lies above ``mid``.  The
+    rounded midpoint of two neighbouring floats is one of them, so a ``tol``
+    below their spacing would otherwise halve the same bracket forever.
     """
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if goes_up(mid):
             lo = mid
         else:

@@ -15,9 +15,11 @@ on the lattice's nodes 0 .. N-1; the full grid is built only by ``assemble``
 and for ``spectral_report``'s ``x`` and mirrored vectors.  On each block, the
 lowest eigenpairs come from Sturm-sequence counts that bracket an
 eigenvalue and bisect it to a width of 1e-3 (1e-6, 1e-9, then 1e-10 while a
-pair fails), inverse iteration that refines it, and two more Sturm counts
-that confirm its index — deliberately self-contained so library results can
-be compared against external eigensolvers in the tests.  The refinement
+pair fails; each times the matrix scale max|d| + 2 max|e| where that is
+below 1, and never past two neighbouring floats), inverse iteration that
+refines it, and two more Sturm counts that confirm its index — deliberately
+self-contained so library results can be compared against external
+eigensolvers in the tests.  The refinement
 shifts by the Rayleigh quotient only while it stays inside the bisection
 bracket; one outside it keeps the previous shift for a plain
 inverse-iteration step (as LAPACK ``dstein`` and Parlett's safeguarded
@@ -42,7 +44,11 @@ reduction in NumPy passes, checked by a componentwise backward-error test,
 with the Thomas loop as its fallback.  Against the Thomas loop alone, a
 report keeps its negative counts, its eigenvalues within 1e-12, kernel
 matches within 1e-14 and eigenvectors within 1e-12 in |cos| (tested on the
-test waves).
+test waves).  Every norm, projection, Rayleigh quotient and kernel match is
+a ``_kernels.dot`` sum, whose order follows the length alone, so no report
+depends on ``OPENBLAS_NUM_THREADS``; against the BLAS dot products it
+replaced, a report keeps the same four tolerances (tested on the test
+waves).
 """
 
 from __future__ import annotations
@@ -163,6 +169,12 @@ def _positive_peak(v: np.ndarray) -> np.ndarray:
     return -v if v[peak] < 0.0 else v
 
 
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm of a real vector, sqrt(``_kernels.dot(v, v)``):
+    ``np.linalg.norm``'s formula with a summation order of its own."""
+    return math.sqrt(_kernels.dot(v, v))
+
+
 def _start_vectors(n: int, pair: int):
     """Endless unit start vectors of n entries for eigenpair ``pair``.
 
@@ -180,7 +192,12 @@ def _start_vectors(n: int, pair: int):
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
         v = (z >> np.uint64(11)) * 2.0**-52 - 1.0
-        yield v / np.linalg.norm(v)
+        yield v / _norm(v)
+
+
+def _scale(diag, off) -> float:
+    """max|d| + 2 max|e|: a bound on the matrix's largest |eigenvalue|."""
+    return float(np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
 
 
 def _inverse_iteration(diag, off, eigenvalue, width, starts, neighbors):
@@ -210,7 +227,7 @@ def _inverse_iteration(diag, off, eigenvalue, width, starts, neighbors):
     largest entry and rho is its Rayleigh quotient; None means 100
     iterations did not converge.
     """
-    scale = float(np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
+    scale = _scale(diag, off)
     nudge = 4.0 * np.finfo(float).eps * scale
     converged = _RESIDUAL_ULPS * np.finfo(float).eps * scale
     shift = eigenvalue
@@ -222,7 +239,7 @@ def _inverse_iteration(diag, off, eigenvalue, width, starts, neighbors):
         # finiteness test below, without a warning on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             w = w / np.abs(w).max()
-            norm = np.linalg.norm(w)
+            norm = _norm(w)
             # a projection that cancels most of w leaves rounding errors
             # along the neighbors as large as what it keeps: project again,
             # and a second such cancellation leaves no w at all (Kahan's
@@ -230,8 +247,8 @@ def _inverse_iteration(diag, off, eigenvalue, width, starts, neighbors):
             for _ in range(2):
                 kept = norm
                 for u in neighbors:
-                    w = w - (u @ w) * u
-                norm = np.linalg.norm(w)
+                    w = w - _kernels.dot(u, w) * u
+                norm = _norm(w)
                 if not norm < kept / math.sqrt(2.0):
                     break
             else:
@@ -243,9 +260,9 @@ def _inverse_iteration(diag, off, eigenvalue, width, starts, neighbors):
             continue
         v = w / norm
         residual = _kernels.matvec(diag, off, v)
-        rho = float(v @ residual)
+        rho = float(_kernels.dot(v, residual))
         residual -= rho * v
-        if np.linalg.norm(residual) <= converged:
+        if _norm(residual) <= converged:
             return rho, _positive_peak(v)
         if abs(rho - eigenvalue) <= 0.5 * width:
             shift = rho
@@ -272,7 +289,9 @@ def lowest_eigenpairs(op: TridiagonalOperator,
     accept it when ``count(value - tol) <= j < count(value + tol)``, with
     tol = EIGENVALUE_TOL.  When they do not, or the refinement stalls, the
     bracket is bisected again to 1e-6, 1e-9 and then tol, and the refinement
-    repeated; :class:`EigensolverError` is raised when tol fails too.
+    repeated; :class:`EigensolverError` is raised when tol fails too.  A
+    matrix of scale s = max|d| + 2 max|e| below 1 is bisected to s times
+    each width, and a bisection stops early at two neighbouring floats.
 
     Every count goes through one ``_kernels.sturm_counter`` built on the
     matrix, which walks the pivots only up to the row from which none can
@@ -301,6 +320,9 @@ def _lowest_eigenpairs(op: TridiagonalOperator, k: int, count):
     lo = float((diag - radius).min())
     hi_bound = float((diag + radius).max())
     first_step = max(_COARSE_WIDTH, (hi_bound - lo) / n)
+    # a spectrum narrower than 1 gets proportionally narrower brackets
+    scale = _scale(diag, off)
+    widths = [min(width, width * scale) for width in _WIDTHS]
 
     pairs: list[tuple[float, np.ndarray]] = []
     for j in range(k):
@@ -321,7 +343,7 @@ def _lowest_eigenpairs(op: TridiagonalOperator, k: int, count):
         # an eigenvector of a distant eigenvalue costs one dot product and
         # changes nothing, while a missed cluster member skews the vectors
         earlier = [v for _, v in pairs]
-        for width in _WIDTHS:
+        for width in widths:
             shift = bisect(goes_up, lo, hi, width)
             pair = _inverse_iteration(diag, off, shift, width, starts,
                                       earlier)
@@ -424,7 +446,7 @@ def _parity_eigenpairs(diagonal, off, k: int, band: float):
 
 
 def _cosine_match(v: np.ndarray, u: np.ndarray) -> float:
-    return float(abs(v @ u) / (np.linalg.norm(v) * np.linalg.norm(u)))
+    return float(abs(_kernels.dot(v, u)) / (_norm(v) * _norm(u)))
 
 
 def spectral_report(p: ModelParams, omega: float, step: float,

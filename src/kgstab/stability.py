@@ -298,7 +298,9 @@ def _check_against_oracle(p: ModelParams, report: StabilityReport) -> None:
 
     Test points: every interval midpoint plus five equispaced window samples,
     skipping anything within 1e-2 window-widths of a root (where the sign
-    genuinely passes through zero).
+    genuinely passes through zero).  Every point outside that guard has
+    |tau - k2| >= SIGN_TOL (tested over tau, the touching case and tau near
+    1 included), so its closed-form sign is never 0.
     """
     window = report.omega_window
     points = [0.5 * (lo + hi) for (lo, hi, _) in report.intervals]
@@ -308,8 +310,6 @@ def _check_against_oracle(p: ModelParams, report: StabilityReport) -> None:
         if any(abs(omega - root) < guard for root in report.roots_omega):
             continue
         closed = d_second_sign(p, omega)
-        if closed == 0:
-            continue
         oracle = d_second_numeric(p, omega)
         if closed * oracle < 0.0:
             raise OracleDisagreementError(omega, closed, oracle)

@@ -137,10 +137,6 @@ def centered_first(f, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def centered_second(f, x: float, h: float) -> float:
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-
 # --- reference kernels (bitwise oracles for kgstab._kernels) ---------------
 
 _SAFE_MIN = 2.2250738585072014e-308

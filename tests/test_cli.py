@@ -709,6 +709,23 @@ def test_entry_point_exit_codes():
         assert "Traceback" not in result.stderr
 
 
+def test_spectrum_at_large_c_exits_instead_of_hanging():
+    # c = 1.75e6, about 430 nodes: eigenvalues near 1e6, whose float spacing
+    # exceeds the 1e-10 bisection width; the eigensolver used to bisect two
+    # neighbouring floats forever
+    src = Path(kgstab.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "kgstab.cli", "spectrum", "--a", "2000",
+         "--b", "1", "--m", "2000", "--omega", "1500", "--h", "7e-5",
+         "--json"], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("kgstab: eigensolver-error: ")
+
+
 def _module_entry(argv, fresh, capsys, monkeypatch):
     """(exit code, stdout, stderr) of ``python -m kgstab.cli ARGV``: in a
     fresh interpreter, or through runpy in this one, where a statement trace

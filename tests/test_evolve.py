@@ -480,15 +480,34 @@ def test_run_within_tolerance_of_index_order_kernel(name, monkeypatch):
     assert (diag.tail_first_exceed is not None) == (name == "tail-sensor")
 
 
-# The sampler's weighted dot products against the earlier composite-Simpson
+# The sampler's weighted pairwise sums against the earlier composite-Simpson
 # diagnostics (``oracles.sampled_run``) on the same levels.  Worst cases
-# measured on these runs, the evolve benchmark's jobs (seeds 1-3) and the
-# states below: 7.1e-15 relative on energy (a tau < 1 run, whose energy is
-# 8x smaller than its terms), 1.2e-15 on charge, and 5.5e-15 of the orbit's
-# squared norm on d^2 (a bump of 0.49).  Sup amplitudes, times and events
-# are the same bits.
+# measured on these runs, the evolve benchmark's jobs (seeds 1-3) and 400
+# states drawn as below: 1.5e-15 relative on energy, 6.4e-16 on charge, and
+# 5.3e-15 of the orbit's squared norm on d^2 (the BLAS sums before them:
+# 7.1e-15, 1.2e-15 and 5.5e-15).  Sup amplitudes, times and events are the
+# same bits.
 _SAMPLED_REL = 1e-14
 _SAMPLED_D2 = 1e-14
+
+
+# The same runs with np.dot for ``_kernels.dot``: the BLAS sums that the
+# pairwise ones replaced, bit for bit the earlier sampler.  Worst cases
+# measured on these runs, the evolve benchmark's jobs (seeds 1-3) and
+# bump:0.5 to t = 100: 6.2e-15 relative on energy (the tau < 1 run), 1.4e-15
+# on charge, and 7.5e-15 of the orbit's squared norm on d^2.
+@pytest.mark.parametrize("name", list(_GATE_RUNS))
+def test_run_within_tolerance_of_blas_sums(name, monkeypatch):
+    p, omega, perturbation, t_final, kwargs = _GATE_RUNS[name]
+    caught = _spy_init_state(monkeypatch)
+    diag = run(p, omega, perturbation, t_final, **kwargs)
+    norm_v = caught[0]._fields.norm
+    with monkeypatch.context() as patch:
+        patch.setattr(evolve._kernels, "dot", np.dot)
+        ref = dataclasses.asdict(run(p, omega, perturbation, t_final,
+                                     **kwargs))
+    _assert_within(diag, ref, norm_v, _SAMPLED_REL, _SAMPLED_D2)
+    assert diag.sup_amplitude.tobytes() == ref["sup_amplitude"].tobytes()
 
 
 def _assert_sampled_like(diag, ref):
@@ -690,31 +709,41 @@ def test_run_finite_or_domain_error(kind, magnitude, sign):
                if isinstance(value, float))
 
 
-# The sampler on 16 states that fill a 5,591-node lattice, printed bit for
-# bit.  Its two real dot products run over 11,182-float views, and a
-# summation order that changes the last bit does so in about half of them.
+# The sampler on 16 states that fill a 5,591-node lattice, and on a copy of
+# each state 8 bytes off its alignment, printed bit for bit; then the
+# 28,355-node report of (1, 1, 1; 0.99; h 0.02).  The sampler's real sums
+# run over 11,182 floats and the report's over up to 14,178, past
+# OpenBLAS's 10,000-entry threshold for a threaded dot.
 _SAMPLE_STATES = """
+import hashlib
 import numpy as np
-from kgstab import ModelParams, build_profile, evolve
+from kgstab import ModelParams, build_profile, evolve, spectrum
 prof = build_profile(ModelParams(1, 1, 1), 0.9, 0.02, half_length=111.8)
 sampler = evolve._Sampler(prof, 0.01)
 rng = np.random.default_rng(7)
 n = prof.values.size
+offset = [np.empty(2 * n + 1)[1:].view(complex) for _ in range(2)]
 for _ in range(16):
     fill = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-6, 0, (2, n))
     phi = prof.values + fill[0] + 1j * fill[1]
     phi[-1] = 0.0
-    print([value.hex() for value in sampler(phi, phi * np.exp(0.009j))])
+    prev = phi * np.exp(0.009j)
+    offset[0][...], offset[1][...] = phi, prev
+    assert phi.ctypes.data % 16 != offset[0].ctypes.data % 16
+    for levels in ((phi, prev), offset):
+        print([value.hex() for value in sampler(*levels)])
+report = spectrum.spectral_report(ModelParams(1, 1, 1), 0.99, 0.02)
+print(report.x.size, report.to_dict())
+for vectors in (report.lplus_eigenvectors, report.lminus_eigenvectors):
+    print(hashlib.sha256(vectors.tobytes()).hexdigest())
 """
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                     reason="OpenBLAS runs one thread on one CPU")
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "_Sampler.integrals takes np.dot over 2n-float views; past OpenBLAS's "
-    "10,000-entry threshold, ddot sums in an order that depends on "
-    "OPENBLAS_NUM_THREADS"))
 def test_sampler_does_not_depend_on_the_blas_thread_count():
+    # every sum is ``_kernels.dot``'s pairwise one, whose order follows the
+    # length alone; np.dot's would follow OPENBLAS_NUM_THREADS
     src = os.path.dirname(os.path.dirname(os.path.abspath(evolve.__file__)))
     outputs = []
     for threads in ("1", "2"):
@@ -725,5 +754,8 @@ def test_sampler_does_not_depend_on_the_blas_thread_count():
                               env=env, capture_output=True, text=True,
                               check=True)
         outputs.append(done.stdout)
-    assert len(outputs[0].splitlines()) == 16
+    lines = outputs[0].splitlines()
+    assert len(lines) == 35
+    assert lines[0:32:2] == lines[1:32:2]  # aligned and offset states
+    assert lines[32].startswith("28355 ")
     assert outputs[0] == outputs[1]

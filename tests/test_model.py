@@ -8,6 +8,7 @@ from kgstab import (DomainError, ModelParams, TridiagonalOperator,
                     alpha_of_omega, g_potential, g_prime_over_s, g_second,
                     lowest_eigenpairs, omega_of_alpha, r_star, run,
                     spectral_report)
+from kgstab.model import bisect
 from kgstab.stability import sweep_columns
 
 
@@ -221,3 +222,21 @@ def test_counts_must_be_integers(p111):
             with pytest.raises(DomainError, match=f"{name} must be an integer"):
                 call(bad)
         call(np.int64(4))
+
+
+def test_bisect_stops_between_neighbouring_floats():
+    # a width of 1e-10 lies below the float spacing near 2e6 (2.3e-10): the
+    # bracket stops at two neighbouring floats, after about 32 halvings
+    target = 2e6 + 0.3
+    calls = []
+
+    def goes_up(mid):
+        calls.append(mid)
+        assert len(calls) < 100, "bisect does not stop"
+        return mid < target
+
+    mid = bisect(goes_up, 2e6, 2e6 + 1.0, 1e-10)
+    assert abs(mid - target) <= 2.5e-10
+    lo = max(x for x in calls if x < target)
+    hi = min(x for x in calls if x >= target)
+    assert np.nextafter(lo, math.inf) == hi

@@ -12,7 +12,7 @@ from kgstab import (DomainError, ModelParams, OracleDisagreementError,
                     d_second_sign, k1, k2, k2_prime, omega_of_alpha,
                     sigma_closed, stability, tau_star)
 from kgstab.stability import (MAX_ROWS, _ARGMAX_BRACKET, _SERIES_CUTOFF,
-                              sweep_columns)
+                              SIGN_TOL, sweep_columns)
 
 
 def test_k1_domain_checks():
@@ -303,6 +303,49 @@ def test_classify_oracle_check_skips_a_sample_beside_a_root(monkeypatch):
     assert 5e-4 < gap < 2e-3
     points = [0.5 * (lo + hi) for (lo, hi, _) in report.intervals] + samples
     assert sorted(sent) == sorted(set(points) - {guarded})
+
+
+_TAU_STAR = tau_star().tau_star
+
+
+# The points the oracle check sends to the oracle (every point outside the
+# 1e-2-width root guard) never have a closed-form sign of 0, so the check
+# needs no branch for one.  tau alone fixes alpha(omega / m) and the window
+# in units of m, so (1, tau/2, 1) covers every wave.  Draws crowd tau* (the
+# touching case within 1e-10 included) and 1, where roots reach the window
+# ends.  The smallest |tau - k2| seen over 4,600 swept tau was 5.0e-5, near
+# tau* - 5e-5.
+@settings(max_examples=300)
+@given(tau=st.one_of(
+    st.floats(0.05, 6.0),
+    st.floats(-1e-3, 1e-3).map(lambda d: _TAU_STAR + d),
+    st.floats(-1e-9, 1e-9).map(lambda d: _TAU_STAR + d),
+    st.floats(1e-15, 1e-3).map(lambda d: 1.0 + d),
+    st.floats(1e-16, 1e-3).map(lambda d: 1.0 - d)))
+@example(tau=_TAU_STAR)
+@example(tau=1.0)
+def test_oracle_points_have_a_nonzero_closed_sign(tau):
+    p = ModelParams(1.0, tau / 2.0, 1.0)
+    assert p.tau == tau
+    sent = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability, "d_second_numeric",
+                      lambda p_, omega: sent.append(omega) or 0.0)
+        classify(p, check_oracle=True)
+    assert sent
+    for omega in sent:
+        alpha = math.sqrt(2.0 * p.b * (p.m * p.m - omega * omega)) / p.a
+        assert abs(tau - k2(alpha)) >= SIGN_TOL
+        assert d_second_sign(p, omega) != 0
+
+
+# At tau = 1 + 2^-52 the window is (1.49e-8, 1) and the upper root lies
+# within rounding of m = 1, so the last interval's midpoint rounds to m,
+# outside the open window, and d_second_sign refuses it.
+@pytest.mark.xfail(strict=True, raises=DomainError,
+                   reason="an interval midpoint rounds onto the window end")
+def test_classify_just_above_tau_one():
+    classify(ModelParams(1.0, (1.0 + 2.0**-52) / 2.0, 1.0))
 
 
 def test_report_to_dict_roundtrip(p_tau11):
