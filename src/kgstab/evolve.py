@@ -10,20 +10,24 @@ the stability verdicts from the classifier.  The field lives on its
 profile's lattice (see ``soliton``): an even interval count, the profile's
 field operator, and R and omega from the profile's samples.
 
-``run`` allocates its two time levels once and the kernel steps them in
-place.  One sampler per run holds the profile's doubled composite Simpson
-weights, the orbit's side of the distance and the tail sensor's node; per
-sample it forms psi, |phi| and phi_x as new arrays (psi in place on the
-arrays it allocates, with no complex division), keeps no buffer between
-samples, and takes every integral as a weighted sum of products of those
-arrays, ``_kernels.dot``: NumPy's pairwise summation and never BLAS, so no
-diagnostic depends on ``OPENBLAS_NUM_THREADS`` or on where the arrays lie
-in memory.  The sums run in another order than ``composite_simpson``'s, so
-the diagnostics differ from its in the last digits: energy and charge by at
-most 1e-14 relative (worst measured 1.5e-15 and 6.4e-16), the squared
-distance by at most 1e-14 of the orbit's squared norm (worst measured
-5.3e-15).  The same bounds hold against the BLAS dot products that the sums
-replaced (worst measured 6.2e-15, 1.4e-15 and 7.5e-15).
+``run`` allocates one workspace (``_kernels.leapfrog_arrays``): its two
+time levels and the kernel's four work arrays, each on a 64-byte cache
+line, which every batch reuses.  The kernel steps the levels in place and
+allocates nothing, so its stores start on cache lines wherever the heap
+lies, and no batch grows or trims the heap.  One sampler per run holds the
+profile's doubled composite Simpson weights, the orbit's side of the
+distance and the tail sensor's node; per sample it forms psi, |phi| and
+phi_x as new arrays (psi in place on the arrays it allocates, with no
+complex division), keeps no buffer between samples, and takes every
+integral as a weighted sum of products of those arrays, ``_kernels.dot``:
+NumPy's pairwise summation and never BLAS, so no diagnostic depends on
+``OPENBLAS_NUM_THREADS`` or on where the arrays lie in memory.  The sums
+run in another order than ``composite_simpson``'s, so the diagnostics
+differ from its in the last digits: energy and charge by at most 1e-14
+relative (worst measured 1.5e-15 and 6.4e-16), the squared distance by at
+most 1e-14 of the orbit's squared norm (worst measured 5.3e-15).  The same
+bounds hold against the BLAS dot products that the sums replaced (worst
+measured 6.2e-15, 1.4e-15 and 7.5e-15).
 """
 
 from __future__ import annotations
@@ -382,8 +386,11 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
     profile = build_profile(p, omega, step_x, half_length=end)
     state = init_state(profile, perturbation, step_t)
     sampler = _Sampler(profile, state.step_t)
-    # the run's two levels, stepped in place; the state keeps its own
-    phi, phi_prev = state.phi.copy(), state.phi_prev.copy()
+    # the run's workspace: two levels stepped in place (the state keeps its
+    # own) and the kernel's work arrays, on cache lines, for every batch
+    phi, phi_prev, work = _kernels.leapfrog_arrays(state.phi.size)
+    phi[...] = state.phi
+    phi_prev[...] = state.phi_prev
     samples = [sampler(phi, phi_prev)]
     e0, q0, d0, *_ = samples[0]
     if not all(map(math.isfinite, samples[0])) or e0 == 0.0 or q0 == 0.0:
@@ -401,7 +408,7 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
         batch = min(sample_every, total_steps - done)
         done += int(_kernels.leapfrog_steps(
             phi, phi_prev, batch, profile.step, state.step_t, m2, p.a, p.b,
-            guard))
+            guard, work))
         sample = sampler(phi, phi_prev)
         # the guard may trip on a batch's last step, where taken == batch
         if not sample[3] <= guard:

@@ -242,10 +242,13 @@ def classify(p: ModelParams, alpha_tol: float = ALPHA_TOL,
 
     Roots of k2(alpha) = tau are found by bisection on the two monotone
     branches of k2 (split at its argmax); each subinterval of the window is
-    then labeled by d_second_sign at its midpoint — no case table.  With
-    ``check_oracle`` the verdicts are re-derived from finite-difference d''
-    at the midpoints (and a few extra window samples); any sign contradiction
-    raises OracleDisagreementError instead of returning a report.
+    then labeled by d_second_sign at its midpoint — no case table.  The
+    sliver between a window end and a root within a float of it holds no
+    frequency to label, so it is dropped and the intervals still tile the
+    window; the root stays in the report.  With ``check_oracle`` the
+    verdicts are re-derived from finite-difference d'' at the midpoints (and
+    a few extra window samples); any sign contradiction raises
+    OracleDisagreementError instead of returning a report.
     """
     tau = p.tau
     crit = tau_star()
@@ -277,7 +280,11 @@ def classify(p: ModelParams, alpha_tol: float = ALPHA_TOL,
     roots_alpha.sort(reverse=True)  # alpha decreasing <=> omega increasing
     roots_omega = [omega_of_alpha(p, a) for a in roots_alpha]
 
-    bounds = [window.omega_star, *roots_omega, window.m]
+    # their midpoint rounding onto the end marks a root within a float of it
+    lo_end, hi_end = window.omega_star, window.m
+    bounds = [lo_end, *(w for w in roots_omega
+                        if 0.5 * (lo_end + w) != lo_end
+                        and 0.5 * (w + hi_end) != hi_end), hi_end]
     intervals = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         sign = d_second_sign(p, 0.5 * (lo + hi))

@@ -204,10 +204,12 @@ def tridiag_solve(diag, off, rhs):
     return x
 
 
-def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard):
+def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard,
+                   work=None):
     """Half-line leapfrog with fresh temporaries each step; node 0 is the
     mirror centre, phi(-h) = phi(h), and the last node stays fixed.  Returns
-    the steps taken."""
+    the steps taken.  ``work``, the package kernel's workspace, is accepted
+    and unused, so this can stand in for the kernel."""
     inv_h2 = 1.0 / (step_x * step_x)
     dt2 = step_t * step_t
     for k in range(n_steps):
@@ -566,6 +568,7 @@ def advance(state, n_steps: int):
     taken = int(_kernels.leapfrog_steps(
         phi, prev, n_steps, prof.step, state.step_t,
         p.m * p.m, p.a, p.b, _guard(prof),
+        _kernels.leapfrog_arrays(phi.size)[2],
     ))
     new = replace(state, steps=state.steps + taken, phi=phi, phi_prev=prev)
     return new, taken

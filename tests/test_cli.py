@@ -137,6 +137,20 @@ def test_classify_json(capsys):
     assert [iv["verdict"] for iv in payload["intervals"]] == ["stable"]
 
 
+def test_classify_just_above_tau_one(capsys):
+    # tau = 1 + 2^-52: a root one float below m drops the sliver it bounds
+    # instead of refusing; the oracle then meets the known rule conflict
+    # below the critical coupling (ROADMAP item 4), a refusal of its own
+    argv = ["classify", "--a", "1", "--b", "0.5000000000000001", "--m", "1",
+            "--json"]
+    payload = _run_json(capsys, [*argv, "--no-check"], "classify")["payload"]
+    assert [(iv["lo"], iv["hi"]) for iv in payload["intervals"]] \
+        == [(payload["omega_window"]["omega_star"], 1.0)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("kgstab: oracle-disagreement:")
+
+
 def test_classify_output_deterministic(capsys):
     argv = ["classify", "--a", "1", "--b", "1", "--m", str(_TAU11_M),
             "--no-check", "--json"]

@@ -589,6 +589,31 @@ def test_run_steps_one_pair_of_levels_in_place(p111, monkeypatch):
     assert not np.shares_memory(levels[0][1], caught[0].phi_prev)
 
 
+@pytest.mark.parametrize("sample_every", [1, 7, 50])
+def test_run_builds_one_workspace(p111, monkeypatch, sample_every):
+    # one workspace per run, whatever the batch count: every batch steps
+    # its levels with its work arrays
+    built, calls = [], []
+    arrays, kernel = evolve._kernels.leapfrog_arrays, \
+        evolve._kernels.leapfrog_steps
+
+    def counted(size):
+        built.append(arrays(size))
+        return built[-1]
+
+    def spy(phi, phi_prev, *args):
+        calls.append((phi, phi_prev, args[-1]))
+        return kernel(phi, phi_prev, *args)
+
+    monkeypatch.setattr(evolve._kernels, "leapfrog_arrays", counted)
+    monkeypatch.setattr(evolve._kernels, "leapfrog_steps", spy)
+    run(p111, 0.9, "bump:0.05", 1.0, sample_every=sample_every)
+    assert len(built) == 1
+    assert len(calls) == math.ceil(100 / sample_every)
+    assert all(call[0] is built[0][0] and call[1] is built[0][1]
+               and call[2] is built[0][2] for call in calls)
+
+
 def test_run_distance_equals_public_orbital_distance(p111, monkeypatch):
     caught = _spy_init_state(monkeypatch)
     diag = run(p111, 0.9, "bump:0.05", 0.5, sample_every=50)

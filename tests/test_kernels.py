@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +336,12 @@ def test_no_report_solve_falls_back(wave, monkeypatch):
     assert not fallbacks
 
 
+def _leapfrog(phi, prev, *args):
+    """The kernel on a workspace of its own for the levels' lattice."""
+    work = _kernels.leapfrog_arrays(phi.size)[2]
+    return _kernels.leapfrog_steps(phi, prev, *args, work)
+
+
 # the kernel regroups the index-order step of ``oracles.leapfrog_steps``
 # (one real weight per node, the two neighbours summed first); over 300
 # steps that moves a level by at most this fraction of its sup (worst case
@@ -353,7 +360,7 @@ def test_leapfrog_equals_reference(n):
     prev *= 5.0
     ref_phi, ref_prev = phi.copy(), prev.copy()
     args = (300, 10.0 / (n - 1), *_COEFFS)
-    taken = _kernels.leapfrog_steps(phi, prev, *args)
+    taken = _leapfrog(phi, prev, *args)
     assert taken == oracles.leapfrog_steps_regrouped(ref_phi, ref_prev,
                                                      *args) == 300
     assert _same_bits(phi, ref_phi)
@@ -367,7 +374,7 @@ def test_leapfrog_within_tolerance_of_index_order(n):
     prev *= 5.0
     ref_phi, ref_prev = phi.copy(), prev.copy()
     args = (300, 10.0 / (n - 1), *_COEFFS)
-    assert _kernels.leapfrog_steps(phi, prev, *args) == 300
+    assert _leapfrog(phi, prev, *args) == 300
     assert oracles.leapfrog_steps(ref_phi, ref_prev, *args) == 300
     for got, want in ((phi, ref_phi), (prev, ref_prev)):
         assert np.abs(got - want).max() <= _REGROUPED_TOL * np.abs(want).max()
@@ -384,7 +391,7 @@ def test_leapfrog_levels_end_in_place(n_steps):
     prev[-1] = -0.03j
     ref_phi, ref_prev = phi.copy(), prev.copy()
     args = (n_steps, 0.1, *_COEFFS)
-    assert _kernels.leapfrog_steps(phi, prev, *args) == n_steps
+    assert _leapfrog(phi, prev, *args) == n_steps
     assert oracles.leapfrog_steps_regrouped(ref_phi, ref_prev,
                                             *args) == n_steps
     assert _same_bits(phi, ref_phi)
@@ -413,7 +420,7 @@ def test_leapfrog_guard_trip_leaves_levels_in_place(trip):
     args = (50, 0.01, *_COEFFS[:-1], 0.5 * (sups[-2] + sups[-1]))
     ref_phi, ref_prev = phi.copy(), prev.copy()
     assert oracles.leapfrog_steps_regrouped(ref_phi, ref_prev, *args) == trip
-    assert _kernels.leapfrog_steps(phi, prev, *args) == trip
+    assert _leapfrog(phi, prev, *args) == trip
     assert _same_bits(phi, ref_phi)
     assert _same_bits(prev, ref_prev)
     assert phi[-1] == 1e-3 and prev[-1] == 0.0
@@ -430,7 +437,7 @@ def test_leapfrog_mirrors_full_grid():
     full_phi = np.concatenate((phi[:0:-1], phi))
     full_prev = np.concatenate((prev[:0:-1], prev))
     args = (300, 0.01, *_COEFFS)
-    assert _kernels.leapfrog_steps(phi, prev, *args) == 300
+    assert _leapfrog(phi, prev, *args) == 300
     assert oracles.full_grid_leapfrog_steps_regrouped(full_phi, full_prev,
                                                       *args) == 300
     assert np.abs(full_phi[1000:] - phi).max() < 1e-14 * np.abs(phi).max()
@@ -443,12 +450,91 @@ def test_leapfrog_mirrors_full_grid():
     full_phi = np.concatenate((phi[:0:-1], phi))
     full_prev = np.concatenate((prev[:0:-1], prev))
     index_phi, index_prev = full_phi.copy(), full_prev.copy()
-    _kernels.leapfrog_steps(phi, prev, 1, *args[1:])
+    _leapfrog(phi, prev, 1, *args[1:])
     oracles.full_grid_leapfrog_steps_regrouped(full_phi, full_prev, 1,
                                                *args[1:])
     oracles.full_grid_leapfrog_steps(index_phi, index_prev, 1, *args[1:])
     assert _same_bits(full_phi[1000:], phi)
     assert np.abs(index_phi[1000:] - phi).max() <= 1e-15 * np.abs(phi).max()
+
+
+def _line_offset(array):
+    return array.ctypes.data % 64
+
+
+@pytest.mark.parametrize("size", [2, 3, 101, 5591])
+def test_leapfrog_arrays_start_on_cache_lines(size):
+    phi, prev, work = _kernels.leapfrog_arrays(size)
+    near, scratch, mag, w = work
+    assert [a.shape for a in (phi, prev, *work)] \
+        == [(size,)] * 2 + [(size - 1,)] * 4
+    assert [a.dtype for a in (phi, prev, *work)] \
+        == [np.dtype(complex)] * 4 + [np.dtype(float)] * 2
+    # every store of a full array starts a line, and so does near[1:-1]
+    assert [_line_offset(a) for a in (phi, prev, scratch, mag, w)] == [0] * 5
+    assert _line_offset(near) == 48
+    assert (near.ctypes.data + near.itemsize) % 64 == 0
+    arrays = (phi, prev, *work)
+    assert all(a.flags.writeable and a.flags.c_contiguous for a in arrays)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                   for b in arrays[i + 1:])
+
+
+def _off_a_line(values, offset):
+    """A copy of ``values`` that starts ``offset`` bytes past a 64-byte
+    line."""
+    block = np.empty(values.nbytes + 128, np.uint8)
+    start = -block.ctypes.data % 64 + offset
+    copy = block[start:start + values.nbytes].view(values.dtype)
+    copy[...] = values
+    assert _line_offset(copy) == offset
+    return copy
+
+
+@pytest.mark.parametrize("offset", [0, 16, 32, 48])
+@pytest.mark.parametrize("n_steps, trip", [(7, False), (60, True)])
+def test_leapfrog_equals_reference_off_a_line(offset, n_steps, trip):
+    # the kernel's result does not depend on where the caller's levels lie
+    # with respect to its aligned work arrays: an odd step count, and a
+    # guard that trips on step 3
+    phi, prev = (_off_a_line(5.0 * level, offset)
+                 for level in _standing_wave_arrays(1001))
+    prev *= 0.99  # the amplitude grows every step
+    guard = 1e3
+    if trip:
+        probe_phi, probe_prev = phi.copy(), prev.copy()
+        oracles.leapfrog_steps_regrouped(probe_phi, probe_prev, 3, 0.01,
+                                         *_COEFFS)
+        guard = 0.999 * np.abs(probe_phi).max()
+    ref_phi, ref_prev = phi.copy(), prev.copy()
+    args = (n_steps, 0.01, *_COEFFS[:-1], guard)
+    want = 3 if trip else n_steps
+    assert oracles.leapfrog_steps_regrouped(ref_phi, ref_prev, *args) == want
+    assert _leapfrog(phi, prev, *args) == want
+    assert _same_bits(phi, ref_phi)
+    assert _same_bits(prev, ref_prev)
+
+
+def test_leapfrog_allocates_no_lattice_array():
+    # with its workspace, the kernel's only allocation is NumPy's cast
+    # buffer for w * cur (real times complex), one lattice array at most,
+    # and it keeps nothing: per-call work arrays would add four
+    phi, prev = _standing_wave_arrays(5591)
+    work = _kernels.leapfrog_arrays(phi.size)[2]
+    # one step first, so NumPy's ufunc dispatch caches are filled
+    _kernels.leapfrog_steps(phi, prev, 1, 0.02, *_COEFFS, work)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        taken = _kernels.leapfrog_steps(phi, prev, 200, 0.02, *_COEFFS,
+                                        work)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert taken == 200
+    assert peak - before <= phi.nbytes + 4096
+    assert after <= before
 
 
 def test_leapfrog_guard_trips_at_reference_step():
@@ -459,23 +545,21 @@ def test_leapfrog_guard_trips_at_reference_step():
     args = (200, 0.02, 0.01, 0.81, 1.3, 0.7, 1.05 * np.abs(phi).max())
     want = oracles.leapfrog_steps_regrouped(ref_phi, ref_prev, *args)
     assert 1 < want < 200
-    assert _kernels.leapfrog_steps(phi, prev, *args) == want
+    assert _leapfrog(phi, prev, *args) == want
     assert _same_bits(phi, ref_phi)
     assert _same_bits(prev, ref_prev)
 
 
 def test_leapfrog_guard_returns_early():
     phi, prev = _standing_wave_arrays()
-    taken = _kernels.leapfrog_steps(phi, prev, 50, 0.2, 0.01, 1.0, 1.0, 1.0,
-                                    1e-9)
+    taken = _leapfrog(phi, prev, 50, 0.2, 0.01, 1.0, 1.0, 1.0, 1e-9)
     assert taken == 1  # guard trips on the very first step
 
 
 def test_leapfrog_guard_catches_nan():
     phi, prev = _standing_wave_arrays()
     phi[50] = np.nan
-    taken = _kernels.leapfrog_steps(phi, prev, 50, 0.2, 0.01, 1.0, 1.0, 1.0,
-                                    1e6)
+    taken = _leapfrog(phi, prev, 50, 0.2, 0.01, 1.0, 1.0, 1.0, 1e6)
     assert taken < 50
 
 

@@ -339,13 +339,15 @@ def test_oracle_points_have_a_nonzero_closed_sign(tau):
         assert d_second_sign(p, omega) != 0
 
 
-# At tau = 1 + 2^-52 the window is (1.49e-8, 1) and the upper root lies
-# within rounding of m = 1, so the last interval's midpoint rounds to m,
-# outside the open window, and d_second_sign refuses it.
-@pytest.mark.xfail(strict=True, raises=DomainError,
-                   reason="an interval midpoint rounds onto the window end")
+# At tau = 1 + 2^-52 the window is (1.49e-8, 1) and the upper root lies one
+# float below m = 1, so the interval between them holds no frequency: its
+# midpoint rounds to m, which d_second_sign would refuse.  It is dropped, and
+# the one interval left reaches m.
 def test_classify_just_above_tau_one():
-    classify(ModelParams(1.0, (1.0 + 2.0**-52) / 2.0, 1.0))
+    p = ModelParams(1.0, (1.0 + 2.0**-52) / 2.0, 1.0)
+    report = classify(p)
+    assert report.roots_omega == (math.nextafter(1.0, 0.0),)
+    assert report.intervals == ((p.window.omega_star, 1.0, "unstable"),)
 
 
 def test_report_to_dict_roundtrip(p_tau11):
