@@ -1,10 +1,6 @@
-"""Standing waves of the 1D quadratic-cubic Klein-Gordon equation.
-
-Construction of soliton profiles, closed-form and quadrature observables,
-orbital-stability classification over the frequency window, spectra of the
-linearized operators, and nonlinear time evolution — with a CLI front end
-(``kgstab``) over all of it.
-"""
+"""Standing waves of the 1D quadratic-cubic Klein-Gordon equation: profiles,
+orbital stability, the spectra of the linearized operators and time evolution,
+with the ``kgstab`` command line over all of it."""
 
 from .evolve import (CFLError, Diagnostics, FieldState, field_charge,
                      field_energy, init_state, orbital_distance,

@@ -1,30 +1,7 @@
-"""Hot numerical kernels: leapfrog stepping, Sturm counts, tridiagonal
-solves and the one sum of products (``dot``) that every integral, norm and
-projection of the package takes, in NumPy's pairwise order, never BLAS's.
-
-The leapfrog steps in place on a workspace that its caller allocates once
-(``leapfrog_arrays``): the two time levels and the kernel's four work
-arrays, carved from one block so that every array starts on a 64-byte
-cache line, and the neighbour sum ``near`` so that ``near[1]`` does, since
-the kernel writes ``near[1:-1]``.  NumPy's AVX-512 loops store 64 bytes at
-a time, and a store that does not start on a line is split across two.  On
-a 5,591-node lattice (2-vCPU Xeon, NumPy 2.4; medians of six runs) a step
-took 41-43 us with ``near[1]`` on a line and 44-47 us with it 16, 32 or 48
-bytes off; with work arrays of its own per call, wherever the heap put
-them, it took 45-57 us.
-
-The Sturm recurrence is sequential, so it runs as a scalar loop over Python
-floats, which cost far less per operation than NumPy scalars and round
-identically (both are IEEE doubles).  A Sturm counter converts its matrix
-once, with the suffix bounds that let a count stop early at the midpoint of
-its tail recurrence's fixed points (``sturm_counter``), and then serves
-every count on that matrix.  A count given a cap also returns as soon as it
-passes the cap, which is all that a bisection asking "at most j?" needs
-(as LAPACK ``dstebz`` only decides an index).  A solve runs odd-even cyclic
-reduction in log2 n NumPy passes, checked by a componentwise backward-error
-test, with the Thomas loop over Python floats as fallback
-(``tridiag_solve``).
-"""
+"""Numerical kernels: leapfrog steps, Sturm counts, tridiagonal solves and
+``dot``, the one sum of products behind every integral, norm and projection.
+The sequential recurrences run over Python floats, which round as NumPy's
+doubles do at a fraction of the cost."""
 
 from __future__ import annotations
 
@@ -33,8 +10,7 @@ from itertools import islice
 
 import numpy as np
 
-# Safe floor for Sturm/Thomas pivots: e2/_PIVMIN(e2) stays finite in IEEE
-# doubles for any off-diagonal magnitude.
+# smallest normal double; pivots are floored at it times max(1, e^2)
 _SAFE_MIN = 2.2250738585072014e-308
 _EPS = 2.220446049250313e-16  # machine epsilon of IEEE doubles, 2^-52
 # bytes in a cache line: NumPy's AVX-512 loops store one line at a time
@@ -42,14 +18,11 @@ _LINE = 64
 
 
 def leapfrog_arrays(size):
-    """The workspace of ``leapfrog_steps`` on a ``size``-node lattice, from
-    one ``np.empty`` block: ``(phi, phi_prev, work)``, two complex time
-    levels of ``size`` nodes and ``work = (near, scratch, mag, w)``, the
-    kernel's complex ``near`` and ``scratch`` and real ``mag`` and ``w`` on
-    the ``size - 1`` stepped nodes.  Each array starts on a 64-byte line,
-    except ``near``, which starts 16 bytes (one complex value) before one,
-    so that ``near[1]`` does.
-    """
+    """``(phi, phi_prev, (near, scratch, mag, w))`` for ``leapfrog_steps`` on
+    ``size`` nodes, from one block: complex levels of ``size`` nodes and work
+    arrays of ``size - 1``.  Each starts on a 64-byte line, ``near`` at
+    ``near[1]``, the kernel's first store: NumPy's AVX-512 loops store a line
+    at a time, and a store that starts off a line is split in two."""
     inner = size - 1
     # (dtype, length, bytes before the line the array is aligned to)
     layout = ((complex, size, 0), (complex, size, 0), (complex, inner, 16),
@@ -68,29 +41,19 @@ def leapfrog_arrays(size):
 
 def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard,
                    work):
-    """Advance the leapfrog scheme ``n_steps`` times in place (vectorized).
-
-    phi/phi_prev are complex arrays over the half-line x_i = i*h of an even
-    field: node 0 is the symmetry centre, whose left neighbour phi(-h) is its
-    mirror phi(h), and the last node is a Dirichlet end that is never
-    touched.  ``work`` is the work arrays of ``leapfrog_arrays`` for the
-    same lattice; the kernel allocates no array of its own.  Returns the
-    number of steps actually taken, stopping after the step whose new level
-    exceeds the amplitude guard; a trip on the last step also returns
-    ``n_steps``, so callers test the end state themselves.
-
-    A step is new = w phi + r (right + left) - prev, with r = dt^2/h^2 and
-    one real weight per node, w = (2 - 2r - dt^2 m^2) + |phi| (3a dt^2
-    - 4b dt^2 |phi|) in Horner form: 2 - 2r - dt^2 (m^2 + G'(|phi|)/|phi|),
-    with G'(s)/s as ``model.g_prime_over_s`` defines it, folded into the
-    weight (``soliton.field_acceleration`` holds the other copy).  The new
-    level overwrites prev's storage and the two swap roles; after an odd
-    step count one copy-back moves the newest level into ``phi``.
-    """
+    """Advance ``n_steps`` leapfrog steps in place and return the steps taken,
+    stopping after a step whose sup |new| exceeds ``guard`` or is NaN; a trip
+    on the last step returns ``n_steps``, so callers test the end state.
+    phi and phi_prev are complex levels of an even field on x_i = i h, x >= 0,
+    with the mirror phi(-h) = phi(h) and a Dirichlet end that is never
+    written; ``work`` is ``leapfrog_arrays``'.  A step is new = w phi + r
+    (right + left) - prev, r = dt^2/h^2, w = 2 - 2r - dt^2 (m^2
+    + G'(|phi|)/|phi|), with ``model.g_prime_over_s`` written out.  phi ends
+    as the newest level."""
     dt2 = step_t * step_t
     r = dt2 / (step_x * step_x)
     c0, c1, c2 = 2.0 - 2.0 * r - dt2 * m2, 3.0 * a * dt2, 4.0 * b * dt2
-    end = phi[-1]  # the Dirichlet value, read once
+    end = phi[-1]
     cur, prev = phi[:-1], phi_prev[:-1]
     near, scratch, mag, w = work  # near: right + left neighbours
     np.abs(cur, out=mag)
@@ -128,33 +91,19 @@ def _pivot_floor(e2) -> float:
 
 
 def sturm_counter(diag, off):
-    """Count function for the symmetric tridiagonal matrix: ``count(shift)``
-    is the number of its eigenvalues at or below ``shift``, within the pivot
-    floor (LAPACK ``dstebz`` convention), and ``count(shift, cap)`` is
+    """``count(shift)``: the number of eigenvalues of the symmetric tridiagonal
+    matrix at or below ``shift``, within the pivot floor pivmin (LAPACK
+    ``dstebz`` convention); ``count(shift, cap)`` is
     min(count(shift), cap + 1).
 
-    Sturm sequence via the LDL^T pivot recurrence q = (d - shift) - e^2/q.
-    A pivot inside [-pivmin, pivmin] is replaced by -pivmin, so
-    near-singular shifts cannot divide by zero and an eigenvalue equal to
-    ``shift`` is counted; each pivot is compared with the floor once on its
-    way to the count, so a NaN pivot is neither floored nor counted.
-
-    The per-matrix work is done once: the rows as lists, the suffix minimum
-    low[i] of d and the suffix maximum high[i] of e^2 over the rows i..n-1.
-    A count walks every row up to the first row ``start`` whose edge
-    low - 2 sqrt(high) is at or above the shift (the edge is nondecreasing),
-    and from there it stops at the first pivot q >= bound = gap/2, the
-    midpoint of the fixed points of q -> gap - high[start]/q for gap =
-    fl(low[start] - shift), if bound > pivmin and fl(gap - fl(high[start] /
-    bound)) >= bound.  Rounding is monotone, so every later pivot is then at
-    least that expression, hence at least bound: no later row is counted or
-    floored, and the count is the full walk's for every input, NaN and +-inf
-    included (a NaN in the suffix fails the check).
-
-    With a cap, the walk also returns at the pivot that brings the count to
-    cap + 1: the count only grows along the walk, so ``count(shift, j) <= j``
-    is the full count's answer.  The test sits in the branch of a counted
-    pivot, so a positive pivot costs nothing extra.
+    The Sturm sequence is the LDL^T recurrence q = (d - shift) - e^2/q; a
+    pivot in [-pivmin, pivmin] is counted and becomes -pivmin, a NaN pivot
+    neither.  From the first row whose edge low - 2 sqrt(high) (suffix
+    minimum of d, suffix maximum of e^2) reaches the shift, a count stops at
+    a pivot q >= bound = (low - shift)/2 if bound > pivmin and the rounded
+    map q -> (low - shift) - high/q keeps bound at least bound: no later
+    pivot is then counted, so every count is the full walk's, NaN and +-inf
+    included.
     """
     # squared off-diagonal with a leading 0: the first pivot is then
     # d - shift - 0/1, which is exactly d - shift
@@ -171,8 +120,7 @@ def sturm_counter(diag, off):
     diag_list, e2_list = diag.tolist(), e2.tolist()
 
     def count(shift, cap=rows) -> int:  # n never passes rows: no cap
-        # Python floats: d - shift rounds as NumPy's would, and an infinite
-        # or NaN operand gives inf or NaN with no warning
+        # an infinite or NaN Python float gives inf or NaN with no warning
         shift = float(shift)
         start = int(np.searchsorted(edge, shift))
         bound = math.nan  # q >= NaN never holds: walk every row
@@ -214,14 +162,10 @@ def sturm_count(diag, off, shift):
 
 
 def dot(a, b):
-    """The sum of a[i] * b[i] over two 1-D arrays, in one fixed order.
-
-    NumPy's pairwise summation of the product array, never BLAS: past 10,000
-    entries OpenBLAS's dot splits its sum over as many threads as
-    ``OPENBLAS_NUM_THREADS`` allows, so its last digits follow that setting.
-    The products are a new array, so the order depends on the length alone,
-    not on the operands' alignment.  No conjugation: a complex pairing
-    passes its first operand conjugated.
+    """The sum of a[i] b[i] over two 1-D arrays, unconjugated, by NumPy's
+    pairwise summation of their product, whose order follows the length
+    alone.  Not BLAS: OpenBLAS splits a long dot over
+    ``OPENBLAS_NUM_THREADS`` threads, so its last digits follow that setting.
     """
     return np.add.reduce(a * b)
 
@@ -234,24 +178,13 @@ def matvec(diag, off, v):
     return out
 
 
-# componentwise backward-error bound a cyclic-reduction solve must meet,
-# in units of eps (Oettli-Prager): |T x - b| <= c eps (|T| |x| + |b|)
 _BACKWARD_ULPS = 12.0
 
 
 def tridiag_solve(diag, off, rhs):
-    """Solve the symmetric tridiagonal system T x = rhs.
-
-    By odd-even cyclic reduction (``_cyclic_reduction``), accepted only when
-    every row meets the componentwise backward-error test
-
-        |T x - rhs| <= c eps (|T| |x| + |rhs|),   c = _BACKWARD_ULPS,
-
-    which a NaN or inf fails (Oettli-Prager: x then solves a system within
-    c eps of T and rhs entry by entry).  Otherwise the unpivoted reduction
-    order has lost the matrix, and the Thomas loop's result
-    (``_thomas_solve``) is returned.  Returns a new array.
-    """
+    """A new x with T x = rhs: cyclic reduction's x when every row meets
+    |T x - rhs| <= c eps (|T| |x| + |rhs|), c = _BACKWARD_ULPS = 12
+    (Oettli-Prager), which NaN and inf fail, and else the Thomas loop's."""
     # overflow and 0 * inf are caught by the backward-error test
     with np.errstate(all="ignore"):
         x = _cyclic_reduction(diag, off, rhs)
@@ -264,24 +197,12 @@ def tridiag_solve(diag, off, rhs):
 
 
 def _cyclic_reduction(diag, off, rhs):
-    """Odd-even cyclic reduction of T x = rhs (Hockney; Buzbee-Golub-Nielson).
-
-    Each level eliminates the odd nodes into the even ones: with the odd
-    neighbours' pivots a_l, a_r and couplings e_l, e_r, an even node's
-    a' = a - e_l^2/a_l - e_r^2/a_r and f' = f - e_l f_l/a_l - e_r f_r/a_r,
-    and two even nodes one odd node apart couple by -e_l e_r/a_odd.  The
-    levels halve down to one node; back-substitution then recovers the odd
-    nodes, x_odd = (f_odd - e_l x_left - e_r x_right)/a_odd, level by level.
-
-    A pivot is a Schur complement's diagonal entry, which moves with the
-    diagonal entry of T at its node, so a pivot inside [-f, f] is replaced
-    by -f, with f = max(pivmin, 4 eps |d|) for that node's d: T's entry
-    then moves by at most 8 eps |d|, which the backward-error test allows,
-    as LAPACK ``dlagtf`` perturbs tiny pivots.  A shift on an eigenvalue
-    thus gives a large finite solve, where the floor at pivmin alone
-    overflows.  Unchecked: the caller tests the result, and must silence
-    NumPy's warnings.
-    """
+    """Odd-even cyclic reduction of T x = rhs (Hockney; Buzbee-Golub-Nielson),
+    unchecked: the caller tests x and silences NumPy's warnings.  A pivot in
+    [-f, f], f = max(pivmin, 4 eps |d|), becomes -f, which moves T by at most
+    8 eps |d|, inside the backward-error bound (as LAPACK ``dlagtf`` perturbs
+    tiny pivots): a shift on an eigenvalue then gives a large finite solve,
+    where a floor at pivmin alone overflows."""
     floor = np.maximum(4.0 * _EPS * np.abs(diag),
                        _pivot_floor(np.square(off)))
     levels = []
@@ -321,14 +242,9 @@ def _cyclic_reduction(diag, off, rhs):
 
 
 def _thomas_solve(diag, off, rhs):
-    """Solve the symmetric tridiagonal system (Thomas algorithm).
-
-    Pivots are floored in magnitude so a shifted near-singular system (the
-    inverse-iteration workload) never divides by zero.  A pivot that is
-    exactly zero becomes -pivmin, and an O(1) right-hand side then overflows
-    to inf (and NaN in back-substitution): callers must check the result is
-    finite.  Returns a new array.
-    """
+    """A new x with T x = rhs by the Thomas loop.  A pivot in [-pivmin,
+    pivmin] becomes -pivmin, so a singular T gives inf or NaN, not a
+    ZeroDivisionError: callers check that x is finite."""
     pivmin = _pivot_floor(np.square(off))
     diag_it = iter(diag.tolist())
     rhs_it = iter(rhs.tolist())

@@ -1,15 +1,12 @@
-"""Command-line front end: every analysis as a subcommand.
+"""The ``kgstab`` command line, one subcommand per analysis.
 
-JSON output is wrapped in a fixed envelope (schema_version / command /
-params / payload / provenance) and rendered by a deterministic serializer:
-identical arguments give byte-identical payloads, with volatile facts (wall
-time, file paths) quarantined in ``provenance``.
-
-Exit codes: 0 success, 1 eigensolver failure, 2 usage or an unwritable
-output file (``io-error``, checked before computing), 3 domain/grid/CFL
-errors, 4 oracle disagreement, 5 blow-up-truncated evolution.  Every
-failure prints a single machine-parsable line ``kgstab: <tag>: <reason>``
-on stderr.
+JSON output is an envelope (schema_version, command, params, payload,
+provenance) whose payload is byte-identical for identical arguments; wall
+time and paths go in ``provenance``.  Exit codes: 0 success, 1 eigensolver
+failure, 2 usage or an unwritable output (checked before computing), 3
+domain, grid or CFL error, 4 oracle disagreement (a ``sigma --check``
+relative gap not below 1e-6 included), 5 truncated evolution.  Every
+failure prints one line ``kgstab: <tag>: <reason>`` on stderr.
 """
 
 from __future__ import annotations
@@ -193,14 +190,9 @@ def _write_json(obj, depth: int, parts: list) -> None:
 
 
 def render_json(obj) -> str:
-    """Deterministic JSON: insertion-ordered keys, 17-significant-digit
-    floats, no locale or timestamp dependence.
-
-    A structured NumPy array renders as a list of objects, one per record,
-    each through one %-template, joined per chunk of 1,024 records.  Every
-    piece goes to one list, joined once, so the rendering peaks at about
-    twice its text.
-    """
+    """Deterministic JSON text: insertion-ordered keys, floats at 17
+    significant digits, a structured array as a list of objects.  Raises
+    ValueError for a non-finite number and TypeError for another type."""
     parts = []
     _write_json(obj, 0, parts)
     return "".join(parts)
@@ -221,12 +213,8 @@ def _envelope(args, p: ModelParams | None, payload: dict, provenance: dict,
 
 
 def _csv(header, rows) -> str:
-    """CSV text: floats at 17 significant digits, anything else via str.
-
-    The records of a structured array go through one %-template, joined per
-    chunk of 1,024 records and then once, so the writer peaks at about twice
-    its text; other rows are formatted value by value.
-    """
+    """CSV text of a structured array or of rows: floats at 17 significant
+    digits, anything else via str."""
     if isinstance(rows, np.ndarray):
         lines = _record_chunks(",".join(_record_formats(rows)) + "\n", rows)
     else:
@@ -311,6 +299,7 @@ def _add_model_args(cmd, with_omega: bool = False):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of ``kgstab`` and its seven subcommands."""
     parser = _Parser(prog="kgstab",
                      description="Standing-wave construction and stability "
                                  "classification for the quadratic-cubic "
@@ -543,10 +532,8 @@ _ERRORS = {
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code.  The argument parser is
-    built once per process, on the first call.  The clock starts here, and
-    the model (None for tau-star) is built here, for every command; then
-    each output path is checked, before any computation."""
+    """Run one ``kgstab`` command line and return its exit code; every
+    output path is checked before the command computes."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

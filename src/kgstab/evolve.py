@@ -1,33 +1,12 @@
-"""Time evolution of the full nonlinear field from standing-wave data.
+"""Time evolution of the nonlinear field from standing-wave data.
 
-A leapfrog scheme (time-symmetric, second order, matching the second-order
-PDE) advances complex field values on a Dirichlet-truncated grid.  The data
-is even in x and the equation preserves evenness, so only the half-line
-x >= 0 is stored and stepped, with the mirror condition phi(-h) = phi(h) at
-the centre.  Runs record conserved quantities and the phase-minimized
-distance to the standing wave orbit, which is the empirical counterpart of
-the stability verdicts from the classifier.  The field lives on its
-profile's lattice (see ``soliton``): an even interval count, the profile's
-field operator, and R and omega from the profile's samples.
-
-``run`` allocates one workspace (``_kernels.leapfrog_arrays``): its two
-time levels and the kernel's four work arrays, each on a 64-byte cache
-line, which every batch reuses.  The kernel steps the levels in place and
-allocates nothing, so its stores start on cache lines wherever the heap
-lies, and no batch grows or trims the heap.  One sampler per run holds the
-profile's doubled composite Simpson weights, the orbit's side of the
-distance and the tail sensor's node; per sample it forms psi, |phi| and
-phi_x as new arrays (psi in place on the arrays it allocates, with no
-complex division), keeps no buffer between samples, and takes every
-integral as a weighted sum of products of those arrays, ``_kernels.dot``:
-NumPy's pairwise summation and never BLAS, so no diagnostic depends on
-``OPENBLAS_NUM_THREADS`` or on where the arrays lie in memory.  The sums
-run in another order than ``composite_simpson``'s, so the diagnostics
-differ from its in the last digits: energy and charge by at most 1e-14
-relative (worst measured 1.5e-15 and 6.4e-16), the squared distance by at
-most 1e-14 of the orbit's squared norm (worst measured 5.3e-15).  The same
-bounds hold against the BLAS dot products that the sums replaced (worst
-measured 6.2e-15, 1.4e-15 and 7.5e-15).
+A leapfrog scheme steps the complex field on its profile's even lattice;
+runs sample the energy, the charge and the phase-minimized distance to the
+standing wave's orbit, the dynamical counterpart of ``stability``'s
+verdicts.  Every integral is a weighted ``_kernels.dot``: against composite
+Simpson sums and BLAS dot products, energy and charge agree within 1e-14
+relative and the squared distance within 1e-14 of the orbit's squared
+norm.
 """
 
 from __future__ import annotations
@@ -43,17 +22,16 @@ from .model import DomainError, ModelParams, as_count, g_potential
 from .soliton import (GridError, SolitonProfile, build_profile,
                       field_acceleration, half_line)
 
-# Amplitude guard: a run whose sup exceeds this many times R(0) has left any
-# neighbourhood of the orbit and is about to overflow; record and stop.
+# a run whose sup |phi| passes this many times R(0) has left the orbit and
+# is about to overflow: it stops
 _GUARD_FACTOR = 1e3
 # huge data overflows to inf or NaN in the diagnostics; callers check their
 # results, so the NumPy warnings would only add noise to stderr
 _quiet = np.errstate(over="ignore", invalid="ignore")
-# Tail sensor distance from the boundary and its trigger level.
+# the tail sensor's distance from the Dirichlet end, and its trigger level
 _TAIL_MARGIN = 5.0
 _TAIL_LEVEL = 1e-8
-# Most leapfrog steps one run may take (t_final / step_t); a longer run is
-# refused before it starts.
+# most leapfrog steps, t_final / step_t, that one run may take
 MAX_STEPS = 1_000_000
 
 
@@ -63,10 +41,8 @@ class CFLError(ValueError):
 
 
 def parse_perturbation(spec: str) -> tuple[str, float]:
-    """Parse 'none', 'scale:EPS', or 'bump:EPS' into (kind, eps).
-
-    Each kind gives even initial data: the profile, the profile scaled by
-    1 + EPS, or the profile plus EPS exp(-x^2).
+    """(kind, eps) from 'none', 'scale:EPS' or 'bump:EPS', EPS finite: the
+    data R, (1 + EPS) R or R + EPS exp(-x^2).  Raises ValueError otherwise.
     """
     text = str(spec).strip()
     if text == "none":
@@ -86,13 +62,10 @@ def parse_perturbation(spec: str) -> tuple[str, float]:
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """Two consecutive time levels of an even field on its profile's lattice.
-
-    ``phi[i]`` is the field at ``profile.x[i]`` = i*h on x >= 0, an even
-    interval count.  Node 0 is the symmetry centre, with the mirror
-    condition phi(-h) = phi(h), and the last node is the Dirichlet end
-    x = ``profile.half_length``.  The step, the model and the orbit are the
-    profile's; ``steps`` counts the leapfrog steps taken since t = 0.
+    """Two consecutive time levels of an even field, ``phi[i]`` at
+    ``profile.x[i]``, after ``steps`` leapfrog steps; the lattice, the model
+    and the orbit are the profile's.  Raises ValueError unless both levels
+    have the lattice's shape, and CFLError unless 0 < step_t <= 0.9 h.
     """
 
     steps: int
@@ -127,13 +100,9 @@ class FieldState:
 
     @property
     def velocity(self) -> np.ndarray:
-        """d/dt phi at the current level, shared by the diagnostics.
-
-        The centred difference (phi^{n+1} - phi^{n-1}) / 2dt with the
-        leapfrog's phi^{n+1} substituted: (phi^n - phi^{n-1}) / dt
-        + (dt/2) phi_tt(phi^n).  It reads the two stored levels and steps
-        nothing.
-        """
+        """d/dt phi at the current level: the centred difference with the
+        leapfrog's next level substituted, (phi^n - phi^{n-1}) / dt
+        + (dt/2) phi_tt(phi^n)."""
         return self._fields.psi
 
     @property
@@ -164,15 +133,9 @@ def _guard(profile: SolitonProfile) -> float:
 @_quiet
 def init_state(profile: SolitonProfile, perturbation: str,
                step_t: float) -> FieldState:
-    """Perturbed standing-wave data on the profile's lattice.
-
-    The data is formed on x >= 0 only, from the profile's samples of R and
-    exp(-x^2), so it is even by construction; the last node is the
-    Dirichlet end.  phi_prev comes from a second-order Taylor start, which
-    makes the centered time difference at t = 0 reproduce the exact initial
-    velocity.  A margin for radiation is the caller's to build into the
-    profile, as ``run`` does.
-    """
+    """The state at t = 0 of ``parse_perturbation``'s data on the profile's
+    lattice, with velocity -i omega times the data and phi_prev from a
+    second-order Taylor step, so that ``velocity`` at t = 0 is exact."""
     kind, eps = parse_perturbation(perturbation)
     x = profile.x
     r = profile.values
@@ -193,16 +156,9 @@ def init_state(profile: SolitonProfile, perturbation: str,
 
 
 class _Sampler:
-    """The diagnostics of every state on one profile's lattice, built once.
-
-    It holds the doubled composite Simpson weights W of the half-line, the
-    orbit's side of the distance (R, R', the orbit's velocity -i omega R and
-    its squared norm) and the tail sensor's first node.  ``fields`` sets one
-    state's psi, |phi| and phi_x from ``field_acceleration`` and
-    ``np.gradient``, as new arrays; ``integrals`` takes every integral as a
-    weighted ``_kernels.dot`` on them, conjugating a complex pairing's first
-    operand itself.
-    """
+    """The diagnostics of the states on one profile's lattice: it holds the
+    doubled Simpson weights W, the orbit's side of the distance and the
+    tail sensor's first node."""
 
     def __init__(self, profile: SolitonProfile, step_t: float):
         h = profile.step
@@ -236,18 +192,10 @@ class _Sampler:
 
     @_quiet
     def fields(self, phi: np.ndarray, phi_prev: np.ndarray) -> None:
-        """Set ``psi``, ``mag`` and ``phi_x`` of the state (phi, phi_prev).
-
-        psi is ``FieldState.velocity``: (phi - phi_prev) / dt
-        + (dt/2) phi_tt(phi), formed in that operand order in place on the
-        arrays this call allocates; the division is the product with
-        complex(1 / dt), as in ``field_acceleration``.  psi comes first,
-        and the operator's array is freed before |phi| and phi_x are formed,
-        which keeps the sample's heap peak low: glibc then mostly stops
-        trimming the heap top and faulting it in again on the next sample
-        (measured, not guaranteed; the faults follow the whole allocation
-        sequence).
-        """
+        """Set ``psi`` (``FieldState.velocity``), ``mag`` = |phi| and
+        ``phi_x`` of the state (phi, phi_prev) as new arrays.  The operator's
+        array is freed before |phi| and phi_x are formed, to keep the heap
+        peak of a sample low."""
         dt = self.step_t
         prof = self.profile
         acc = field_acceleration(phi, prof.step, prof.params)
@@ -300,13 +248,11 @@ def field_charge(state: FieldState) -> float:
 
 
 def orbital_distance(state: FieldState) -> float:
-    """Phase-minimized distance from the state to its profile's orbit.
-
-    The orbit is e^{-i theta}(R, -i omega R) with R and omega from
-    ``state.profile``.  min over theta of ||(phi, psi) - e^{-i theta}(R,
-    -i omega R)|| in the norm m^2||.||^2 + ||.'||^2 + ||.||^2; the minimum
-    is closed-form: sqrt(||u||^2 + ||v||^2 - 2|z|) with z the mixed pairing.
-    """
+    """min over theta of ||(phi, psi) - e^{-i theta} (R, -i omega R)|| in the
+    norm m^2 ||.||^2 + ||.'||^2 + ||.||^2, in closed form
+    sqrt(||u||^2 + ||v||^2 - 2|z|).  Its square is known to 1e-14 of ||v||^2,
+    so a distance under about 1e-7 ||v|| is rounding and may read 0; ``run``
+    states the floor that the lattice sets."""
     return state._fields.integrals(state.phi)[2]
 
 
@@ -324,6 +270,12 @@ class Diagnostics:
     tail_first_exceed: float | None = None
 
     def summary(self) -> dict:
+        """The JSON payload: the largest energy and charge drifts relative
+        to t = 0, the initial and the largest distance, their ratio and the
+        first time the distance passes 100 times the initial one (None where
+        that reads 0), the largest sup |phi|, and the truncation and tail
+        events.  The ratio and the crossing show growth only from above the
+        floor ``run`` states."""
         e0, q0 = self.energy[0], self.charge[0]
         d0 = float(self.orbital_distance[0])
         dmax = float(self.orbital_distance.max())
@@ -352,21 +304,24 @@ class Diagnostics:
 def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
         sample_every: int = 50, step_x: float = 0.02, step_t: float = 0.01,
         extra_half_length: float = 20.0) -> Diagnostics:
-    """Evolve perturbed standing-wave data to t_final, sampling diagnostics.
+    """Diagnostics of ``perturbation``'s data evolved to ``t_final``.
 
-    The field lives on a profile built to the default ``half_line``'s end
-    plus ``extra_half_length``, rounded up to an even interval count, so
-    radiation reflected off the Dirichlet end arrives late; R is the closed
-    form on the whole lattice, the margin included.  Samples are taken at
-    t = 0 and every ``sample_every`` steps (plus the final time).  A tripped
-    amplitude guard truncates the run: the diagnostics collected so far come
-    back with ``truncated`` set instead of an exception escaping.
+    The lattice is the default ``half_line`` plus ``extra_half_length``, so
+    that radiation reflected at the Dirichlet end comes back late.  Samples
+    are taken at t = 0, every ``sample_every`` steps and at the end; a sup
+    |phi| above 1e3 R(0) ends the run with ``truncated`` set.  Raises
+    GridError for an ``extra_half_length`` outside [0, inf) or a lattice
+    beyond MAX_NODES, and DomainError for a ``t_final`` not positive and
+    finite, a ``sample_every`` below 1, more than MAX_STEPS (1,000,000)
+    steps, or a t = 0 energy, charge or distance not finite, or energy or
+    charge 0.
 
-    Raises GridError for an ``extra_half_length`` that is negative or not
-    finite, or a lattice beyond MAX_NODES.  Raises DomainError for a
-    ``t_final`` that is not positive and finite, a ``sample_every`` below 1,
-    more than MAX_STEPS steps, or initial data whose t = 0 energy, charge or
-    orbital distance is not finite, or whose energy or charge is zero.
+    The distance has a floor: the sampled R is not an exact standing wave of
+    the scheme, so even unperturbed data drift off the orbit.  At (1, 1, 1),
+    omega = 0.9, t = 50 and the defaults (||v|| = 0.366), "none" drifts to
+    5.29e-6; "scale:1e-7" (d0 = 3.65e-8) reads a ``distance_ratio`` of 146
+    and a false ``first_crossing_100x`` at t = 1.5; "scale:1e-8" reads d0 = 0
+    and no ratio.
     """
     if not 0.0 < t_final < math.inf:
         raise DomainError(
@@ -386,8 +341,7 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
     profile = build_profile(p, omega, step_x, half_length=end)
     state = init_state(profile, perturbation, step_t)
     sampler = _Sampler(profile, state.step_t)
-    # the run's workspace: two levels stepped in place (the state keeps its
-    # own) and the kernel's work arrays, on cache lines, for every batch
+    # the run steps its own levels; the state keeps the t = 0 ones
     phi, phi_prev, work = _kernels.leapfrog_arrays(state.phi.size)
     phi[...] = state.phi
     phi_prev[...] = state.phi_prev

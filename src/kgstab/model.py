@@ -1,18 +1,7 @@
-"""Model parameters for the quadratic-cubic Klein-Gordon field.
-
-The field equation is
-
-    phi_tt - phi_xx + m^2 phi - 3a|phi| phi + 4b|phi|^2 phi = 0
-
-with a, b, m > 0.  Standing waves exp(-i omega t) R(x) exist for frequencies
-in an open window below m; everything downstream is parametrized either by
-omega or by the shape parameter alpha = sqrt(2 b (m^2 - omega^2)) / a.
-
-The nonlinearity G(s) = -a s^3 + b s^4 is defined here once: ``g_potential``
-for both energies, ``g_second`` for L_plus and ``g_prime_over_s`` for L_minus
-and the field force (which the field operator and the leapfrog kernel keep
-fused into their steps).
-"""
+"""Parameters of phi_tt - phi_xx + m^2 phi - 3a|phi| phi + 4b|phi|^2 phi = 0,
+a, b, m > 0, whose standing waves exp(-i omega t) R(x) exist for omega in
+(omega_star, m), with shape parameter alpha = sqrt(2b(m^2 - omega^2))/a;
+and the nonlinearity G(s) = -a s^3 + b s^4 with its derivatives."""
 
 from __future__ import annotations
 
@@ -35,9 +24,11 @@ class FrequencyWindow:
     m: float
 
     def contains(self, omega: float) -> bool:
+        """omega_star < omega < m."""
         return self.omega_star < omega < self.m
 
     def require(self, omega: float) -> None:
+        """Raise DomainError unless ``contains(omega)``."""
         if not self.contains(omega):
             raise DomainError(
                 f"omega={omega!r} outside the admissible window "
@@ -46,12 +37,14 @@ class FrequencyWindow:
 
     @property
     def width(self) -> float:
+        """m - omega_star."""
         return self.m - self.omega_star
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Coefficients (a, b, m) of the quadratic-cubic nonlinearity."""
+    """Coefficients (a, b, m), stored as floats; raises DomainError unless
+    each is a finite positive real number other than a bool."""
 
     a: float
     b: float
@@ -60,7 +53,6 @@ class ModelParams:
     def __post_init__(self):
         for name in ("a", "b", "m"):
             value = getattr(self, name)
-            # any real number, NumPy's included, but not a bool
             real = isinstance(value, Real) and not isinstance(value, bool)
             try:
                 finite = real and math.isfinite(value)
@@ -77,10 +69,9 @@ class ModelParams:
     # does not forbid
     @cached_property
     def tau(self) -> float:
-        """Dimensionless combination 2 m^2 b / a^2 controlling stability.
-
-        Overflow to inf is kept: it still exceeds every k2.
-        """
+        """2 m^2 b / a^2, which decides stability; an overflow to inf is
+        kept, as it still exceeds every k2.  Raises DomainError where a^2
+        underflows."""
         a2 = self.a * self.a
         if a2 == 0.0:
             raise DomainError(f"a^2 underflows at a={self.a!r}: "
@@ -89,11 +80,8 @@ class ModelParams:
 
     @cached_property
     def omega_star(self) -> float:
-        """Lower edge of the standing-wave frequency window.
-
-        Raises DomainError where m^2 overflows, which leaves the edge
-        sqrt(m^2 - a^2/(2b)) without a float value.
-        """
+        """sqrt(m^2 - a^2/(2b)), or 0 where that is not real; raises
+        DomainError where m^2 overflows."""
         m2 = self.m * self.m
         if m2 == math.inf:
             raise DomainError(f"m^2 overflows at m={self.m!r}: the window "
@@ -103,6 +91,7 @@ class ModelParams:
 
     @cached_property
     def window(self) -> FrequencyWindow:
+        """The window (omega_star, m)."""
         return FrequencyWindow(self.omega_star, self.m)
 
 
@@ -117,13 +106,10 @@ def as_count(name: str, value) -> int:
 
 
 def bisect(goes_up, lo: float, hi: float, tol: float) -> float:
-    """Halve [lo, hi] until it is at most ``tol`` wide, or until no float
-    lies strictly between its ends; return its midpoint.
-
-    ``goes_up(mid)`` is true when the point sought lies above ``mid``.  The
-    rounded midpoint of two neighbouring floats is one of them, so a ``tol``
-    below their spacing would otherwise halve the same bracket forever.
-    """
+    """The midpoint of [lo, hi] halved until it is at most ``tol`` wide or
+    its ends are neighbouring floats, whose rounded midpoint is one of them,
+    so a ``tol`` below their spacing cannot loop forever.  ``goes_up(mid)``
+    is true when the point sought lies above ``mid``."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -136,17 +122,14 @@ def bisect(goes_up, lo: float, hi: float, tol: float) -> float:
 
 
 def alpha_of_omega(p: ModelParams, omega: float) -> float:
-    """Shape parameter alpha = sqrt(2b(m^2 - omega^2))/a for omega in the window."""
+    """sqrt(2b(m^2 - omega^2))/a; raises DomainError outside the window."""
     p.window.require(omega)
     return math.sqrt(2.0 * p.b * (p.m * p.m - omega * omega)) / p.a
 
 
 def omega_of_alpha(p: ModelParams, alpha: float) -> float:
-    """Inverse map: the frequency whose shape parameter is alpha.
-
-    Requires 0 < alpha < 1 and alpha^2 < tau (equivalently omega real and in
-    the window).
-    """
+    """The frequency of shape parameter alpha; raises DomainError unless
+    0 < alpha < 1 and alpha^2 < tau."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha={alpha!r} outside (0, 1)")
     if alpha * alpha >= p.tau:
@@ -157,11 +140,8 @@ def omega_of_alpha(p: ModelParams, alpha: float) -> float:
 
 
 def r_star(p: ModelParams, omega: float) -> float:
-    """Peak amplitude R(0) of the standing-wave profile at frequency omega.
-
-    Written as (a/2b) alpha^2 / (1 + sqrt(1 - alpha^2)), which is exact for
-    all alpha in (0, 1) and avoids cancellation as alpha -> 0.
-    """
+    """Peak amplitude R(0), as (a/2b) alpha^2 / (1 + sqrt(1 - alpha^2)),
+    which does not cancel as alpha -> 0."""
     alpha = alpha_of_omega(p, omega)
     s = math.sqrt(1.0 - alpha * alpha)
     return (p.a / (2.0 * p.b)) * alpha * alpha / (1.0 + s)

@@ -1,19 +1,11 @@
 """Standing-wave profiles and their integral observables.
 
-The profile R solves R'' = G'(R) + (m^2 - omega^2) R with R'(0) = 0 and
-R -> 0 at infinity.  A closed form exists:
+The profile solves R'' = G'(R) + c R, c = m^2 - omega^2, R'(0) = 0, as
 
-    R(x) = (c/a) / (1 + sqrt(1 - alpha^2) cosh(sqrt(c) x)),   c = m^2 - omega^2
+    R(x) = (c/a) / (1 + sqrt(1 - alpha^2) cosh(sqrt(c) x)),
 
-and is used as the primary constructor; its correctness is pinned down by the
-ODE residual recorded on every built profile (and by integration tests against
-a Runge-Kutta solution).
-
-This module is also the home of the even half-line lattice (``half_line``)
-that the profile, the linearized operators and the evolved field share:
-samples at x_i = i*h on x >= 0 with an even interval count, integrals by
-composite Simpson doubled by evenness, and the field operator with its
-mirrored centre (``field_acceleration``).
+sampled, like the linearized operators and the evolved field, on one even
+lattice (``half_line``) whose integrals are Simpson sums doubled.
 """
 
 from __future__ import annotations
@@ -28,10 +20,8 @@ from .model import DomainError, ModelParams, alpha_of_omega, g_potential
 # cosh argument cap: cosh(700) is near the top of double range, and once the
 # argument is this large the profile value underflows to 0 anyway.
 _COSH_ARG_MAX = 700.0
-# Most nodes the half-line x >= 0 of any grid may hold, counted as
-# length / step: the profile, each parity block of L+ and L-, and the evolved
-# field.  About 40/sqrt(m^2 - omega^2)/h nodes are needed, which grows without
-# bound as omega -> m.
+# most nodes, length / step, on x >= 0 of any lattice; the default needs
+# 40/sqrt(m^2 - omega^2)/h, unbounded as omega -> m
 MAX_NODES = 2_000_000
 _DECAY_LENGTHS = 40.0  # default half-length, in units of 1/sqrt(m^2 - omega^2)
 # lattice step of the profiles behind d_second_numeric
@@ -43,11 +33,8 @@ class GridError(ValueError):
 
 
 def require_node_budget(length: float, step: float) -> None:
-    """Raise GridError when [0, length] at ``step`` exceeds MAX_NODES nodes.
-
-    Called before the grid is sized, so an infinite or huge ratio is refused
-    before any array is allocated.
-    """
+    """Raise GridError when length / step is not at most MAX_NODES
+    (2,000,000), before any array is allocated."""
     nodes = length / step
     if not nodes <= MAX_NODES:
         raise GridError(
@@ -79,11 +66,8 @@ def half_line(p: ModelParams, omega: float, step: float,
 
 @dataclass(frozen=True, eq=False)
 class SolitonProfile:
-    """Half-line samples of a standing-wave profile (even extension implied).
-
-    ``values[i]`` is R(i*step) for i = 0 .. half_length/step; the maximum
-    ODE residual measured on the build grid is carried as metadata.
-    """
+    """``values[i]`` = R(i step) on the ``half_line`` lattice, read-only,
+    with the largest ODE residual measured on it."""
 
     omega: float
     params: ModelParams
@@ -94,11 +78,13 @@ class SolitonProfile:
 
     @property
     def x(self) -> np.ndarray:
+        """The nodes i step."""
         return np.arange(self.values.size) * self.step
 
 
 def closed_form_profile(p: ModelParams, omega: float, x):
-    """Evaluate the exact profile R(x); scalar or array x."""
+    """R(x) for a scalar or an array x; raises DomainError outside the
+    window."""
     p.window.require(omega)
     c = p.m * p.m - omega * omega
     alpha = alpha_of_omega(p, omega)
@@ -110,11 +96,8 @@ def closed_form_profile(p: ModelParams, omega: float, x):
 
 
 def closed_form_slope(p: ModelParams, omega: float, x):
-    """Exact spatial derivative R'(x) of the closed-form profile.
-
-    Written as R' = -R * k * (beta sinh)/(1 + beta cosh) so the hyperbolic
-    ratio stays bounded for large |x| instead of overflowing.
-    """
+    """R'(x), as -R k (beta sinh)/(1 + beta cosh), a ratio that stays
+    bounded for large |x|; raises DomainError outside the window."""
     p.window.require(omega)
     c = p.m * p.m - omega * omega
     alpha = alpha_of_omega(p, omega)
@@ -129,14 +112,10 @@ def closed_form_slope(p: ModelParams, omega: float, x):
 def build_profile(p: ModelParams, omega: float, step: float,
                   half_length: float | None = None,
                   tail_tol: float = 1e-12) -> SolitonProfile:
-    """Sample the closed form on the wave's ``half_line`` lattice.
-
-    The even interval count lets Simpson quadrature apply directly to the
-    stored values.  When ``half_length`` is omitted it is the lattice's
-    default 40/sqrt(c), stretched if ``tail_tol`` demands more.  Raises
-    GridError for a lattice ``half_line`` refuses, if the tail at L is not
-    below ``tail_tol`` relative to R(0), or if the measured ODE residual is
-    out of bounds.
+    """The closed form sampled on ``half_line``, by default 40/sqrt(c)
+    long, stretched if ``tail_tol`` needs more.  Raises GridError for a
+    refused lattice, a tail at L not below ``tail_tol`` relative to R(0),
+    or an ODE residual not below max(1e-8, 10 h^2 R(0)).
     """
     if not 0.0 < tail_tol < 1.0:
         raise GridError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
@@ -153,8 +132,7 @@ def build_profile(p: ModelParams, omega: float, step: float,
             f"exceeds {tail_tol!r} relative to R(0)={values[0]!r}"
         )
 
-    # A standing wave has phi_tt = -omega^2 R, so the residual is that of the
-    # field operator; the Dirichlet end is deep in the tail and left out.
+    # a standing wave has phi_tt = -omega^2 R; the Dirichlet end is left out
     accel = field_acceleration(values, step, p)[:-1]
     residual = float(np.abs(accel + omega * omega * values[:-1]).max())
     sup = float(values[0])
@@ -172,29 +150,11 @@ def build_profile(p: ModelParams, omega: float, step: float,
 
 def field_acceleration(phi: np.ndarray, step: float,
                        p: ModelParams) -> np.ndarray:
-    """Discrete phi_tt of the field equation for an even field on x >= 0.
-
-    phi_tt = phi_xx - (m^2 + G'(|phi|)/|phi|) phi, with G'(s)/s as defined
-    by ``model.g_prime_over_s``; here the force is written out and fused
-    with the mass term, and the leapfrog kernel holds the other copy.  The
-    centre reads its left neighbour from the mirror phi(-h) = phi(h); the
-    last node is the Dirichlet end, whose value is 0.  Real samples give a
-    real array and complex samples a complex one.
-
-    The terms are formed in place, on the few arrays the call allocates,
-    in the operand order of (right - 2 phi + left) / h^2 + ((-m^2 + 3a|phi|)
-    - 4b|phi||phi|) phi, save that 3a|phi| and -m^2 + 3a|phi| are taken
-    with their operands swapped, which rounds the same (3a and -m^2 are
-    finite).  A complex Laplacian is scaled by the product with
-    complex(1 / h^2), not divided: NumPy divides a complex array by a real
-    d with Smith's rule, (re + im*0) fl(1/d) + i (im - re*0) fl(1/d), and
-    the product rounds the same at a sixth of the cost.  The two differ in
-    two classes only, both equal in value: the sign of a zero part, where a
-    part or a part times 1/h^2 is -0 (a -0 real part beside a finite
-    imaginary part always differs), and the NaN bits of a NaN real part
-    beside a NaN or infinite imaginary part.  Real samples keep the real
-    division.
-    """
+    """phi_tt = phi_xx - (m^2 + G'(|phi|)/|phi|) phi on the even lattice, a new
+    array of phi's dtype, 0 at the Dirichlet end; the centre's left neighbour
+    is the mirror phi(h).  A complex Laplacian is multiplied by complex(1/h^2):
+    NumPy divides by a real with Smith's rule, equal in value at six times the
+    cost."""
     inner = phi[:-1]
     acc = np.zeros_like(phi)
     lap = acc[:-1]
@@ -218,10 +178,8 @@ def field_acceleration(phi: np.ndarray, step: float,
 
 
 def composite_simpson(values: np.ndarray, step: float) -> float | complex:
-    """Composite Simpson rule; needs an odd number of points.
-
-    Real samples give a float and complex samples a complex.
-    """
+    """Composite Simpson rule, a float or a complex; raises GridError
+    unless the point count is odd and at least 3."""
     n = values.shape[-1]
     if n < 3 or n % 2 == 0:
         raise GridError(f"Simpson rule needs an odd point count, got {n}")
@@ -255,12 +213,8 @@ def charge(profile: SolitonProfile) -> float:
 
 
 def energy(profile: SolitonProfile) -> float:
-    """Standing-wave energy.
-
-    E = 1/2 omega^2 ||R||^2 + 1/2 ||R'||^2 + 1/2 m^2 ||R||^2 + int G(R),
-    with R' from finite differences and all integrals by Simpson quadrature
-    doubled over the even extension.
-    """
+    """E = 1/2 omega^2 ||R||^2 + 1/2 ||R'||^2 + 1/2 m^2 ||R||^2 + int G(R),
+    R' by fourth-order differences, integrals by doubled Simpson."""
     p = profile.params
     r = profile.values
     h = profile.step
@@ -273,13 +227,10 @@ def energy(profile: SolitonProfile) -> float:
 
 
 def d_second_numeric(p: ModelParams, omega: float) -> float:
-    """Finite-difference d''(omega) with d = E - omega Q from quadrature.
-
-    Centered second difference over h = 1e-3 of the window width, of
-    profiles built at step ORACLE_STEP; raises DomainError where the stencil
-    [omega - h, omega + h] leaves the window.  This is the independent check
-    on the closed-form sign machinery, so it deliberately goes through
-    profile quadrature and nothing else.
+    """d''(omega), d = E - omega Q, by a centred second difference over
+    1e-3 of the window width, of quadratures on profiles at ORACLE_STEP: an
+    oracle independent of the closed forms.  Raises DomainError where the
+    stencil leaves the window.
     """
     window = p.window
     window.require(omega)

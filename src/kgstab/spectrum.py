@@ -1,54 +1,14 @@
 """Linearized operators about a standing wave and their low spectrum.
 
-Linearizing the field equation about e^{-i omega t} R(x) decouples into two
-Sturm-Liouville operators on the line,
+With c = m^2 - omega^2, linearizing about e^{-i omega t} R(x) gives
 
-    L_minus = -d2/dx2 + R^{-1}G'(R) + (m^2 - omega^2)   (kernel spanned by R)
-    L_plus  = -d2/dx2 + G''(R)      + (m^2 - omega^2)   (kernel spanned by R')
+    L_minus = -d2/dx2 + G'(R)/R + c   (kernel spanned by R)
+    L_plus  = -d2/dx2 + G''(R)  + c   (kernel spanned by R')
 
-whose negative/zero eigenvalue counts feed the stability theory.  Both are
-discretized by second-order centered differences on [-L, L] with Dirichlet
-ends: the profile's lattice (``soliton.half_line``) and its mirror.  The
-profile is even, so each operator splits exactly into an even block on the
-nodes x >= 0 and an odd block on the nodes x > 0, both formed from the rows
-on the lattice's nodes 0 .. N-1; the full grid is built only by ``assemble``
-and for ``spectral_report``'s ``x`` and mirrored vectors.  On each block, the
-lowest eigenpairs come from Sturm-sequence counts that bracket an
-eigenvalue and bisect it to a width of 1e-3 (1e-6, 1e-9, then 1e-10 while a
-pair fails; each times the matrix scale max|d| + 2 max|e| where that is
-below 1, and never past two neighbouring floats), inverse iteration that
-refines it, and two more Sturm counts that confirm its index — deliberately
-self-contained so library results can be compared against external
-eigensolvers in the tests.  The refinement
-shifts by the Rayleigh quotient only while it stays inside the bisection
-bracket; one outside it keeps the previous shift for a plain
-inverse-iteration step (as LAPACK ``dstein`` and Parlett's safeguarded
-Rayleigh-quotient iteration do), so the refinement does not jump to a
-neighbouring eigenvalue and bisect again.  Its start and restart vectors
-come from ``_start_vectors``, a counter-based SplitMix64 stream of (pair,
-draw, node), as ``dstein`` draws its own from ``dlarnv``: no code path
-imports ``numpy.random``.  Against the earlier refinement (a
-Rayleigh-quotient shift at every step, from ``numpy.random`` start
-vectors), a report keeps its negative counts, its eigenvalues within 1e-12,
-kernel matches within 1e-14 and eigenvectors within 1e-12 in |cos| (tested
-on the test waves).  The counts on a block, the report's negative count
-included, share one ``_kernels.sturm_counter``.  A count at a shift below
-the block's edge (where the smallest remaining diagonal entry, less twice
-the largest remaining off-diagonal magnitude, passes the shift) stops once
-a pivot proves that no later pivot can be counted: the same count as the
-full walk.  The search for the (j+1)-th eigenvalue only asks whether a
-count is at most j, so its counts are capped at j and stop at the (j+1)-th
-counted pivot, which fixes that answer; the negative count is uncapped.
-Each solve of the refinement is ``_kernels.tridiag_solve``: cyclic
-reduction in NumPy passes, checked by a componentwise backward-error test,
-with the Thomas loop as its fallback.  Against the Thomas loop alone, a
-report keeps its negative counts, its eigenvalues within 1e-12, kernel
-matches within 1e-14 and eigenvectors within 1e-12 in |cos| (tested on the
-test waves).  Every norm, projection, Rayleigh quotient and kernel match is
-a ``_kernels.dot`` sum, whose order follows the length alone, so no report
-depends on ``OPENBLAS_NUM_THREADS``; against the BLAS dot products it
-replaced, a report keeps the same four tolerances (tested on the test
-waves).
+by centred differences on the profile's lattice and its mirror, with
+Dirichlet ends.  Each operator splits into an even and an odd block on
+x >= 0; only the blocks are solved, by an eigensolver that needs NumPy
+alone.
 """
 
 from __future__ import annotations
@@ -69,7 +29,7 @@ from .soliton import (GridError, closed_form_profile, closed_form_slope,
 _COARSE_WIDTH = 1e-3
 # inverse iteration stops at a residual of this many ulps of the matrix scale
 _RESIDUAL_ULPS = 100.0
-# distance of each returned eigenvalue from the matrix's own
+# half-width of the Sturm counts that confirm each eigenvalue
 EIGENVALUE_TOL = 1e-10
 # bisection widths of an eigenpair's successive refinements
 _WIDTHS = (_COARSE_WIDTH, 1e-6, 1e-9, EIGENVALUE_TOL)
@@ -78,13 +38,10 @@ KERNEL_BAND = 10.0
 
 
 def kernel_band(p: ModelParams, omega: float, step: float) -> float:
-    """Half-width b = KERNEL_BAND (c h)^2 of the band (-b, b) of discrete
-    kernel candidates, with c = m^2 - omega^2.
-
-    L+/c and L-/c depend on the lattice only through h sqrt(c), so the
-    discrete kernel eigenvalues, O((h sqrt(c))^2) in units of c, are
-    O(c^2 h^2): a band of 10 h^2 alone holds them only for middling c.
-    """
+    """b = KERNEL_BAND (c h)^2 = 10 c^2 h^2, c = m^2 - omega^2: eigenvalues in
+    (-b, b) are discrete-kernel candidates.  The discrete kernel eigenvalues
+    are O(c^2 h^2), since L+/c and L-/c depend on the lattice through h sqrt(c)
+    alone."""
     c = p.m * p.m - omega * omega
     return KERNEL_BAND * (c * step) ** 2
 
@@ -111,6 +68,7 @@ class TridiagonalOperator:
 
     @property
     def size(self) -> int:
+        """n, the number of rows."""
         return self.diagonal.size
 
 
@@ -134,13 +92,10 @@ def _half_line_rows(p, omega, step, half_length):
 def assemble(p: ModelParams, omega: float, step: float,
              half_length: float | None = None,
              kind: str = "lplus") -> TridiagonalOperator:
-    """Discretize L_plus or L_minus on [-L, L] with Dirichlet ends.
-
-    The rows on the profile's lattice (``soliton.half_line``) at x >= 0,
-    mirrored: the full matrix, for dense reference solvers, which
-    ``spectral_report`` never builds.  Raises GridError for a step above
-    0.1/sqrt(c) or a lattice ``half_line`` refuses.
-    """
+    """The full matrix of L_plus (``kind`` "lplus") or L_minus ("lminus")
+    on the mirrored lattice, for dense reference solvers.  Raises ValueError
+    for another kind, and GridError for a step above 0.1/sqrt(c) or a
+    lattice ``half_line`` refuses."""
     _, diagonals, off = _half_line_rows(p, omega, step, half_length)
     if kind not in diagonals:
         raise ValueError(f"kind must be one of {(*diagonals,)}, got {kind!r}")
@@ -150,7 +105,7 @@ def assemble(p: ModelParams, omega: float, step: float,
 
 
 def apply(op: TridiagonalOperator, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product of the discretized operator."""
+    """op v; raises ValueError unless v has the operator's length."""
     v = np.asarray(v, dtype=float)
     if v.shape != op.diagonal.shape:
         raise ValueError(f"vector length {v.shape} != operator {op.diagonal.shape}")
@@ -176,14 +131,10 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _start_vectors(n: int, pair: int):
-    """Endless unit start vectors of n entries for eigenpair ``pair``.
-
-    Entry i of draw d is output i + 1 of the SplitMix64 stream (Steele, Lea
-    and Flood 2014) seeded with pair * 2^32 + d, its top 53 bits mapped to
-    [-1, 1), and each draw is normalized.  Counter-based, so the vectors
-    depend on (pair, draw, node) alone, as LAPACK ``dstein``'s do on its own
-    ``dlarnv`` generator; and ``numpy.random`` is never imported.
-    """
+    """Endless unit start vectors of n entries for eigenpair ``pair``:
+    entry i of draw d is output i + 1 of SplitMix64 (Steele, Lea and Flood
+    2014) seeded pair * 2^32 + d, its top 53 bits mapped to [-1, 1), so the
+    vectors depend on (pair, draw, node) alone, as LAPACK ``dstein``'s do."""
     states = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(
         0x9E3779B97F4A7C15)
     for draw in itertools.count():
@@ -201,31 +152,15 @@ def _scale(diag, off) -> float:
 
 
 def _inverse_iteration(diag, off, eigenvalue, width, starts, neighbors):
-    """(rho, v) near an eigenvalue estimate, by safeguarded Rayleigh-quotient
-    iteration.
+    """(rho, v) for the eigenvalue in the bisection bracket of midpoint
+    ``eigenvalue`` and width ``width``, or None after 100 unconverged steps.
 
-    ``eigenvalue`` is the midpoint of a bisection bracket at most ``width``
-    wide.  The first solve (``_kernels.tridiag_solve``: cyclic reduction
-    that meets a componentwise backward-error bound, or else the Thomas
-    loop) is shifted by ``eigenvalue``; each later one by the Rayleigh
-    quotient of the current vector while that lies in [eigenvalue - width/2,
-    eigenvalue + width/2], and otherwise by the previous shift again: a
-    plain inverse-iteration step, as in LAPACK ``dstein`` and Parlett's
-    safeguarded iteration, which keeps converging to the eigenvector nearest
-    the bracket where a quotient outside it would jump to a neighbour.  The
-    iteration stops when the residual |Tv - rho v| is down to the rounding
-    level of the matrix scale; inside a cluster the vector can keep turning
-    in the invariant subspace, so a test on its movement would never stop.
-    The floored pivots turn the near-singular system into a strongly
-    magnifying one, which is exactly what inverse iteration wants.  A solve
-    that overflows (a pivot exactly zero where the floor is the safe
-    minimum) is discarded: the shift is moved off by a few ulps of the
-    matrix scale (as ``dstein`` perturbs tiny pivots) and the iteration
-    restarts.  The start vector and every restart are the next of
-    ``starts`` (``_start_vectors``).  ``neighbors`` are already-computed
-    eigenvectors to orthogonalize against.  v is positive at its first
-    largest entry and rho is its Rayleigh quotient; None means 100
-    iterations did not converge.
+    Safeguarded Rayleigh-quotient iteration (LAPACK ``dstein``; Parlett): a
+    quotient outside the bracket keeps the previous shift, so v cannot jump to
+    a neighbour.  It stops at a residual |T v - rho v| under _RESIDUAL_ULPS
+    ulps of the matrix scale; an overflowed solve moves the shift by 4 ulps
+    and restarts from the next of ``starts``.  v is orthogonal to
+    ``neighbors`` and positive at its first largest entry.
     """
     scale = _scale(diag, off)
     nudge = 4.0 * np.finfo(float).eps * scale
@@ -234,16 +169,14 @@ def _inverse_iteration(diag, off, eigenvalue, width, starts, neighbors):
     v = next(starts)
     for _ in range(100):
         w = _kernels.tridiag_solve(diag - shift, off, v)
-        # scaled to a unit peak, so the norm of a finite solve cannot
-        # overflow; a solve that overflowed to inf or nan fails the
-        # finiteness test below, without a warning on stderr
+        # a unit peak keeps a finite solve's norm finite; an overflowed
+        # solve fails the finiteness test below, with no warning
         with np.errstate(over="ignore", invalid="ignore"):
             w = w / np.abs(w).max()
             norm = _norm(w)
             # a projection that cancels most of w leaves rounding errors
-            # along the neighbors as large as what it keeps: project again,
-            # and a second such cancellation leaves no w at all (Kahan's
-            # "twice is enough")
+            # as large as what it keeps: project again, and a second such
+            # cancellation leaves no w (Kahan's "twice is enough")
             for _ in range(2):
                 kept = norm
                 for u in neighbors:
@@ -278,31 +211,22 @@ def _check_k(k: int, n: int) -> int:
 
 def lowest_eigenpairs(op: TridiagonalOperator,
                       k: int) -> list[tuple[float, np.ndarray]]:
-    """The k algebraically smallest eigenpairs, eigenvalues nondecreasing.
+    """The k algebraically smallest eigenpairs of ``op``: values nondecreasing,
+    vectors orthonormal and positive at their first largest entry.  Raises
+    DomainError unless k is an integer in [1, n], and EigensolverError.
 
-    The j-th eigenvalue is bracketed upward from the previous one (from the
-    Gershgorin lower bound for the first) by doubling a step, at first the
-    mean eigenvalue spacing, until the Sturm count passes j, and bisected
-    only until the bracket is about 1e-3 wide.  Inverse iteration with a
-    Rayleigh-quotient shift, kept inside that bracket, then refines the
-    vector, and the eigenvalue is its Rayleigh quotient.  Two Sturm counts
-    accept it when ``count(value - tol) <= j < count(value + tol)``, with
-    tol = EIGENVALUE_TOL.  When they do not, or the refinement stalls, the
-    bracket is bisected again to 1e-6, 1e-9 and then tol, and the refinement
-    repeated; :class:`EigensolverError` is raised when tol fails too.  A
-    matrix of scale s = max|d| + 2 max|e| below 1 is bisected to s times
-    each width, and a bisection stops early at two neighbouring floats.
-
-    Every count goes through one ``_kernels.sturm_counter`` built on the
-    matrix, which walks the pivots only up to the row from which none can
-    go negative again, and, capped at j, only up to the (j+1)-th counted
-    pivot: every test ``count <= j`` is the full walk's.
-
-    So every returned value lies within tol of the matrix's j-th
-    eigenvalue, as Sturm counts (LAPACK ``dstebz`` convention) place it, and
-    the vectors are orthonormal: each is orthogonalized against the earlier
-    ones, which keeps apart the members of a cluster that the bracket
-    cannot split.  Each vector is positive at its first largest entry.
+    Pair j is bracketed by Sturm counts, bisected to 1e-3 and refined by
+    inverse iteration; its value is accepted when count(value - tol) <= j <
+    count(value + tol), tol = EIGENVALUE_TOL = 1e-10.  Else the bracket is
+    bisected to 1e-6, 1e-9 and tol in turn (each times the matrix scale
+    max|d| + 2 max|e| where that is below 1), and EigensolverError is raised
+    when tol fails too.  The acceptance does not place every value within tol
+    of the j-th eigenvalue, as two strict xfails show:
+    - the counts' rounding passes tol at matrix scale about 2.6e6, where every
+      width is refused (``test_spectrum_of_the_shared_wave_scales[16.0]``);
+    - the neighbouring pair passes within tol
+      (``test_lowest_eigenpair_is_not_its_neighbour``): diag [3, 3, 3], off
+      [1e-300, 1e-10] gives 3.0, 1.00000008e-10 above 2.9999999999.
     """
     k = _check_k(k, op.size)
     count = _kernels.sturm_counter(op.diagonal, op.off_diagonal)
@@ -339,9 +263,8 @@ def _lowest_eigenpairs(op: TridiagonalOperator, k: int, count):
         hi = min(hi, hi_bound)
 
         starts = _start_vectors(n, j)
-        # every earlier vector, not only those of a cluster: projecting out
-        # an eigenvector of a distant eigenvalue costs one dot product and
-        # changes nothing, while a missed cluster member skews the vectors
+        # every earlier vector: a distant one costs a dot product and
+        # changes nothing, a missed cluster member skews the vectors
         earlier = [v for _, v in pairs]
         for width in widths:
             shift = bisect(goes_up, lo, hi, width)
@@ -383,6 +306,7 @@ class SpectrumReport:
     lminus_eigenvectors: np.ndarray
 
     def to_dict(self) -> dict:
+        """The JSON payload: every field but ``x`` and the vectors."""
         return {
             "omega": self.omega,
             "grid": {"half_length": self.half_length, "step": self.step},
@@ -396,15 +320,10 @@ class SpectrumReport:
 
 
 def _parity_blocks(diag, off):
-    """The even and odd blocks of the mirror-symmetric matrix whose rows at
-    x >= 0 are ``diag`` (node 0 first) and ``off``.
-
-    The even block acts on the nodes x >= 0 of even vectors, in the
-    coordinates (v(0), sqrt(2) v(h), sqrt(2) v(2h), ...), where it is
-    symmetric with its first off-diagonal scaled by sqrt(2).  The odd block
-    acts on the nodes x > 0 of odd vectors, which vanish at x = 0.  Every
-    eigenvalue of the full matrix is an eigenvalue of exactly one block.
-    """
+    """The even and odd blocks of the mirror-symmetric matrix with rows
+    ``diag`` and ``off`` at x >= 0: the even one symmetric in (v(0),
+    sqrt(2) v(h), ...), the odd one on x > 0.  Each eigenvalue belongs to
+    exactly one block."""
     even_off = off.copy()
     even_off[0] *= math.sqrt(2.0)
     return (TridiagonalOperator(diag, even_off),
@@ -421,17 +340,10 @@ def _mirror(u: np.ndarray, odd: bool) -> np.ndarray:
 
 
 def _parity_eigenpairs(diagonal, off, k: int, band: float):
-    """The k >= 2 lowest eigenpairs, on the full grid, of the mirror-symmetric
-    matrix with rows ``diagonal`` and ``off`` at x >= 0, and its number of
-    eigenvalues at or below ``-band``.
-
-    The j-th eigenvector of a mirror-symmetric Jacobi matrix of odd size has
-    j sign changes, so it is even for even j and odd for odd j: pair j is
-    pair j // 2 of the even or the odd block.  Mirrored vectors are exactly
-    even or odd, and positive at their first largest entry (for an odd
-    vector, the x < 0 one of the two).  Each block's solve and its negative
-    count share one Sturm counter, dropped before the next block's is built.
-    """
+    """The k >= 2 lowest eigenpairs, mirrored, of the matrix with rows
+    ``diagonal`` and ``off`` at x >= 0, and its count at or below ``-band``.
+    Eigenvector j has j sign changes: pair j // 2 of the even block for even
+    j, of the odd block for odd j."""
     halves, negatives = [], 0
     for parity, block in enumerate(_parity_blocks(diagonal, off)):
         count = _kernels.sturm_counter(block.diagonal, block.off_diagonal)
@@ -452,22 +364,19 @@ def _cosine_match(v: np.ndarray, u: np.ndarray) -> float:
 def spectral_report(p: ModelParams, omega: float, step: float,
                     half_length: float | None = None,
                     k: int = 4) -> SpectrumReport:
-    """Report the lowest k eigenpairs of both operators.
+    """The lowest k eigenpairs of L_plus and L_minus at ``omega``, by
+    ``lowest_eigenpairs`` on the parity blocks, with its tolerance and limits.
 
-    Each operator is solved on its parity blocks, built from its rows on the
-    lattice's nodes 0 .. N-1: pair j is even for even j and odd for odd j.
-    Each eigenvalue lies within EIGENVALUE_TOL (1e-10) of the operator's
-    own.  ``x`` is the mirrored
-    lattice; each eigenvector on it is exactly even or odd, has unit norm
-    and is positive at its largest entry; an odd vector's largest entries
-    come in a mirror pair, and the one at x < 0 is positive.
-
-    Negative counts sum both blocks' Sturm counts at -b, b =
-    ``kernel_band`` (10 c^2 h^2, c = m^2 - omega^2): eigenvalues inside the
-    band (-b, b) are discrete-kernel candidates, not signs of genuine
-    negative directions.  Kernel matches compare the relevant eigenvector
-    with the sampled profile (L_minus vs R) or its slope (L_plus vs R', the
-    second pair, so a ``k`` below 2 raises DomainError).
+    Pair j is even for even j and odd for odd j; each vector on the mirrored
+    lattice ``x`` has unit norm and is positive at its largest entry (an odd
+    one at x < 0).  Negative counts are Sturm counts at -``kernel_band``.
+    Kernel matches are |cos| of L_minus's first vector with R and of L_plus's
+    second with R'.  Against BLAS sums for ``_kernels.dot``, the Thomas loop
+    for every solve, or a Rayleigh-quotient shift at every step, a report on
+    the test waves keeps its negative counts, eigenvalues within 1e-12, kernel
+    matches within 1e-14 and eigenvectors within 1e-12 in |cos|.  Raises
+    DomainError for k below 2 or above the size, GridError for a refused
+    lattice, and EigensolverError.
     """
     k = as_count("k", k)
     if k < 2:

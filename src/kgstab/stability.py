@@ -1,20 +1,17 @@
 """Orbital-stability classification of standing waves.
 
-The scalar d(omega) = E - omega Q decides stability through the sign of its
-second derivative.  For this nonlinearity everything reduces to closed-form
-functions of the shape parameter alpha:
+With L(alpha) = ln((1+alpha)/(1-alpha)),
 
-    sigma(omega) = omega ||R||^2 = (a^2 / 4b^2) k1(tau, alpha)
-    sign d''(omega) = sign(tau - k2(alpha))
+    sigma = omega ||R||^2 = (a^2/4b^2) sqrt(tau - alpha^2) (L - 2 alpha),
+    k2(alpha) = ((1 - alpha^2)/(2 alpha)) L + alpha^2,  tau_star = sup k2.
 
-with k1(tau, alpha) = sqrt(tau - alpha^2) (ln((1+alpha)/(1-alpha)) - 2 alpha)
-and k2(alpha) = ((1-alpha^2)/(2 alpha)) ln((1+alpha)/(1-alpha)) + alpha^2.
-The critical coupling tau_star = sup k2 separates the all-stable regime from
-the mixed one.  Every closed-form sign here can be cross-checked against the
-quadrature oracle soliton.d_second_numeric; ``classify`` does so on request
-and refuses to emit a report the oracle contradicts.  ``sweep_columns``
-evaluates alpha, sigma and sign d'' over a whole frequency grid in one array
-pass, bit for bit the scalar functions' values.
+The verdict sign(tau - k2) is the paper's rule as shipped, not an identity
+for the sign of d'', d = E - omega Q (Grillakis-Shatah-Strauss).  For
+tau < tau_star the quadrature oracle ``soliton.d_second_numeric``
+contradicts it at some frequencies: at four of five window samples for
+tau = 0.98.  The red ``test_criterion4_case_iii_verdicts_match_oracle`` and
+exit code 4 of ``kgstab classify``'s default check pin the conflict, which
+is open.
 """
 
 from __future__ import annotations
@@ -30,8 +27,8 @@ from .model import (DomainError, FrequencyWindow, ModelParams,
                     alpha_of_omega, as_count, bisect, omega_of_alpha)
 from .soliton import d_second_numeric
 
-# Below this alpha the log/artanh differences are evaluated by series; the
-# direct expressions lose digits to cancellation.
+# below this alpha the log differences are taken by series: the direct
+# expressions cancel
 _SERIES_CUTOFF = 1e-2
 # Bisection width in alpha of tau_star's argmax and of classify's roots.
 ALPHA_TOL = 1e-12
@@ -45,7 +42,8 @@ TauStarResult = namedtuple("TauStarResult", "tau_star alpha_d")
 
 
 class OracleDisagreementError(RuntimeError):
-    """Closed-form stability sign contradicts the quadrature oracle."""
+    """The closed-form sign of d'' contradicts the quadrature oracle at
+    ``omega``."""
 
     def __init__(self, omega: float, closed_sign: int, oracle_value: float):
         self.omega = omega
@@ -63,8 +61,7 @@ def _require_open_unit(alpha: float) -> None:
 
 
 def _log_ratio(alpha: float) -> float:
-    """ln((1+alpha)/(1-alpha)) = 2 artanh(alpha).  Callers take their own
-    series below _SERIES_CUTOFF, so alpha is never small here."""
+    """ln((1+alpha)/(1-alpha)), for alpha at or above _SERIES_CUTOFF."""
     return math.log((1.0 + alpha) / (1.0 - alpha))
 
 
@@ -79,7 +76,8 @@ def _log_ratio_minus_2alpha(alpha: float) -> float:
 
 
 def k1(tau: float, alpha: float) -> float:
-    """sqrt(tau - alpha^2) (ln((1+alpha)/(1-alpha)) - 2 alpha); sigma's core."""
+    """sqrt(tau - alpha^2) (ln((1+alpha)/(1-alpha)) - 2 alpha); raises
+    DomainError unless 0 < alpha < 1 and alpha^2 < tau."""
     _require_open_unit(alpha)
     if alpha * alpha >= tau:
         raise DomainError(f"alpha={alpha!r} inadmissible: alpha^2 >= tau={tau!r}")
@@ -87,12 +85,9 @@ def k1(tau: float, alpha: float) -> float:
 
 
 def sigma_closed(p: ModelParams, omega: float) -> float:
-    """Closed-form sigma(omega) = omega ||R_omega||_2^2.
-
-    Integrating R^2 via the substitution used for the first integral gives
-    sigma = (a^2 / 4 b^2) k1(tau, alpha(omega)); soliton.charge is the
-    quadrature route to the same number.  Raises DomainError where the scale
-    a^2/(4 b^2) or sigma itself leaves the float range.
+    """sigma(omega) = omega ||R||^2 = (a^2 / 4b^2) k1(tau, alpha(omega)),
+    which ``soliton.charge`` computes by quadrature.  Raises DomainError
+    outside the window, or where a^2/(4b^2) or sigma leaves the float range.
     """
     alpha = alpha_of_omega(p, omega)
     four_b2 = 4.0 * p.b * p.b
@@ -107,11 +102,8 @@ def sigma_closed(p: ModelParams, omega: float) -> float:
 
 
 def k2(alpha: float) -> float:
-    """((1-alpha^2)/(2 alpha)) ln((1+alpha)/(1-alpha)) + alpha^2.
-
-    tau - k2(alpha(omega)) carries the sign of d''(omega).  Tends to 1 at
-    both endpoints, rises above it in between.
-    """
+    """((1-alpha^2)/(2 alpha)) ln((1+alpha)/(1-alpha)) + alpha^2: 1 at both
+    ends of (0, 1), above 1 between them; raises DomainError outside."""
     _require_open_unit(alpha)
     if alpha < _SERIES_CUTOFF:
         a2 = alpha * alpha
@@ -121,7 +113,7 @@ def k2(alpha: float) -> float:
 
 
 def k2_prime(alpha: float) -> float:
-    """Derivative of k2; single sign change on (0, 1) locates the argmax."""
+    """dk2/dalpha, which changes sign once on (0, 1), at the argmax."""
     _require_open_unit(alpha)
     if alpha < _SERIES_CUTOFF:
         a2 = alpha * alpha
@@ -132,11 +124,9 @@ def k2_prime(alpha: float) -> float:
 
 @lru_cache(maxsize=None)
 def tau_star(tol_alpha: float = ALPHA_TOL) -> TauStarResult:
-    """Critical coupling tau_star = sup k2 and its argmax alpha_d.
-
-    k2_prime changes sign exactly once on (0, 1), inside the constant
-    bracket _ARGMAX_BRACKET: bisect it to ``tol_alpha``.
-    """
+    """tau_star = sup k2 and its argmax alpha_d, bisected to ``tol_alpha``
+    (ALPHA_TOL = 1e-12) in _ARGMAX_BRACKET; raises DomainError unless
+    0 < tol_alpha < 0.1."""
     if not 0.0 < tol_alpha < 0.1:
         raise DomainError(f"tol_alpha={tol_alpha!r} out of range")
     alpha_d = bisect(lambda mid: k2_prime(mid) > 0.0, *_ARGMAX_BRACKET,
@@ -145,10 +135,10 @@ def tau_star(tol_alpha: float = ALPHA_TOL) -> TauStarResult:
 
 
 def d_second_sign(p: ModelParams, omega: float) -> int:
-    """Sign of d''(omega) from the closed form: sign(tau - k2(alpha)).
-
-    Returns +1 (stable side), -1 (unstable side), or 0 when
-    |tau - k2| < SIGN_TOL.
+    """sign(tau - k2(alpha)): +1 (stable), -1 (unstable), or 0 where
+    |tau - k2| < SIGN_TOL = 1e-10.  The paper's rule as shipped, not sign
+    d'' itself: for tau < tau_star ``soliton.d_second_numeric`` contradicts
+    it at some frequencies (see the module docstring).
     """
     alpha = alpha_of_omega(p, omega)
     diff = p.tau - k2(alpha)
@@ -158,16 +148,11 @@ def d_second_sign(p: ModelParams, omega: float) -> int:
 
 
 def sweep_columns(p: ModelParams, n: int):
-    """omega, alpha, sigma and sign d'' as arrays at the n interior points
-    omega_star + i width/(n+1), i = 1..n, of the frequency window.
-
-    The arithmetic is alpha_of_omega's, sigma_closed's and d_second_sign's in
-    their operand order, elementwise, so every value equals theirs bit for
-    bit; the log is taken with math.log because np.log is not correctly
-    rounded.  Where the scalar path refuses a row, the scalar functions are
-    evaluated at the first such row and raise its error.  An n that is not
-    an integer in [1, MAX_ROWS] raises DomainError before anything is
-    allocated.
+    """omega, alpha, sigma and ``d_second_sign`` as arrays at the n points
+    omega_star + i width/(n+1), i = 1..n, bit for bit the scalar functions'
+    values (hence math.log: np.log is not correctly rounded).  Raises the
+    scalar functions' error at the first row they refuse, and DomainError,
+    before allocating, unless n is an integer in [1, MAX_ROWS = 1,000,000].
     """
     n = as_count("n", n)
     if not 1 <= n <= MAX_ROWS:
@@ -205,7 +190,7 @@ def sweep_columns(p: ModelParams, n: int):
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Partition of the frequency window into stable/unstable intervals."""
+    """The window's partition into "stable" and "unstable" intervals."""
 
     params: ModelParams
     tau: float
@@ -216,6 +201,7 @@ class StabilityReport:
     intervals: tuple            # (lo, hi, "stable"|"unstable")
 
     def to_dict(self) -> dict:
+        """The JSON payload."""
         return {
             "params": {"a": self.params.a, "b": self.params.b,
                        "m": self.params.m},
@@ -232,24 +218,17 @@ class StabilityReport:
         }
 
 
-# Tolerance below which tau is treated as exactly critical (touching root).
+# |tau - tau_star| below which k2 = tau has the single root alpha_d
 _TOUCH_TOL = 1e-10
 
 
 def classify(p: ModelParams, alpha_tol: float = ALPHA_TOL,
              check_oracle: bool = False) -> StabilityReport:
-    """Partition the frequency window by the sign of d''.
-
-    Roots of k2(alpha) = tau are found by bisection on the two monotone
-    branches of k2 (split at its argmax); each subinterval of the window is
-    then labeled by d_second_sign at its midpoint — no case table.  The
-    sliver between a window end and a root within a float of it holds no
-    frequency to label, so it is dropped and the intervals still tile the
-    window; the root stays in the report.  With ``check_oracle`` the
-    verdicts are re-derived from finite-difference d'' at the midpoints (and
-    a few extra window samples); any sign contradiction raises
-    OracleDisagreementError instead of returning a report.
-    """
+    """The window tiled by the roots of k2(alpha) = tau, each bisected to
+    ``alpha_tol`` on a monotone branch of k2, each interval labelled by
+    ``d_second_sign`` at its midpoint; a root within a float of a window end
+    bounds no interval.  With ``check_oracle``, raises
+    OracleDisagreementError as ``_check_against_oracle`` does."""
     tau = p.tau
     crit = tau_star()
     window = p.window
@@ -257,8 +236,7 @@ def classify(p: ModelParams, alpha_tol: float = ALPHA_TOL,
 
     roots_alpha: list[float] = []
     if abs(tau - crit.tau_star) < _TOUCH_TOL:
-        # Touching case: k2 reaches tau only at its argmax; d'' > 0 on both
-        # sides, so the single root separates two stable intervals.
+        # k2 touches tau at its argmax alone: two stable intervals
         roots_alpha.append(crit.alpha_d)
     else:
         eps = 1e-12
@@ -301,13 +279,11 @@ def classify(p: ModelParams, alpha_tol: float = ALPHA_TOL,
 
 
 def _check_against_oracle(p: ModelParams, report: StabilityReport) -> None:
-    """Re-derive interval verdicts from finite-difference d''; raise on clash.
-
-    Test points: every interval midpoint plus five equispaced window samples,
-    skipping anything within 1e-2 window-widths of a root (where the sign
-    genuinely passes through zero).  Every point outside that guard has
-    |tau - k2| >= SIGN_TOL (tested over tau, the touching case and tau near
-    1 included), so its closed-form sign is never 0.
+    """Raise OracleDisagreementError where ``d_second_numeric`` and
+    ``d_second_sign`` have opposite signs, at every interval midpoint and
+    five equispaced window samples, skipping points within 1e-2 window
+    widths of a root, where d'' passes through 0.  Outside that guard
+    |tau - k2| >= SIGN_TOL, so the closed-form sign is never 0 there.
     """
     window = report.omega_window
     points = [0.5 * (lo + hi) for (lo, hi, _) in report.intervals]

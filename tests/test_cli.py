@@ -407,6 +407,16 @@ def test_envelope_names_its_subcommand(capsys, argv):
                                   else {"a": 1.0, "b": 1.0, "m": 1.0})
 
 
+@pytest.mark.parametrize("command", [
+    [], ["tau-star"], ["classify"], ["profile"], ["sigma"], ["spectrum"],
+    ["evolve"], ["sweep"]])
+def test_help_exits_zero_with_usage_on_stdout(capsys, command):
+    code, out, err = _run(capsys, [*command, "--help"])
+    assert code == 0
+    assert out.startswith(" ".join(["usage: kgstab", *command]))
+    assert err == ""
+
+
 def test_usage_error_on_missing_argument(capsys):
     code, _, err = _run(capsys, ["classify", "--a", "1", "--b", "1"])
     assert code == 2
