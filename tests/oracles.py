@@ -13,7 +13,9 @@ element-by-element Sturm loop, or with fresh temporaries each step.  They
 do the same arithmetic in the same order, so the tests demand bitwise
 equality with them; the index-order ``leapfrog_steps`` is the earlier
 leapfrog kernel, the reference for the stated tolerance of the regrouped
-one.  Three keep the package's earlier eigen path, its earlier full-grid
+one, and ``cyclic_reduction`` is the earlier full-depth reduction, the
+reference for the stated tolerance of the one that finishes with a sweep.
+Three keep the package's earlier eigen path, its earlier full-grid
 evolution and its earlier composite-Simpson diagnostics, the references for
 the stated tolerances of the faster paths that replaced them.  One keeps
 the earlier eigenpair refinement, a Rayleigh-quotient shift at every step
@@ -182,25 +184,69 @@ def sturm_count_elementwise(diag, off, shift):
     return count
 
 
-def tridiag_solve(diag, off, rhs):
-    """Thomas algorithm with the same pivot floor."""
+def tridiag_solve(diag, off, rhs, floors=None):
+    """Thomas algorithm with the same pivot floor, or with row i's pivot
+    floored at floors[i]."""
     n = diag.shape[0]
     c = np.empty(n - 1)
     x = np.empty(n)
-    pivmin = _pivot_floor(off)
+    if floors is None:
+        floors = np.full(n, _pivot_floor(off))
 
     piv = diag[0]
-    if abs(piv) <= pivmin:
-        piv = -pivmin
+    if abs(piv) <= floors[0]:
+        piv = -floors[0]
     x[0] = rhs[0] / piv
     for i in range(1, n):
         c[i - 1] = off[i - 1] / piv
         piv = diag[i] - off[i - 1] * c[i - 1]
-        if abs(piv) <= pivmin:
-            piv = -pivmin
+        if abs(piv) <= floors[i]:
+            piv = -floors[i]
         x[i] = (rhs[i] - off[i - 1] * x[i - 1]) / piv
     for i in range(n - 2, -1, -1):
         x[i] -= c[i] * x[i + 1]
+    return x
+
+
+def cyclic_reduction(diag, off, rhs):
+    """Odd-even cyclic reduction to one row, the package's earlier
+    ``_kernels._cyclic_reduction``: each pivot floored at max(pivmin,
+    4 eps |d|) of its node, unchecked."""
+    floor = np.maximum(4.0 * np.finfo(float).eps * np.abs(diag),
+                       _pivot_floor(off))
+    levels = []
+    a, e, f = diag, off, rhs
+    while a.size > 1:
+        odd = a[1::2].copy()
+        odd_floor = floor[1::2]
+        small = np.abs(odd) <= odd_floor
+        if small.any():
+            odd[small] = -odd_floor[small]
+        floor = floor[0::2]
+        left, right, f_odd = e[0::2], e[1::2], f[1::2]
+        inner = right.size  # odd nodes with an even right neighbour
+        ratio_l = left / odd
+        ratio_r = right / odd[:inner]
+        a_even = a[0::2].copy()
+        f_even = f[0::2].copy()
+        a_even[:odd.size] -= left * ratio_l
+        f_even[:odd.size] -= ratio_l * f_odd
+        a_even[1:inner + 1] -= right * ratio_r
+        f_even[1:inner + 1] -= ratio_r * f_odd[:inner]
+        levels.append((odd, left, right, f_odd))
+        a, e, f = a_even, -(left[:inner] * ratio_r), f_even
+    piv = a[0]
+    if -floor[0] <= piv <= floor[0]:
+        piv = -floor[0]
+    x = f / piv
+    for odd, left, right, f_odd in reversed(levels):
+        x_odd = f_odd - left * x[:odd.size]
+        x_odd[:right.size] -= right * x[1:right.size + 1]
+        x_odd /= odd
+        full = np.empty(x.size + odd.size)
+        full[0::2] = x
+        full[1::2] = x_odd
+        x = full
     return x
 
 

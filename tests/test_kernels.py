@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ import kgstab
 import oracles
 from kgstab import ModelParams, _kernels
 from kgstab.spectrum import _half_line_rows, _parity_blocks
-from test_spectrum import WAVES
+from test_spectrum import WAVES, _wave_rows
 
 
 def _standing_wave_arrays(n=101):
@@ -228,15 +229,21 @@ def test_tridiag_solve_equals_reference(n):
 
 
 # the acceptance bound of tridiag_solve, c = 12, plus the rounding of this
-# dense residual: each row sums at most three products and -rhs, so its
-# residual is off the exact one by at most 4 eps (|T| |x| + |rhs|)
+# residual: each row sums at most three products and -rhs, so its residual
+# is off the exact one by at most 4 eps (|T| |x| + |rhs|)
 _CHECKED_ULPS = 12.0 + 4.0
 
 
 def _meets_backward_bound(diag, off, rhs, x):
-    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    residual = dense @ x - rhs
-    allowed = np.abs(dense) @ np.abs(x) + np.abs(rhs)
+    # row i of T x as its three products, summed from the sub-diagonal up
+    # (a dense T at the workload's 4,590 rows would take 170 MB); a product's
+    # absolute value is exactly the product of the absolute values
+    terms = np.zeros((3, x.size))
+    terms[0, 1:] = off * x[:-1]
+    terms[1] = diag * x
+    terms[2, :-1] = off * x[1:]
+    residual = terms.sum(axis=0) - rhs
+    allowed = np.abs(terms).sum(axis=0) + np.abs(rhs)
     return bool(np.isfinite(allowed).all() and np.all(
         np.abs(residual) <= _CHECKED_ULPS * np.finfo(float).eps * allowed))
 
@@ -252,7 +259,8 @@ def _dominant_tridiag(rng, n):
     return sign * (radius + rng.uniform(0.1, 3.0, size=n)), off
 
 
-@pytest.mark.parametrize("n", [*range(1, 10), 16, 17, 50, 101])
+@pytest.mark.parametrize("n", [*range(1, 10), 16, 17, 50, 63, 64, 65, 101,
+                               129])
 def test_tridiag_solve_meets_the_backward_error_bound(n, monkeypatch):
     fallbacks = []
     thomas = _kernels._thomas_solve
@@ -284,6 +292,66 @@ def test_tridiag_solve_meets_the_backward_error_bound(n, monkeypatch):
                     assert _same_bits(x, thomas(diag - shift, off, rhs))
                 else:
                     assert _meets_backward_bound(diag - shift, off, rhs, x)
+
+
+def _node_floors(diag, off):
+    # the reduction's pivot floor of each node, max(pivmin, 4 eps |d|)
+    return np.maximum(4.0 * np.finfo(float).eps * np.abs(diag),
+                      oracles._pivot_floor(off))
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64])
+def test_cyclic_reduction_is_the_floored_sweep_up_to_64_rows(n):
+    # up to _SWEEP_ROWS rows nothing is reduced: x is the Thomas sweep's
+    # with each pivot floored at its node's floor, bit for bit
+    assert _kernels._SWEEP_ROWS == 64
+    rng = np.random.default_rng(500 + n)
+    cases = []
+    for _ in range(5):
+        diag, off = _random_tridiag(rng, n)
+        eigs = np.linalg.eigvalsh(
+            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        cases += [(diag, off, shift)
+                  for shift in (0.0, diag[0], eigs[0], eigs[-1])]
+    for diag, off, shift in cases + _ZERO_PIVOT_CASES:
+        diag = diag - shift
+        rhs = rng.normal(size=diag.size)
+        with np.errstate(all="ignore"):
+            got = _kernels._cyclic_reduction(diag, off, rhs)
+            want = oracles.tridiag_solve(diag, off, rhs,
+                                         _node_floors(diag, off))
+        assert _same_bits(got, want)
+
+
+def _workload_block():
+    # the even block of L+ at the spectrum benchmark's step: 4,590 rows
+    p, omega, diagonals, off = _wave_rows(WAVES[0], 0.02)
+    return _parity_blocks(diagonals["lplus"], off)[0]
+
+
+@pytest.mark.parametrize("rows", [65, 4590])
+def test_reduction_past_64_rows_meets_the_bound(rows, monkeypatch):
+    # one level above the cutoff, and the workload's 13 levels cut to 7: at
+    # no shift and at each of the block's four lowest eigenvalues, the
+    # reduction meets the bound and the Thomas loop is never called
+    fallbacks = []
+    thomas = _kernels._thomas_solve
+
+    def spy(*args):
+        fallbacks.append(args)
+        return thomas(*args)
+
+    monkeypatch.setattr(_kernels, "_thomas_solve", spy)
+    block = _workload_block()
+    diag, off = block.diagonal[:rows], block.off_diagonal[:rows - 1]
+    assert diag.size == rows
+    eigs = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True,
+                                         select="i", select_range=(0, 3))
+    rhs = np.random.default_rng(rows).normal(size=rows)
+    for shift in (0.0, *eigs):
+        x = _kernels.tridiag_solve(diag - shift, off, rhs)
+        assert _meets_backward_bound(diag - shift, off, rhs, x)
+    assert not fallbacks
 
 
 # exactly singular: with the pivots floored at 4 eps times the matrix scale,

@@ -870,6 +870,21 @@ def test_report_within_stated_tolerance_of_the_thomas_solves(wave,
     _assert_within_stated_tolerance(got, spectral_report(p, omega, 0.02))
 
 
+# Every solve by the full-depth cyclic reduction, down to one row, that the
+# 64-row Thomas finish replaced.  Worst cases measured on these reports and
+# the spectrum benchmark's 30 (seeds 1-10): eigenvalues 7.1e-14, kernel
+# matches 3.3e-16 and eigenvectors 1 - 9.3e-15 in |cos|.
+@pytest.mark.parametrize("wave", WAVES)
+def test_report_within_stated_tolerance_of_the_full_depth_reduction(
+        wave, monkeypatch):
+    coefficients, omega = wave
+    p = ModelParams(*coefficients)
+    got = spectral_report(p, omega, 0.02)
+    monkeypatch.setattr(spectrum._kernels, "_cyclic_reduction",
+                        oracles.cyclic_reduction)
+    _assert_within_stated_tolerance(got, spectral_report(p, omega, 0.02))
+
+
 def test_start_vectors_are_splitmix64_streams():
     # entry i of draw d for pair j is output i + 1 of SplitMix64 seeded
     # j * 2^32 + d, its top 53 bits mapped to [-1, 1), then normalized by
