@@ -96,7 +96,6 @@ SCHEMAS = {
 # Relative gap between closed-form sigma and its quadrature oracle beyond
 # which `sigma --check` refuses to pass.
 _SIGMA_GAP_LIMIT = 1e-6
-_SIGMA_CHECK_STEP = 0.005
 
 # Records formatted per chunk: the writers hold one chunk's Python tuples and
 # row strings at a time, besides the text.
@@ -437,12 +436,12 @@ def _cmd_sigma(args, p: ModelParams, start: float) -> int:
                "sigma_closed": closed}
     if args.check:
         quad = soliton.charge(
-            soliton.build_profile(p, args.omega, _SIGMA_CHECK_STEP))
+            soliton.build_profile(p, args.omega, soliton.ORACLE_STEP))
         payload["sigma_quadrature"] = quad
         payload["relative_gap"] = abs(closed - quad) / closed
     if args.json:
         prov = {"tolerances": {"check_gap": _SIGMA_GAP_LIMIT},
-                "grid": {"step": _SIGMA_CHECK_STEP} if args.check else None}
+                "grid": {"step": soliton.ORACLE_STEP} if args.check else None}
         _emit(_envelope(args, p, payload, prov, start))
     else:
         print(f"sigma_closed = {_format_float(closed)}")

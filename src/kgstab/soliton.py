@@ -24,7 +24,8 @@ _COSH_ARG_MAX = 700.0
 # 40/sqrt(m^2 - omega^2)/h, unbounded as omega -> m
 MAX_NODES = 2_000_000
 _DECAY_LENGTHS = 40.0  # default half-length, in units of 1/sqrt(m^2 - omega^2)
-# lattice step of the profiles behind d_second_numeric
+# lattice step of the quadrature profiles behind d_second_numeric and
+# `sigma --check`
 ORACLE_STEP = 0.005
 
 
@@ -85,9 +86,8 @@ class SolitonProfile:
 def closed_form_profile(p: ModelParams, omega: float, x):
     """R(x) for a scalar or an array x; raises DomainError outside the
     window."""
-    p.window.require(omega)
-    c = p.m * p.m - omega * omega
     alpha = alpha_of_omega(p, omega)
+    c = p.m * p.m - omega * omega
     beta = math.sqrt(1.0 - alpha * alpha)
     arg = np.clip(math.sqrt(c) * np.asarray(x, dtype=float), -_COSH_ARG_MAX,
                   _COSH_ARG_MAX)
@@ -98,9 +98,8 @@ def closed_form_profile(p: ModelParams, omega: float, x):
 def closed_form_slope(p: ModelParams, omega: float, x):
     """R'(x), as -R k (beta sinh)/(1 + beta cosh), a ratio that stays
     bounded for large |x|; raises DomainError outside the window."""
-    p.window.require(omega)
-    c = p.m * p.m - omega * omega
     alpha = alpha_of_omega(p, omega)
+    c = p.m * p.m - omega * omega
     beta = math.sqrt(1.0 - alpha * alpha)
     k = math.sqrt(c)
     arg = np.clip(k * np.asarray(x, dtype=float), -_COSH_ARG_MAX, _COSH_ARG_MAX)

@@ -215,18 +215,20 @@ def lowest_eigenpairs(op: TridiagonalOperator,
     vectors orthonormal and positive at their first largest entry.  Raises
     DomainError unless k is an integer in [1, n], and EigensolverError.
 
-    Pair j is bracketed by Sturm counts, bisected to 1e-3 and refined by
+    Pair j is bisected by Sturm counts from [-s, s], s = max|d| + 2 max|e|
+    (pair j > 0 from the previous value - tol), to 1e-3, and refined by
     inverse iteration; its value is accepted when count(value - tol) <= j <
     count(value + tol), tol = EIGENVALUE_TOL = 1e-10.  Else the bracket is
-    bisected to 1e-6, 1e-9 and tol in turn (each times the matrix scale
-    max|d| + 2 max|e| where that is below 1), and EigensolverError is raised
-    when tol fails too.  The acceptance does not place every value within tol
-    of the j-th eigenvalue, as two strict xfails show:
+    bisected to 1e-6, 1e-9 and tol in turn (each times s where s is below
+    1), and EigensolverError is raised when tol fails too.  The acceptance
+    does not place every value within tol of the j-th eigenvalue, as two
+    strict xfails show:
     - the counts' rounding passes tol at matrix scale about 2.6e6, where every
       width is refused (``test_spectrum_of_the_shared_wave_scales[16.0]``);
     - the neighbouring pair passes within tol
-      (``test_lowest_eigenpair_is_not_its_neighbour``): diag [3, 3, 3], off
-      [1e-300, 1e-10] gives 3.0, 1.00000008e-10 above 2.9999999999.
+      (``test_lowest_eigenpair_is_not_its_neighbour``): diag [1e-300, 2,
+      1e-10], off [1e-20, 1e-20] gives 9.99999999e-11, within tol of the
+      lowest eigenvalue -5e-41 but with the neighbour's vector.
     """
     k = _check_k(k, op.size)
     count = _kernels.sturm_counter(op.diagonal, op.off_diagonal)
@@ -238,30 +240,20 @@ def _lowest_eigenpairs(op: TridiagonalOperator, k: int, count):
     counter ``count``, which the caller may read again."""
     n = op.size
     diag, off = op.diagonal, op.off_diagonal
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo = float((diag - radius).min())
-    hi_bound = float((diag + radius).max())
-    first_step = max(_COARSE_WIDTH, (hi_bound - lo) / n)
-    # a spectrum narrower than 1 gets proportionally narrower brackets
+    # every eigenvalue lies in [-scale, scale]; a spectrum narrower than 1
+    # gets proportionally narrower brackets
     scale = _scale(diag, off)
     widths = [min(width, width * scale) for width in _WIDTHS]
 
     pairs: list[tuple[float, np.ndarray]] = []
+    lo = -scale
     for j in range(k):
         # the (j+1)-th eigenvalue lies above x while at most j are at or
         # below it
         def goes_up(x):
             return count(x, j) <= j
 
-        step = first_step
-        hi = lo + step
-        while hi < hi_bound and goes_up(hi):
-            lo, step = hi, 2.0 * step
-            hi = lo + step
-        hi = min(hi, hi_bound)
-
+        hi = scale
         starts = _start_vectors(n, j)
         # every earlier vector: a distant one costs a dot product and
         # changes nothing, a missed cluster member skews the vectors

@@ -7,7 +7,7 @@ special functions from truncated series, extrema from golden-section search.
 Expected values in the tests are produced by these routines, not copied from
 the implementation under test.
 
-The exceptions are the last nine sections.  One holds reference forms of
+The exceptions are the last ten sections.  One holds reference forms of
 the package's kernels, written as plain index loops, as the earlier
 element-by-element Sturm loop, or with fresh temporaries each step.  They
 do the same arithmetic in the same order, so the tests demand bitwise
@@ -21,7 +21,9 @@ the stated tolerances of the faster paths that replaced them.  One keeps
 the earlier eigenpair refinement, a Rayleigh-quotient shift at every step
 from ``numpy.random`` start vectors, the reference for the stated tolerance
 of the safeguarded one, beside SplitMix64 on Python integers, which the
-package's start vectors must equal bitwise.  One keeps
+package's start vectors must equal bitwise.  One keeps the earlier
+brackets, opened by a doubling search from the Gershgorin interval, the
+reference for the stated tolerance of the brackets from [-s, s].  One keeps
 the field operator's earlier form into caller-held buffers, which the
 plain-expression ``field_acceleration`` must equal bitwise.  One keeps
 the operators' earlier full-grid assembly, which the package's assembly on
@@ -43,7 +45,11 @@ from kgstab import (GridError, ModelParams, TridiagonalOperator, _kernels,
                     composite_simpson, d_second_sign, g_potential,
                     parse_perturbation, sigma_closed)
 from kgstab.evolve import _guard
+from kgstab.model import bisect
 from kgstab.soliton import require_node_budget
+from kgstab.spectrum import (_COARSE_WIDTH, _WIDTHS, EIGENVALUE_TOL,
+                             EigensolverError, _inverse_iteration, _scale,
+                             _start_vectors)
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-14,
@@ -425,6 +431,68 @@ def rayleigh_every_step(inverse_iteration):
         return inverse_iteration(diag, off, eigenvalue, math.inf, starts,
                                  neighbors)
     return refine
+
+
+# --- the brackets before the one scale bound -------------------------------
+#
+# The package's earlier ``_lowest_eigenpairs``: each pair's bracket was opened
+# by an upward doubling search from the Gershgorin interval's lower end, in
+# steps from max(1e-3, interval width / n), and capped at its upper end.  The
+# refinement, the widths and the confirming counts are the package's.
+
+def doubling_search_eigenpairs(op: TridiagonalOperator, k: int, count):
+    """``spectrum._lowest_eigenpairs`` with each bracket opened by the
+    doubling search from the Gershgorin interval's lower end."""
+    n = op.size
+    diag, off = op.diagonal, op.off_diagonal
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lo = float((diag - radius).min())
+    hi_bound = float((diag + radius).max())
+    first_step = max(_COARSE_WIDTH, (hi_bound - lo) / n)
+    # a spectrum narrower than 1 gets proportionally narrower brackets
+    scale = _scale(diag, off)
+    widths = [min(width, width * scale) for width in _WIDTHS]
+
+    pairs: list[tuple[float, np.ndarray]] = []
+    for j in range(k):
+        # the (j+1)-th eigenvalue lies above x while at most j are at or
+        # below it
+        def goes_up(x):
+            return count(x, j) <= j
+
+        step = first_step
+        hi = lo + step
+        while hi < hi_bound and goes_up(hi):
+            lo, step = hi, 2.0 * step
+            hi = lo + step
+        hi = min(hi, hi_bound)
+
+        starts = _start_vectors(n, j)
+        # every earlier vector: a distant one costs a dot product and
+        # changes nothing, a missed cluster member skews the vectors
+        earlier = [v for _, v in pairs]
+        for width in widths:
+            shift = bisect(goes_up, lo, hi, width)
+            pair = _inverse_iteration(diag, off, shift, width, starts,
+                                      earlier)
+            if pair is not None:
+                value, vector = pair
+                if (goes_up(value - EIGENVALUE_TOL)
+                        and not goes_up(value + EIGENVALUE_TOL)):
+                    break
+            # the last bisection bracket lies within width / 2 of shift
+            lo, hi = max(lo, shift - width), min(hi, shift + width)
+        else:
+            raise EigensolverError(f"eigenpair {j} not refined and confirmed "
+                                   f"near {shift!r}")
+        pairs.append((value, vector))
+        lo = value - EIGENVALUE_TOL  # eigenvalues are nondecreasing
+    # members of a cluster narrower than EIGENVALUE_TOL may come out of order
+    pairs.sort(key=lambda pair: pair[0])
+    return pairs
+
 
 
 # --- the evolution before the half-line split ------------------------------

@@ -354,6 +354,47 @@ def test_reduction_past_64_rows_meets_the_bound(rows, monkeypatch):
     assert not fallbacks
 
 
+def _thomas_spy(monkeypatch):
+    # the list of every call the Thomas fallback gets from here on
+    fallbacks = []
+    thomas = _kernels._thomas_solve
+
+    def spy(*args):
+        fallbacks.append(args)
+        return thomas(*args)
+
+    monkeypatch.setattr(_kernels, "_thomas_solve", spy)
+    return fallbacks
+
+
+@pytest.mark.parametrize("rows", [129, 133])
+def test_zero_pivot_past_64_rows_gives_a_finite_solve(rows, monkeypatch):
+    # diag 2, 1, 2, 1, ... and off 1: every odd pivot of the first reduced
+    # level is 2 - 1 - 1 = 0 exactly.  Floored, it keeps the reduction
+    # finite, and for this right-hand side x meets the bound.  (For a normal
+    # random one, x fails the bound, and the Thomas loop, whose third pivot
+    # is 2 - 1/0.5 = 0, returns NaN and inf.)
+    fallbacks = _thomas_spy(monkeypatch)
+    diag = np.where(np.arange(rows) % 2 == 0, 2.0, 1.0)
+    off, rhs = np.ones(rows - 1), np.ones(rows)
+    x = _kernels.tridiag_solve(diag, off, rhs)
+    assert not fallbacks
+    assert _meets_backward_bound(diag, off, rhs, x)
+
+
+def test_reduction_on_an_eigenvalue_past_64_rows_is_accepted(monkeypatch):
+    # 1 is an exact eigenvalue of tridiag(-1, 2, -1) at 131 rows; shifted
+    # by it, one odd pivot of a reduced level comes out exactly zero and is
+    # floored, and the reduction's large finite x meets the bound
+    fallbacks = _thomas_spy(monkeypatch)
+    diag, off = np.full(131, 2.0 - 1.0), np.full(130, -1.0)
+    rhs = np.random.default_rng(131).normal(size=131)
+    x = _kernels.tridiag_solve(diag, off, rhs)
+    assert not fallbacks
+    assert _meets_backward_bound(diag, off, rhs, x)
+    assert np.abs(x).max() > 1e12
+
+
 # exactly singular: with the pivots floored at 4 eps times the matrix scale,
 # cyclic reduction solves a system within the bound of [[1, -1], [-1, 1]] and
 # of tridiag(-1, 1, -1); [0] has no scale to perturb and tridiag(-1, 0, -1)

@@ -5,15 +5,22 @@ A docstring is the leading string statement of a module, class or function
 body; every line it spans counts as docstring.  A comment line holds a
 comment and no code; a line with code and a trailing comment is code.
 
-Run from anywhere: ``python tools/src_lines.py``.  Standard library only.
+Run from anywhere: ``python tools/src_lines.py``.  With ``--against REV``
+it prints each count at git revision REV beside the working tree's, with the
+change: ``python tools/src_lines.py --against HEAD~1``.  Standard library
+only.
 """
 
+import argparse
 import ast
 import io
 import pathlib
+import subprocess
 import tokenize
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kgstab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kgstab"
+_CATEGORIES = ("code", "docstring", "comment", "blank")
 _LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER, tokenize.COMMENT}
 
@@ -55,14 +62,52 @@ def split(source):
     return counts
 
 
+def tree_sources():
+    """{module name: source} of the working tree's src/kgstab."""
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def revision_sources(rev):
+    """{module name: source} of src/kgstab at git revision ``rev``."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                              capture_output=True, text=True).stdout
+
+    names = git("ls-tree", "--name-only", f"{rev}:src/kgstab").split()
+    return {name: git("show", f"{rev}:src/kgstab/{name}")
+            for name in names if name.endswith(".py")}
+
+
+def with_total(sources):
+    """[(module, counts)] in name order, then ("total", column sums)."""
+    rows = [(name, split(sources[name])) for name in sorted(sources)]
+    return rows + [("total", [sum(c[i] for _, c in rows) for i in range(4)])]
+
+
 def main():
-    rows = [(path.name, split(path.read_text(encoding="utf-8")))
-            for path in sorted(SRC.glob("*.py"))]
-    rows.append(("total", [sum(c[i] for _, c in rows) for i in range(4)]))
-    print(f"{'module':<14}{'code':>7}{'docstring':>11}{'comment':>9}"
-          f"{'blank':>7}")
-    for name, (code, doc, comment, blank) in rows:
-        print(f"{name:<14}{code:>7}{doc:>11}{comment:>9}{blank:>7}")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="git revision to compare the working tree with")
+    args = parser.parse_args()
+    tree = dict(with_total(tree_sources()))
+    if args.against is None:
+        print(f"{'module':<14}" + "".join(f"{c:>11}" for c in _CATEGORIES))
+        for name, counts in tree.items():
+            print(f"{name:<14}" + "".join(f"{n:>11}" for n in counts))
+        return
+    try:
+        old = dict(with_total(revision_sources(args.against)))
+    except subprocess.CalledProcessError as err:
+        parser.error(err.stderr.strip())
+    print(f"{'':<14}" + "".join(f"{c:>20}" for c in _CATEGORIES))
+    print(f"{'module':<14}" + f"{'REV':>8}{'tree':>6}{'delta':>6}" * 4)
+    zero = [0, 0, 0, 0]
+    names = sorted((set(tree) | set(old)) - {"total"}) + ["total"]
+    for name in names:
+        before, after = old.get(name, zero), tree.get(name, zero)
+        print(f"{name:<14}" + "".join(f"{b:>8}{a:>6}{a - b:>+6}"
+                                      for b, a in zip(before, after)))
 
 
 if __name__ == "__main__":
