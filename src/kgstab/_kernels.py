@@ -1,9 +1,12 @@
 """Numerical kernels: leapfrog steps, Sturm counts, tridiagonal solves and
-``dot``, the one sum of products behind every integral, norm and projection.
-The sequential recurrences run over Python floats, which round as NumPy's
-doubles do at a fraction of the cost.  A solve halves T by cyclic reduction
-down to 64 rows and finishes with the Thomas sweep its fallback runs; its
-reports are within 7.1e-14 of the full-depth reduction's (eigenvalues)."""
+``dot``, the one sum of products behind every norm, projection and
+``evolve`` integral.  The sequential recurrences run over Python floats,
+which round as NumPy's doubles do at a fraction of the cost; the Sturm count
+and the Thomas sweep enter row 0 through a leading 0 off-diagonal and a unit
+pivot, so row 0 is a pass of the loop body like every other.  A solve halves
+T by cyclic reduction down to 64 rows and finishes with the Thomas sweep its
+fallback runs; its reports are within 7.1e-14 of the full-depth reduction's
+(eigenvalues)."""
 
 from __future__ import annotations
 
@@ -47,9 +50,9 @@ def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard,
     stopping after a step whose sup |new| exceeds ``guard`` or is NaN; a trip
     on the last step returns ``n_steps``, so callers test the end state.
     phi and phi_prev are complex levels of an even field on x_i = i h, x >= 0,
-    with the mirror phi(-h) = phi(h) and a Dirichlet end that is never
-    written; ``work`` is ``leapfrog_arrays``'.  A step is new = w phi + r
-    (right + left) - prev, r = dt^2/h^2, w = 2 - 2r - dt^2 (m^2
+    of at least 3 nodes, with the mirror phi(-h) = phi(h) and a Dirichlet end
+    that is never written; ``work`` is ``leapfrog_arrays``'.  A step is new
+    = w phi + r (right + left) - prev, r = dt^2/h^2, w = 2 - 2r - dt^2 (m^2
     + G'(|phi|)/|phi|), with ``model.g_prime_over_s`` written out.  phi ends
     as the newest level."""
     dt2 = step_t * step_t
@@ -61,11 +64,8 @@ def leapfrog_steps(phi, phi_prev, n_steps, step_x, step_t, m2, a, b, guard,
     np.abs(cur, out=mag)
     for k in range(n_steps):
         np.add(cur[2:], cur[:-2], out=near[1:-1])
-        if cur.size > 1:
-            near[-1] = end + cur[-2]
-            near[0] = 2.0 * cur[1]
-        else:  # the centre alone: both neighbours are the Dirichlet end
-            near[0] = 2.0 * end
+        near[-1] = end + cur[-2]
+        near[0] = 2.0 * cur[1]
         np.multiply(c2, mag, out=w)
         np.subtract(c1, w, out=w)
         np.multiply(w, mag, out=w)
@@ -192,7 +192,10 @@ def tridiag_solve(diag, off, rhs):
     (Oettli-Prager), which NaN and inf fail, and else the Thomas loop's.
     The reduction halves T while it has more than _SWEEP_ROWS = 64 rows and
     finishes with the Thomas sweep; its reports are within 1e-12 of the
-    full-depth reduction's (eigenvalues; 7.1e-14 measured)."""
+    full-depth reduction's (eigenvalues; 7.1e-14 measured).  Neither pivots:
+    a nonsingular T with a zero pivot in both eliminations gets a non-finite
+    x, as diag 2, 1, 2, 1, ... and off 1 do (condition number 222 at 129
+    rows)."""
     # overflow and 0 * inf are caught by the backward-error test
     with np.errstate(all="ignore"):
         x = _cyclic_reduction(diag, off, rhs)
@@ -220,8 +223,7 @@ def _cyclic_reduction(diag, off, rhs):
         odd = a[1::2].copy()
         odd_floor = floor[1::2]
         small = np.abs(odd) <= odd_floor
-        if small.any():
-            odd[small] = -odd_floor[small]
+        odd[small] = -odd_floor[small]
         floor = floor[0::2]
         left, right, f_odd = e[0::2], e[1::2], f[1::2]
         inner = right.size  # odd nodes with an even right neighbour
@@ -258,18 +260,12 @@ def _sweep(diag, off, rhs, floors):
     """A new x with T x = rhs by the Thomas loop over Python floats.  Row
     i's pivot in [-f, f], f the i-th of ``floors``, becomes -f; a NaN pivot
     stays NaN."""
-    floor_it = iter(floors)
-    diag_it = iter(diag.tolist())
-    rhs_it = iter(rhs.tolist())
-
-    piv = next(diag_it)
-    f = next(floor_it)
-    if -f <= piv <= f:
-        piv = -f
-    xi = next(rhs_it) / piv
-    x = [xi]
-    c = []
-    for e, d, r, f in zip(off.tolist(), diag_it, rhs_it, floor_it):
+    # a leading 0 off-diagonal and the pivot 1: row 0's pivot is then
+    # d - 0 * 0 and its x (r - 0 * 0) / pivot, exactly d and r / pivot
+    piv, xi = 1.0, 0.0
+    c, x = [], []
+    for e, d, r, f in zip([0.0, *off.tolist()], diag.tolist(), rhs.tolist(),
+                          floors):
         ci = e / piv
         piv = d - e * ci
         if -f <= piv <= f:
@@ -277,7 +273,7 @@ def _sweep(diag, off, rhs, floors):
         xi = (r - e * xi) / piv
         c.append(ci)
         x.append(xi)
-    for i in range(len(c) - 1, -1, -1):
-        xi = x[i] - c[i] * xi
+    for i in range(len(x) - 2, -1, -1):
+        xi = x[i] - c[i + 1] * xi
         x[i] = xi
     return np.array(x)

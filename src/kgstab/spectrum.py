@@ -114,7 +114,9 @@ def apply(op: TridiagonalOperator, v: np.ndarray) -> np.ndarray:
 
 def eigenvalue_count_below(op: TridiagonalOperator, shift: float) -> int:
     """Number of eigenvalues at or below ``shift``, within the pivot floor
-    (LAPACK ``dstebz`` convention; Sturm sequence)."""
+    (LAPACK ``dstebz`` convention; Sturm sequence).  Raises DomainError for
+    entries that leave the float range (see ``_scale``)."""
+    _scale(op.diagonal, op.off_diagonal)
     return int(_kernels.sturm_count(op.diagonal, op.off_diagonal, shift))
 
 
@@ -147,8 +149,17 @@ def _start_vectors(n: int, pair: int):
 
 
 def _scale(diag, off) -> float:
-    """max|d| + 2 max|e|: a bound on the matrix's largest |eigenvalue|."""
-    return float(np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0))
+    """max|d| + 2 max|e|: a bound on the matrix's largest |eigenvalue|.
+    Raises DomainError when it is not finite (an inf or NaN entry, or an
+    overflow) or max e^2 overflows, as the Sturm counts' squares would."""
+    # Python floats overflow to inf, and meet NaN, with no NumPy warning
+    d_max = float(np.abs(diag).max())
+    e_max = float(np.abs(off).max(initial=0.0))
+    scale = d_max + 2.0 * e_max
+    if not (scale < math.inf and e_max * e_max < math.inf):
+        raise DomainError(f"matrix entries leave the float range: max|d| "
+                          f"{d_max!r}, max|e| {e_max!r}")
+    return scale
 
 
 def _inverse_iteration(diag, off, eigenvalue, width, starts, neighbors):
@@ -213,7 +224,9 @@ def lowest_eigenpairs(op: TridiagonalOperator,
                       k: int) -> list[tuple[float, np.ndarray]]:
     """The k algebraically smallest eigenpairs of ``op``: values nondecreasing,
     vectors orthonormal and positive at their first largest entry.  Raises
-    DomainError unless k is an integer in [1, n], and EigensolverError.
+    DomainError unless k is an integer in [1, n], DomainError before any
+    Sturm count for entries that leave the float range (see ``_scale``), and
+    EigensolverError.
 
     Pair j is bisected by Sturm counts from [-s, s], s = max|d| + 2 max|e|
     (pair j > 0 from the previous value - tol), to 1e-3, and refined by
@@ -231,6 +244,7 @@ def lowest_eigenpairs(op: TridiagonalOperator,
       lowest eigenvalue -5e-41 but with the neighbour's vector.
     """
     k = _check_k(k, op.size)
+    _scale(op.diagonal, op.off_diagonal)
     count = _kernels.sturm_counter(op.diagonal, op.off_diagonal)
     return _lowest_eigenpairs(op, k, count)
 

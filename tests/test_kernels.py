@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -294,6 +295,48 @@ def test_tridiag_solve_meets_the_backward_error_bound(n, monkeypatch):
                     assert _meets_backward_bound(diag - shift, off, rhs, x)
 
 
+# row 0's entries where a copy of the row body kept apart from the loop
+# would part from it: signed zeros, NaN and +-inf, and (drawn per case, as
+# they follow the off-diagonal) the pivots +-pivmin/2 inside the floor
+_ROW0_ENTRIES = [0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _sweep_cases(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.sampled_from(_COUNTER_ENTRIES)
+    off = np.array(draw(st.lists(entries, min_size=n - 1, max_size=n - 1)))
+    half = 0.5 * oracles._pivot_floor(off)
+    row0 = st.sampled_from([*_ROW0_ENTRIES, half, -half])
+    diag = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    rhs = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    per_row = draw(st.booleans())
+    return (np.array([draw(row0), *diag]), off,
+            np.array([draw(row0), *rhs]), per_row)
+
+
+@settings(max_examples=500)
+@given(case=_sweep_cases())
+def test_sweep_equals_the_numpy_scalar_loop(case):
+    # the sweep over Python floats, row 0 included, is the oracle's loop
+    # over NumPy scalars bit for bit, with NaN at the same entries, with
+    # per-row floors (the reduction's finish) and with one floor (the
+    # fallback).  A NaN's sign follows the operand order each compiler
+    # chose for a product of two NaNs, so NaNs are compared as NaN
+    diag, off, rhs, per_row = case
+    with np.errstate(all="ignore"):
+        if per_row:
+            floors = _node_floors(diag, off)
+            got = _kernels._sweep(diag, off, rhs, floors.tolist())
+            want = oracles.tridiag_solve(diag, off, rhs, floors)
+        else:
+            pivmin = oracles._pivot_floor(off)
+            got = _kernels._sweep(diag, off, rhs, itertools.repeat(pivmin))
+            want = oracles.tridiag_solve(diag, off, rhs)
+    assert _same_bits(*(np.where(np.isnan(x), math.nan, x)
+                        for x in (got, want)))
+
+
 def _node_floors(diag, off):
     # the reduction's pivot floor of each node, max(pivmin, 4 eps |d|)
     return np.maximum(4.0 * np.finfo(float).eps * np.abs(diag),
@@ -321,6 +364,21 @@ def test_cyclic_reduction_is_the_floored_sweep_up_to_64_rows(n):
             want = oracles.tridiag_solve(diag, off, rhs,
                                          _node_floors(diag, off))
         assert _same_bits(got, want)
+
+
+@pytest.mark.xfail(raises=AssertionError, reason=(
+    "tridiag_solve does not pivot: the reduction's first level meets odd "
+    "pivots 2 - 1 - 1 = 0 and the Thomas fallback 2 - 1/0.5 = 0 at row 2"))
+@pytest.mark.parametrize("n", [50, 129])
+def test_tridiag_solve_of_a_nonsingular_matrix_with_a_zero_pivot(n):
+    # diag 2, 1, 2, 1, ... and off 1 is nonsingular and well conditioned
+    # (condition number 222 at 129 rows), yet x has no finite entry
+    diag = np.where(np.arange(n) % 2 == 0, 2.0, 1.0)
+    off = np.ones(n - 1)
+    rhs = np.random.default_rng(n).normal(size=n)
+    x = _kernels.tridiag_solve(diag, off, rhs)
+    assert np.isfinite(x).all()
+    assert _meets_backward_bound(diag, off, rhs, x)
 
 
 def _workload_block():
@@ -461,9 +519,10 @@ _REGROUPED_TOL = 1e-12
 _COEFFS = (0.01, 0.81, 1.3, 0.7, 1e3)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 101, 1001])
+@pytest.mark.parametrize("n", [3, 5, 101, 1001])
 def test_leapfrog_equals_reference(n):
-    # n = 2 is the centre alone, whose neighbours are both the Dirichlet end
+    # n = 3, the fewest nodes the kernel takes: the centre, one inner node
+    # and the Dirichlet end
     phi, prev = _standing_wave_arrays(n)
     phi *= 5.0  # amplitude 0.5: the nonlinear terms are not negligible
     prev *= 5.0

@@ -561,6 +561,42 @@ def test_operator_refuses_malformed_input(diag, off):
         TridiagonalOperator(diag, off)
 
 
+# entries whose scale max|d| + 2 max|e| is not finite, or whose max e^2
+# overflows: refused before any Sturm count.  [0, 0] with off 1e308 used to
+# print NumPy's overflow warnings and raise EigensolverError after 400
+# inverse-iteration steps; with off 1e200 the count was 1 at -3e200 and at
+# 3e200, where the eigenvalues are -+1e200
+@pytest.mark.parametrize("diag, off", [
+    ([0.0, 0.0], [1e308]),
+    ([0.0, 0.0], [1e200]),
+    ([math.inf, 0.0], [1.0]),
+    ([1.0, math.nan], [1.0]),
+])
+def test_entries_out_of_the_float_range_are_refused(diag, off, monkeypatch):
+    def no_count(*args):
+        raise AssertionError("a Sturm count before the refusal")
+
+    monkeypatch.setattr(_kernels, "sturm_counter", no_count)
+    monkeypatch.setattr(_kernels, "sturm_count", no_count)
+    op = TridiagonalOperator(np.array(diag), np.array(off))
+    with pytest.raises(DomainError, match="float range"):
+        lowest_eigenpairs(op, 1)
+    for shift in (-3e200, 0.0, 3e200):
+        with pytest.raises(DomainError, match="float range"):
+            eigenvalue_count_below(op, shift)
+
+
+def test_squares_within_the_float_range_are_not_refused():
+    # e^2 = 1e300 is finite: the counts run, and they are right
+    op = TridiagonalOperator(np.zeros(2), np.array([1e150]))
+    assert [eigenvalue_count_below(op, shift)
+            for shift in (-3e150, 0.0, 3e150)] == [0, 1, 2]
+    try:
+        lowest_eigenpairs(op, 1)
+    except EigensolverError:
+        pass  # the absolute acceptance tolerance at scale 2e150
+
+
 def test_operator_of_one_node():
     op = TridiagonalOperator(np.array([3.0]), np.empty(0))
     assert op.size == 1
