@@ -4,14 +4,13 @@
 which round as NumPy's doubles do at a fraction of the cost; the Sturm count
 and the Thomas sweep enter row 0 through a leading 0 off-diagonal and a unit
 pivot, so row 0 is a pass of the loop body like every other.  A solve halves
-T by cyclic reduction down to 64 rows and finishes with the Thomas sweep its
-fallback runs; its reports are within 7.1e-14 of the full-depth reduction's
-(eigenvalues)."""
+T by cyclic reduction down to 64 rows and finishes with the Thomas sweep; its
+x is unchecked, and the caller tests it."""
 
 from __future__ import annotations
 
 import math
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -180,80 +179,56 @@ def matvec(diag, off, v):
     return out
 
 
-_BACKWARD_ULPS = 12.0
 # cyclic reduction stops at this many rows: below it a level is NumPy call
 # overhead, and the scalar Thomas sweep finishes the reduced system
 _SWEEP_ROWS = 64
 
 
 def tridiag_solve(diag, off, rhs):
-    """A new x with T x = rhs: cyclic reduction's x when every row meets
-    |T x - rhs| <= c eps (|T| |x| + |rhs|), c = _BACKWARD_ULPS = 12
-    (Oettli-Prager), which NaN and inf fail, and else the Thomas loop's.
-    The reduction halves T while it has more than _SWEEP_ROWS = 64 rows and
-    finishes with the Thomas sweep; its reports are within 1e-12 of the
-    full-depth reduction's (eigenvalues; 7.1e-14 measured).  Neither pivots:
-    a nonsingular T with a zero pivot in both eliminations gets a non-finite
-    x, as diag 2, 1, 2, 1, ... and off 1 do (condition number 222 at 129
-    rows)."""
-    # overflow and 0 * inf are caught by the backward-error test
-    with np.errstate(all="ignore"):
-        x = _cyclic_reduction(diag, off, rhs)
-        residual = matvec(diag, off, x) - rhs
-        allowed = matvec(np.abs(diag), np.abs(off), np.abs(x)) + np.abs(rhs)
-        allowed *= _BACKWARD_ULPS * _EPS
-        if np.all(np.abs(residual) <= allowed) and np.all(allowed < np.inf):
-            return x
-    return _thomas_solve(diag, off, rhs)
-
-
-def _cyclic_reduction(diag, off, rhs):
-    """Odd-even cyclic reduction of T x = rhs (Hockney; Buzbee-Golub-Nielson)
-    down to _SWEEP_ROWS rows, solved by ``_sweep`` and back-substituted,
-    unchecked: the caller tests x and silences NumPy's warnings.  A pivot in
+    """A new x with T x = rhs by odd-even cyclic reduction (Hockney;
+    Buzbee-Golub-Nielson) down to _SWEEP_ROWS = 64 rows, solved by
+    ``_sweep`` and back-substituted, with NumPy's warnings silenced.  x is
+    unchecked and may be inf or NaN: the caller tests it.  A pivot in
     [-f, f], f = max(pivmin, 4 eps |d|) of its node, becomes -f, which moves
-    T by at most 8 eps |d|, inside the backward-error bound (as LAPACK
-    ``dlagtf`` perturbs tiny pivots): a shift on an eigenvalue then gives a
-    large finite solve, where a floor at pivmin alone overflows."""
-    floor = np.maximum(4.0 * _EPS * np.abs(diag),
-                       _pivot_floor(np.square(off)))
-    levels = []
-    a, e, f = diag, off, rhs
-    while a.size > _SWEEP_ROWS:
-        odd = a[1::2].copy()
-        odd_floor = floor[1::2]
-        small = np.abs(odd) <= odd_floor
-        odd[small] = -odd_floor[small]
-        floor = floor[0::2]
-        left, right, f_odd = e[0::2], e[1::2], f[1::2]
-        inner = right.size  # odd nodes with an even right neighbour
-        ratio_l = left / odd
-        ratio_r = right / odd[:inner]
-        a_even = a[0::2].copy()
-        f_even = f[0::2].copy()
-        a_even[:odd.size] -= left * ratio_l
-        f_even[:odd.size] -= ratio_l * f_odd
-        a_even[1:inner + 1] -= right * ratio_r
-        f_even[1:inner + 1] -= ratio_r * f_odd[:inner]
-        levels.append((odd, left, right, f_odd))
-        a, e, f = a_even, -(left[:inner] * ratio_r), f_even
-    x = _sweep(a, e, f, floor.tolist())
-    for odd, left, right, f_odd in reversed(levels):
-        x_odd = f_odd - left * x[:odd.size]
-        x_odd[:right.size] -= right * x[1:right.size + 1]
-        x_odd /= odd
-        full = np.empty(x.size + odd.size)
-        full[0::2] = x
-        full[1::2] = x_odd
-        x = full
+    T by at most 8 eps |d| (as LAPACK ``dlagtf`` perturbs tiny pivots): a
+    shift on an eigenvalue then gives a large finite solve, where a floor at
+    pivmin alone overflows.  Its reports are within 1e-12 of the full-depth
+    reduction's (eigenvalues; 7.1e-14 measured).  It does not pivot: a
+    nonsingular T with a zero pivot gets a wrong x, as diag 2, 1, 2, 1, ...
+    and off 1 do (condition number 222 at 129 rows)."""
+    with np.errstate(all="ignore"):
+        floor = np.maximum(4.0 * _EPS * np.abs(diag),
+                           _pivot_floor(np.square(off)))
+        levels = []
+        a, e, f = diag, off, rhs
+        while a.size > _SWEEP_ROWS:
+            odd = a[1::2].copy()
+            odd_floor = floor[1::2]
+            small = np.abs(odd) <= odd_floor
+            odd[small] = -odd_floor[small]
+            floor = floor[0::2]
+            left, right, f_odd = e[0::2], e[1::2], f[1::2]
+            inner = right.size  # odd nodes with an even right neighbour
+            ratio_l = left / odd
+            ratio_r = right / odd[:inner]
+            a_even = a[0::2].copy()
+            f_even = f[0::2].copy()
+            a_even[:odd.size] -= left * ratio_l
+            f_even[:odd.size] -= ratio_l * f_odd
+            a_even[1:inner + 1] -= right * ratio_r
+            f_even[1:inner + 1] -= ratio_r * f_odd[:inner]
+            levels.append((odd, left, right, f_odd))
+            a, e, f = a_even, -(left[:inner] * ratio_r), f_even
+        x = _sweep(a, e, f, floor.tolist())
+        for odd, left, right, f_odd in reversed(levels):
+            x_odd = f_odd - left * x[:odd.size]
+            x_odd[:right.size] -= right * x[1:right.size + 1]
+            x_odd /= odd
+            full = np.empty(x.size + odd.size)
+            full[0::2] = x
+            full[1::2] = x_odd
+            x = full
     return x
-
-
-def _thomas_solve(diag, off, rhs):
-    """A new x with T x = rhs by the Thomas loop, every pivot floored at
-    pivmin: a singular T gives inf or NaN, not a ZeroDivisionError, so
-    callers check that x is finite."""
-    return _sweep(diag, off, rhs, repeat(_pivot_floor(np.square(off))))
 
 
 def _sweep(diag, off, rhs, floors):

@@ -111,14 +111,14 @@ def bisect(goes_up, lo: float, hi: float, tol: float) -> float:
     so a ``tol`` below their spacing cannot loop forever.  ``goes_up(mid)``
     is true when the point sought lies above ``mid``."""
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if not lo < mid < hi:
             break
         if goes_up(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def alpha_of_omega(p: ModelParams, omega: float) -> float:

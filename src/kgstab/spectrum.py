@@ -178,11 +178,12 @@ def _inverse_iteration(diag, off, eigenvalue, width, starts, neighbors):
     converged = _RESIDUAL_ULPS * np.finfo(float).eps * scale
     shift = eigenvalue
     v = next(starts)
-    for _ in range(100):
-        w = _kernels.tridiag_solve(diag - shift, off, v)
-        # a unit peak keeps a finite solve's norm finite; an overflowed
-        # solve fails the finiteness test below, with no warning
-        with np.errstate(over="ignore", invalid="ignore"):
+    # NaN and inf fail every test below: an overflowed solve, shift or
+    # residual norm is refused with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            w = _kernels.tridiag_solve(diag - shift, off, v)
+            # a unit peak keeps a finite solve's norm finite
             w = w / np.abs(w).max()
             norm = _norm(w)
             # a projection that cancels most of w leaves rounding errors
@@ -197,19 +198,19 @@ def _inverse_iteration(diag, off, eigenvalue, width, starts, neighbors):
                     break
             else:
                 norm = 0.0
-        if not np.isfinite(norm):
-            shift += nudge
-        if norm == 0.0 or not np.isfinite(norm):
-            v = next(starts)
-            continue
-        v = w / norm
-        residual = _kernels.matvec(diag, off, v)
-        rho = float(_kernels.dot(v, residual))
-        residual -= rho * v
-        if _norm(residual) <= converged:
-            return rho, _positive_peak(v)
-        if abs(rho - eigenvalue) <= 0.5 * width:
-            shift = rho
+            if not np.isfinite(norm):
+                shift += nudge
+            if norm == 0.0 or not np.isfinite(norm):
+                v = next(starts)
+                continue
+            v = w / norm
+            residual = _kernels.matvec(diag, off, v)
+            rho = float(_kernels.dot(v, residual))
+            residual -= rho * v
+            if _norm(residual) <= converged:
+                return rho, _positive_peak(v)
+            if abs(rho - eigenvalue) <= 0.5 * width:
+                shift = rho
     return None
 
 

@@ -216,8 +216,8 @@ def tridiag_solve(diag, off, rhs, floors=None):
 
 def cyclic_reduction(diag, off, rhs):
     """Odd-even cyclic reduction to one row, the package's earlier
-    ``_kernels._cyclic_reduction``: each pivot floored at max(pivmin,
-    4 eps |d|) of its node, unchecked."""
+    full-depth solve: each pivot floored at max(pivmin, 4 eps |d|) of its
+    node, unchecked."""
     floor = np.maximum(4.0 * np.finfo(float).eps * np.abs(diag),
                        _pivot_floor(off))
     levels = []

@@ -1,4 +1,3 @@
-import itertools
 import math
 import subprocess
 import sys
@@ -202,34 +201,7 @@ def test_sturm_count_at_a_non_finite_shift_is_quiet(shift):
                 == oracles.sturm_count_elementwise(diag, off, shift))
 
 
-def _reference_solve(diag, off, rhs):
-    # a floored zero pivot overflows to inf; the NumPy-scalar loop warns
-    with np.errstate(over="ignore", invalid="ignore"):
-        return oracles.tridiag_solve(diag, off, rhs)
-
-
-@pytest.mark.parametrize("n", [1, 2, 50])
-def test_tridiag_solve_equals_reference(n):
-    # the Thomas loop, which tridiag_solve falls back to
-    rng = np.random.default_rng(200 + n)
-    for _ in range(10):
-        diag, off = _random_tridiag(rng, n)
-        rhs = rng.normal(size=n)
-        eigs = np.linalg.eigvalsh(
-            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        # unshifted, a zero first pivot, and the near-singular shifts of
-        # inverse iteration
-        for shift in (0.0, diag[0], eigs[0], eigs[-1]):
-            got = _kernels._thomas_solve(diag - shift, off, rhs)
-            want = _reference_solve(diag - shift, off, rhs)
-            assert _same_bits(got, want)
-    for diag, off, shift in _ZERO_PIVOT_CASES:
-        rhs = rng.normal(size=diag.size)
-        got = _kernels._thomas_solve(diag - shift, off, rhs)
-        assert _same_bits(got, _reference_solve(diag - shift, off, rhs))
-
-
-# the acceptance bound of tridiag_solve, c = 12, plus the rounding of this
+# a backward error of 12 ulps (Oettli-Prager), plus the rounding of this
 # residual: each row sums at most three products and -rhs, so its residual
 # is off the exact one by at most 4 eps (|T| |x| + |rhs|)
 _CHECKED_ULPS = 12.0 + 4.0
@@ -262,37 +234,13 @@ def _dominant_tridiag(rng, n):
 
 @pytest.mark.parametrize("n", [*range(1, 10), 16, 17, 50, 63, 64, 65, 101,
                                129])
-def test_tridiag_solve_meets_the_backward_error_bound(n, monkeypatch):
-    fallbacks = []
-    thomas = _kernels._thomas_solve
-
-    def spy(*args):
-        fallbacks.append(args)
-        return thomas(*args)
-
-    monkeypatch.setattr(_kernels, "_thomas_solve", spy)
+def test_tridiag_solve_meets_the_backward_error_bound(n):
     rng = np.random.default_rng(300 + n)
     for _ in range(10):
         diag, off = _dominant_tridiag(rng, n)
         rhs = rng.normal(size=n)
         x = _kernels.tridiag_solve(diag, off, rhs)
         assert _meets_backward_bound(diag, off, rhs, x)
-    assert not fallbacks  # cyclic reduction solved every one
-    # indefinite systems and the near-singular shifts of inverse iteration:
-    # cyclic reduction meets the bound, or the Thomas loop answers
-    for _ in range(10):
-        diag, off = _random_tridiag(rng, n)
-        rhs = rng.normal(size=n)
-        eigs = np.linalg.eigvalsh(
-            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        for shift in (0.0, eigs[0], eigs[-1]):
-            fallbacks.clear()
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = _kernels.tridiag_solve(diag - shift, off, rhs)
-                if fallbacks:
-                    assert _same_bits(x, thomas(diag - shift, off, rhs))
-                else:
-                    assert _meets_backward_bound(diag - shift, off, rhs, x)
 
 
 # row 0's entries where a copy of the row body kept apart from the loop
@@ -310,9 +258,7 @@ def _sweep_cases(draw):
     row0 = st.sampled_from([*_ROW0_ENTRIES, half, -half])
     diag = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
     rhs = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
-    per_row = draw(st.booleans())
-    return (np.array([draw(row0), *diag]), off,
-            np.array([draw(row0), *rhs]), per_row)
+    return np.array([draw(row0), *diag]), off, np.array([draw(row0), *rhs])
 
 
 @settings(max_examples=500)
@@ -320,19 +266,14 @@ def _sweep_cases(draw):
 def test_sweep_equals_the_numpy_scalar_loop(case):
     # the sweep over Python floats, row 0 included, is the oracle's loop
     # over NumPy scalars bit for bit, with NaN at the same entries, with
-    # per-row floors (the reduction's finish) and with one floor (the
-    # fallback).  A NaN's sign follows the operand order each compiler
-    # chose for a product of two NaNs, so NaNs are compared as NaN
-    diag, off, rhs, per_row = case
+    # the reduction's per-row floors.  A NaN's sign follows the operand
+    # order each compiler chose for a product of two NaNs, so NaNs are
+    # compared as NaN
+    diag, off, rhs = case
     with np.errstate(all="ignore"):
-        if per_row:
-            floors = _node_floors(diag, off)
-            got = _kernels._sweep(diag, off, rhs, floors.tolist())
-            want = oracles.tridiag_solve(diag, off, rhs, floors)
-        else:
-            pivmin = oracles._pivot_floor(off)
-            got = _kernels._sweep(diag, off, rhs, itertools.repeat(pivmin))
-            want = oracles.tridiag_solve(diag, off, rhs)
+        floors = _node_floors(diag, off)
+        got = _kernels._sweep(diag, off, rhs, floors.tolist())
+        want = oracles.tridiag_solve(diag, off, rhs, floors)
     assert _same_bits(*(np.where(np.isnan(x), math.nan, x)
                         for x in (got, want)))
 
@@ -359,20 +300,21 @@ def test_cyclic_reduction_is_the_floored_sweep_up_to_64_rows(n):
     for diag, off, shift in cases + _ZERO_PIVOT_CASES:
         diag = diag - shift
         rhs = rng.normal(size=diag.size)
+        got = _kernels.tridiag_solve(diag, off, rhs)
         with np.errstate(all="ignore"):
-            got = _kernels._cyclic_reduction(diag, off, rhs)
             want = oracles.tridiag_solve(diag, off, rhs,
                                          _node_floors(diag, off))
         assert _same_bits(got, want)
 
 
 @pytest.mark.xfail(raises=AssertionError, reason=(
-    "tridiag_solve does not pivot: the reduction's first level meets odd "
-    "pivots 2 - 1 - 1 = 0 and the Thomas fallback 2 - 1/0.5 = 0 at row 2"))
+    "tridiag_solve does not pivot: it floors the zero pivots of diag 2, 1, "
+    "2, 1, ... (2 - 1/0.5 = 0 in the sweep, 2 - 1 - 1 = 0 at the first "
+    "reduced level), and its finite x fails the backward-error bound"))
 @pytest.mark.parametrize("n", [50, 129])
 def test_tridiag_solve_of_a_nonsingular_matrix_with_a_zero_pivot(n):
     # diag 2, 1, 2, 1, ... and off 1 is nonsingular and well conditioned
-    # (condition number 222 at 129 rows), yet x has no finite entry
+    # (condition number 222 at 129 rows), yet x is finite and wrong
     diag = np.where(np.arange(n) % 2 == 0, 2.0, 1.0)
     off = np.ones(n - 1)
     rhs = np.random.default_rng(n).normal(size=n)
@@ -388,18 +330,10 @@ def _workload_block():
 
 
 @pytest.mark.parametrize("rows", [65, 4590])
-def test_reduction_past_64_rows_meets_the_bound(rows, monkeypatch):
+def test_reduction_past_64_rows_meets_the_bound(rows):
     # one level above the cutoff, and the workload's 13 levels cut to 7: at
     # no shift and at each of the block's four lowest eigenvalues, the
-    # reduction meets the bound and the Thomas loop is never called
-    fallbacks = []
-    thomas = _kernels._thomas_solve
-
-    def spy(*args):
-        fallbacks.append(args)
-        return thomas(*args)
-
-    monkeypatch.setattr(_kernels, "_thomas_solve", spy)
+    # reduction meets the bound
     block = _workload_block()
     diag, off = block.diagonal[:rows], block.off_diagonal[:rows - 1]
     assert diag.size == rows
@@ -409,46 +343,27 @@ def test_reduction_past_64_rows_meets_the_bound(rows, monkeypatch):
     for shift in (0.0, *eigs):
         x = _kernels.tridiag_solve(diag - shift, off, rhs)
         assert _meets_backward_bound(diag - shift, off, rhs, x)
-    assert not fallbacks
-
-
-def _thomas_spy(monkeypatch):
-    # the list of every call the Thomas fallback gets from here on
-    fallbacks = []
-    thomas = _kernels._thomas_solve
-
-    def spy(*args):
-        fallbacks.append(args)
-        return thomas(*args)
-
-    monkeypatch.setattr(_kernels, "_thomas_solve", spy)
-    return fallbacks
 
 
 @pytest.mark.parametrize("rows", [129, 133])
-def test_zero_pivot_past_64_rows_gives_a_finite_solve(rows, monkeypatch):
+def test_zero_pivot_past_64_rows_gives_a_finite_solve(rows):
     # diag 2, 1, 2, 1, ... and off 1: every odd pivot of the first reduced
     # level is 2 - 1 - 1 = 0 exactly.  Floored, it keeps the reduction
     # finite, and for this right-hand side x meets the bound.  (For a normal
-    # random one, x fails the bound, and the Thomas loop, whose third pivot
-    # is 2 - 1/0.5 = 0, returns NaN and inf.)
-    fallbacks = _thomas_spy(monkeypatch)
+    # random one, x fails the bound: the strict xfail above.)
     diag = np.where(np.arange(rows) % 2 == 0, 2.0, 1.0)
     off, rhs = np.ones(rows - 1), np.ones(rows)
     x = _kernels.tridiag_solve(diag, off, rhs)
-    assert not fallbacks
     assert _meets_backward_bound(diag, off, rhs, x)
 
 
-def test_reduction_on_an_eigenvalue_past_64_rows_is_accepted(monkeypatch):
+def test_reduction_on_an_eigenvalue_past_64_rows_is_accepted():
     # 1 is an exact eigenvalue of tridiag(-1, 2, -1) at 131 rows; shifted
     # by it, one odd pivot of a reduced level comes out exactly zero and is
     # floored, and the reduction's large finite x meets the bound
-    fallbacks = _thomas_spy(monkeypatch)
     diag, off = np.full(131, 2.0 - 1.0), np.full(130, -1.0)
     rhs = np.random.default_rng(131).normal(size=131)
     x = _kernels.tridiag_solve(diag, off, rhs)
-    assert not fallbacks
     assert _meets_backward_bound(diag, off, rhs, x)
     assert np.abs(x).max() > 1e12
 
@@ -456,51 +371,20 @@ def test_reduction_on_an_eigenvalue_past_64_rows_is_accepted(monkeypatch):
 # exactly singular: with the pivots floored at 4 eps times the matrix scale,
 # cyclic reduction solves a system within the bound of [[1, -1], [-1, 1]] and
 # of tridiag(-1, 1, -1); [0] has no scale to perturb and tridiag(-1, 0, -1)
-# no diagonal, so those two get the Thomas loop's bits (x / -pivmin)
+# no diagonal, so those two get the bits of the Thomas loop floored at
+# pivmin (x / -pivmin)
 @pytest.mark.parametrize("case, reduced", zip(_ZERO_PIVOT_CASES,
                                              [False, True, True, False]))
 def test_tridiag_solve_at_a_zero_pivot(case, reduced):
     diag, off, shift = case
     rhs = np.random.default_rng(7).normal(size=diag.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = _kernels.tridiag_solve(diag - shift, off, rhs)
-        fallback = _kernels._thomas_solve(diag - shift, off, rhs)
+    got = _kernels.tridiag_solve(diag - shift, off, rhs)
     if reduced:
         assert _meets_backward_bound(diag - shift, off, rhs, got)
     else:
-        assert _same_bits(got, fallback)
-
-
-@pytest.mark.parametrize("wave", WAVES)
-def test_no_report_solve_falls_back(wave, monkeypatch):
-    # at the benchmark's step, every inverse-iteration solve of a report is
-    # one cyclic reduction that meets the bound at the first pivot floor
-    reductions, fallbacks = [], []
-    reduce, thomas = _kernels._cyclic_reduction, _kernels._thomas_solve
-
-    def counted(*args):
-        reductions.append(args)
-        return reduce(*args)
-
-    def spy(*args):
-        fallbacks.append(args)
-        return thomas(*args)
-
-    solve = _kernels.tridiag_solve
-    solves = []
-
-    def outer(*args):
-        solves.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(_kernels, "_cyclic_reduction", counted)
-    monkeypatch.setattr(_kernels, "_thomas_solve", spy)
-    monkeypatch.setattr(_kernels, "tridiag_solve", outer)
-    coefficients, omega = wave
-    kgstab.spectral_report(ModelParams(*coefficients), omega, 0.02)
-    assert len(solves) > 20
-    assert len(reductions) == len(solves)
-    assert not fallbacks
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = oracles.tridiag_solve(diag - shift, off, rhs)
+        assert _same_bits(got, want)
 
 
 def _leapfrog(phi, prev, *args):

@@ -240,3 +240,11 @@ def test_bisect_stops_between_neighbouring_floats():
     lo = max(x for x in calls if x < target)
     hi = min(x for x in calls if x >= target)
     assert np.nextafter(lo, math.inf) == hi
+
+
+def test_bisect_midpoint_near_the_float_maximum():
+    # lo + hi overflows when both ends exceed about 9e307; 0.5 lo + 0.5 hi
+    # does not
+    mid = bisect(lambda mid: mid < 1.6e308, 1.5e308, 1.7e308, 1e292)
+    assert math.isfinite(mid)
+    assert 1.5e308 <= mid <= 1.7e308

@@ -597,6 +597,15 @@ def test_squares_within_the_float_range_are_not_refused():
         pass  # the absolute acceptance tolerance at scale 2e150
 
 
+# Within the float range but near its end, where a bisection midpoint of
+# 0.5 (lo + hi) overflows to -inf and the refusal names that shift.  The
+# refusal itself is the absolute acceptance tolerance at scale 1.5e308
+def test_refusal_near_the_float_maximum_names_a_finite_shift():
+    op = TridiagonalOperator(np.array([1.5e308, -1.5e308]), np.array([1.0]))
+    with pytest.raises(EigensolverError, match=r"near -1\.5e\+308"):
+        lowest_eigenpairs(op, 1)
+
+
 def test_operator_of_one_node():
     op = TridiagonalOperator(np.array([3.0]), np.empty(0))
     assert op.size == 1
@@ -843,6 +852,14 @@ def _spanning_problems(draw):
     return np.array(diag), np.array(off), draw(st.integers(1, n))
 
 
+def _quiet(solve):
+    # a reference solve standing in for tridiag_solve, silenced as it is
+    def quiet(diag, off, rhs):
+        with np.errstate(all="ignore"):
+            return solve(diag, off, rhs)
+    return quiet
+
+
 def _lowest_values(diag, off, k):
     try:
         pairs = lowest_eigenpairs(TridiagonalOperator(diag, off), k)
@@ -874,13 +891,51 @@ def test_lowest_eigenpairs_solve_whatever_the_thomas_loop_solves(case):
                                + np.diag(off, -1))[:k]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectrum._kernels, "tridiag_solve",
-                      spectrum._kernels._thomas_solve)
+                      _quiet(oracles.tridiag_solve))
         thomas = _lowest_values(diag, off, k)
     assume(thomas is not None
            and np.abs(thomas - dense).max() <= EIGENVALUE_TOL)
     values = _lowest_values(diag, off, k)
     assert values is not None
     assert np.abs(values - dense).max() <= EIGENVALUE_TOL
+
+
+# entries from the subnormal 5e-324 to 1.5e308, of either sign
+_CENSUS_ENTRIES = [0.0, -0.0, 1.0, -1.0, 2.0, 1e-10, -1e-10, 1e10, 3e6,
+                   1e-300, -1e-300, 5e-324, 1e154, 1e-154, 1e300, -1e300,
+                   8.9e307, 1.5e308, -1.5e308]
+
+
+@st.composite
+def _census_problems(draw):
+    n = draw(st.integers(1, 6))
+    entries = st.sampled_from(_CENSUS_ENTRIES)
+    diag = draw(st.lists(entries, min_size=n, max_size=n))
+    off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    return np.array(diag), np.array(off), draw(st.integers(1, n))
+
+
+# A diagonal matrix whose residual norm squares entries above 1.3e154 and
+# overflows
+@example(case=(np.array([1e300, 1e300]), np.array([1e-300]), 2))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_census_problems())
+def test_lowest_eigenpairs_answer_or_refuse_without_a_warning(case):
+    # every matrix is answered within 1e-10 + 1e-12 s of the dense
+    # eigenvalues, s = max|d| + 2 max|e|, or refused with a typed error
+    diag, off, k = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            pairs = lowest_eigenpairs(TridiagonalOperator(diag, off), k)
+        except (DomainError, EigensolverError):
+            return
+    with np.errstate(all="ignore"):
+        dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1)
+                                   + np.diag(off, -1))[:k]
+        scale = np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0)
+    values = np.array([value for value, _ in pairs])
+    assert np.abs(values - dense).max() <= 1e-10 + 1e-12 * scale
 
 
 # A triple eigenvalue 1 (nodes 0 and 2, and nodes 3-4) beside 3 at node 1,
@@ -927,7 +982,7 @@ def test_report_within_stated_tolerance_of_the_thomas_solves(wave,
     p = ModelParams(*coefficients)
     got = spectral_report(p, omega, 0.02)
     monkeypatch.setattr(spectrum._kernels, "tridiag_solve",
-                        spectrum._kernels._thomas_solve)
+                        _quiet(oracles.tridiag_solve))
     _assert_within_stated_tolerance(got, spectral_report(p, omega, 0.02))
 
 
@@ -941,8 +996,8 @@ def test_report_within_stated_tolerance_of_the_full_depth_reduction(
     coefficients, omega = wave
     p = ModelParams(*coefficients)
     got = spectral_report(p, omega, 0.02)
-    monkeypatch.setattr(spectrum._kernels, "_cyclic_reduction",
-                        oracles.cyclic_reduction)
+    monkeypatch.setattr(spectrum._kernels, "tridiag_solve",
+                        _quiet(oracles.cyclic_reduction))
     _assert_within_stated_tolerance(got, spectral_report(p, omega, 0.02))
 
 
