@@ -307,14 +307,14 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
     """Diagnostics of ``perturbation``'s data evolved to ``t_final``.
 
     The lattice is the default ``half_line`` plus ``extra_half_length``, so
-    that radiation reflected at the Dirichlet end comes back late.  Samples
-    are taken at t = 0, every ``sample_every`` steps and at the end; a sup
-    |phi| above 1e3 R(0) ends the run with ``truncated`` set.  Raises
-    GridError for an ``extra_half_length`` outside [0, inf) or a lattice
-    beyond MAX_NODES, and DomainError for a ``t_final`` not positive and
-    finite, a ``sample_every`` below 1, more than MAX_STEPS (1,000,000)
-    steps, or a t = 0 energy, charge or distance not finite, or energy or
-    charge 0.
+    that radiation reflected at the Dirichlet end comes back late.  The run
+    takes t_final / step_t steps, rounded up, at least one, sampled at
+    t = 0, every ``sample_every`` steps and at the end; a sup |phi| above
+    1e3 R(0) ends the run with ``truncated`` set.  Raises GridError for an
+    ``extra_half_length`` outside [0, inf) or a lattice beyond MAX_NODES,
+    and DomainError for a ``t_final`` not positive and finite, a
+    ``sample_every`` below 1, more than MAX_STEPS (1,000,000) steps, or a
+    t = 0 energy, charge or distance not finite, or energy or charge 0.
 
     The distance has a floor: the sampled R is not an exact standing wave of
     the scheme, so even unperturbed data drift off the orbit.  At (1, 1, 1),
@@ -353,7 +353,7 @@ def run(p: ModelParams, omega: float, perturbation: str, t_final: float,
             f"charge {q0!r} and distance {d0!r}; all must be finite, and "
             "energy and charge nonzero")
 
-    total_steps = int(math.ceil(t_final / step_t - 1e-9))
+    total_steps = max(1, math.ceil(t_final / step_t - 1e-9))
     m2, guard = p.m * p.m, _guard(profile)
     truncation_time = None
     done = 0

@@ -5,6 +5,9 @@ With L(alpha) = ln((1+alpha)/(1-alpha)),
     sigma = omega ||R||^2 = (a^2/4b^2) sqrt(tau - alpha^2) (L - 2 alpha),
     k2(alpha) = ((1 - alpha^2)/(2 alpha)) L + alpha^2,  tau_star = sup k2.
 
+F = L - 2 alpha and k2 are written once, in ``_closed_forms``, for one
+frequency (``k1``, ``k2``) and for a sweep (``sweep_columns``).
+
 The verdict sign(tau - k2) is the paper's rule as shipped, not an identity
 for the sign of d'', d = E - omega Q (Grillakis-Shatah-Strauss).  For
 tau < tau_star the quadrature oracle ``soliton.d_second_numeric``
@@ -61,18 +64,19 @@ def _require_open_unit(alpha: float) -> None:
 
 
 def _log_ratio(alpha: float) -> float:
-    """ln((1+alpha)/(1-alpha)), for alpha at or above _SERIES_CUTOFF."""
+    """ln((1+alpha)/(1-alpha))."""
     return math.log((1.0 + alpha) / (1.0 - alpha))
 
 
-def _log_ratio_minus_2alpha(alpha: float) -> float:
-    """ln((1+alpha)/(1-alpha)) - 2 alpha without small-alpha cancellation."""
-    if alpha < _SERIES_CUTOFF:
-        a2 = alpha * alpha
-        return 2.0 * alpha * a2 * (
-            1.0 / 3.0 + a2 * (0.2 + a2 * (1.0 / 7.0 + a2 / 9.0))
-        )
-    return _log_ratio(alpha) - 2.0 * alpha
+def _closed_forms(alpha, log_ratio):
+    """(F, k2) as (series, direct) pairs at alpha, a float or an array, given
+    L = ``log_ratio``; the direct forms cancel below _SERIES_CUTOFF."""
+    a2 = alpha * alpha
+    f_series = 2.0 * alpha * a2 * (
+        1.0 / 3.0 + a2 * (0.2 + a2 * (1.0 / 7.0 + a2 / 9.0)))
+    k2_series = 1.0 + a2 * (1.0 / 3.0 - a2 * (2.0 / 15.0 + a2 * 2.0 / 35.0))
+    return ((f_series, log_ratio - 2.0 * alpha),
+            (k2_series, ((1.0 - a2) / (2.0 * alpha)) * log_ratio + a2))
 
 
 def k1(tau: float, alpha: float) -> float:
@@ -81,7 +85,10 @@ def k1(tau: float, alpha: float) -> float:
     _require_open_unit(alpha)
     if alpha * alpha >= tau:
         raise DomainError(f"alpha={alpha!r} inadmissible: alpha^2 >= tau={tau!r}")
-    return math.sqrt(tau - alpha * alpha) * _log_ratio_minus_2alpha(alpha)
+    # float: on a NumPy scalar the unused direct form warns at subnormal alpha
+    (series, direct), _ = _closed_forms(float(alpha), _log_ratio(alpha))
+    return math.sqrt(tau - alpha * alpha) * (
+        series if alpha < _SERIES_CUTOFF else direct)
 
 
 def sigma_closed(p: ModelParams, omega: float) -> float:
@@ -105,11 +112,8 @@ def k2(alpha: float) -> float:
     """((1-alpha^2)/(2 alpha)) ln((1+alpha)/(1-alpha)) + alpha^2: 1 at both
     ends of (0, 1), above 1 between them; raises DomainError outside."""
     _require_open_unit(alpha)
-    if alpha < _SERIES_CUTOFF:
-        a2 = alpha * alpha
-        return 1.0 + a2 * (1.0 / 3.0 - a2 * (2.0 / 15.0 + a2 * 2.0 / 35.0))
-    return ((1.0 - alpha * alpha) / (2.0 * alpha)) * _log_ratio(alpha) \
-        + alpha * alpha
+    _, (series, direct) = _closed_forms(float(alpha), _log_ratio(alpha))
+    return series if alpha < _SERIES_CUTOFF else direct
 
 
 def k2_prime(alpha: float) -> float:
@@ -172,15 +176,9 @@ def sweep_columns(p: ModelParams, n: int):
         ratio = np.where(ok, (1.0 + alpha) / (1.0 - alpha), 1.0)
         log_ratio = np.fromiter(map(math.log, ratio.tolist()), float, n)
         series = alpha < _SERIES_CUTOFF
-        sigma = scale * (np.sqrt(tau - a2) * np.where(
-            series,
-            2.0 * alpha * a2 * (
-                1.0 / 3.0 + a2 * (0.2 + a2 * (1.0 / 7.0 + a2 / 9.0))),
-            log_ratio - 2.0 * alpha))
-        diff = tau - np.where(
-            series,
-            1.0 + a2 * (1.0 / 3.0 - a2 * (2.0 / 15.0 + a2 * 2.0 / 35.0)),
-            ((1.0 - a2) / (2.0 * alpha)) * log_ratio + a2)
+        f_forms, k2_forms = _closed_forms(alpha, log_ratio)
+        sigma = scale * (np.sqrt(tau - a2) * np.where(series, *f_forms))
+        diff = tau - np.where(series, *k2_forms)
     ok &= np.isfinite(sigma)
     if not ok.all():
         sigma_closed(p, float(omega[np.argmin(ok)]))

@@ -7,7 +7,7 @@ special functions from truncated series, extrema from golden-section search.
 Expected values in the tests are produced by these routines, not copied from
 the implementation under test.
 
-The exceptions are the last ten sections.  One holds reference forms of
+The exceptions are the last eleven sections.  One holds reference forms of
 the package's kernels, written as plain index loops, as the earlier
 element-by-element Sturm loop, or with fresh temporaries each step.  They
 do the same arithmetic in the same order, so the tests demand bitwise
@@ -28,9 +28,10 @@ the field operator's earlier form into caller-held buffers, which the
 plain-expression ``field_acceleration`` must equal bitwise.  One keeps
 the operators' earlier full-grid assembly, which the package's assembly on
 the profile's lattice must equal bitwise at the same Dirichlet end.  The
-last two keep the earlier row-by-row ``sweep`` and the earlier recursive
+next two keep the earlier row-by-row ``sweep`` and the earlier recursive
 JSON renderer, which the columnar sweep and the one-buffer renderer must
-equal bitwise and byte for byte.
+equal bitwise and byte for byte.  The last keeps the scalar closed forms
+as each wrote its own series, which the shared forms must equal bitwise.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from kgstab import (GridError, ModelParams, TridiagonalOperator, _kernels,
-                    alpha_of_omega, build_profile, closed_form_profile,
-                    composite_simpson, d_second_sign, g_potential,
-                    parse_perturbation, sigma_closed)
+from kgstab import (DomainError, GridError, ModelParams, TridiagonalOperator,
+                    _kernels, alpha_of_omega, build_profile,
+                    closed_form_profile, composite_simpson, d_second_sign,
+                    g_potential, parse_perturbation, sigma_closed)
 from kgstab.evolve import _guard
 from kgstab.model import bisect
 from kgstab.soliton import require_node_budget
@@ -912,3 +913,51 @@ def recursive_render_json(obj, indent: int = 0) -> str:
                  for val in obj]
         return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
     raise TypeError(f"no JSON encoding for {type(obj).__name__}")
+
+
+# --- the closed forms before the shared series -------------------------------
+#
+# The package's earlier ``_log_ratio_minus_2alpha``, ``k1`` and ``k2``,
+# verbatim, with the cutoff and the helpers they read.
+
+_SERIES_CUTOFF = 1e-2
+
+
+def _require_open_unit(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha={alpha!r} outside (0, 1)")
+
+
+def _log_ratio(alpha: float) -> float:
+    """ln((1+alpha)/(1-alpha)), for alpha at or above _SERIES_CUTOFF."""
+    return math.log((1.0 + alpha) / (1.0 - alpha))
+
+
+def _log_ratio_minus_2alpha(alpha: float) -> float:
+    """ln((1+alpha)/(1-alpha)) - 2 alpha without small-alpha cancellation."""
+    if alpha < _SERIES_CUTOFF:
+        a2 = alpha * alpha
+        return 2.0 * alpha * a2 * (
+            1.0 / 3.0 + a2 * (0.2 + a2 * (1.0 / 7.0 + a2 / 9.0))
+        )
+    return _log_ratio(alpha) - 2.0 * alpha
+
+
+def k1(tau: float, alpha: float) -> float:
+    """sqrt(tau - alpha^2) (ln((1+alpha)/(1-alpha)) - 2 alpha); raises
+    DomainError unless 0 < alpha < 1 and alpha^2 < tau."""
+    _require_open_unit(alpha)
+    if alpha * alpha >= tau:
+        raise DomainError(f"alpha={alpha!r} inadmissible: alpha^2 >= tau={tau!r}")
+    return math.sqrt(tau - alpha * alpha) * _log_ratio_minus_2alpha(alpha)
+
+
+def k2(alpha: float) -> float:
+    """((1-alpha^2)/(2 alpha)) ln((1+alpha)/(1-alpha)) + alpha^2: 1 at both
+    ends of (0, 1), above 1 between them; raises DomainError outside."""
+    _require_open_unit(alpha)
+    if alpha < _SERIES_CUTOFF:
+        a2 = alpha * alpha
+        return 1.0 + a2 * (1.0 / 3.0 - a2 * (2.0 / 15.0 + a2 * 2.0 / 35.0))
+    return ((1.0 - alpha * alpha) / (2.0 * alpha)) * _log_ratio(alpha) \
+        + alpha * alpha

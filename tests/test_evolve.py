@@ -322,6 +322,15 @@ def test_times_are_whole_steps(p111, p212):
     assert tail.tail_first_exceed == 2240 * 0.01
 
 
+def test_a_run_shorter_than_a_step_takes_one(p111):
+    # t_final is rounded up to whole steps, and never down to none: below
+    # 1e-9 of a step the rounding's slack would otherwise leave 0 steps
+    for t_final in (1e-12, 1e-10, 0.005):
+        diag = run(p111, 0.9, "none", t_final)
+        assert diag.times.tolist() == [0.0, 0.01]
+        assert diag.summary()["t_final"] == 0.01
+
+
 def test_state_exposes_grid(p111):
     # the field lives on its profile's lattice, and only there
     prof = build_profile(p111, 0.9, 0.02)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import subprocess
 import sys
@@ -565,6 +566,44 @@ def test_leapfrog_equals_reference_off_a_line(offset, n_steps, trip):
     assert _leapfrog(phi, prev, *args) == want
     assert _same_bits(phi, ref_phi)
     assert _same_bits(prev, ref_prev)
+
+
+def _discrete_charge(phi, prev, step_t):
+    """(Q_h, S): Im sum w_i phi_i conj(prev_i) / dt and sum w_i |phi_i|
+    |prev_i| / dt over the inner nodes, w = 1/2 at the centre and 1 at the
+    others, each sum exactly rounded."""
+    w = np.ones(phi.size - 1)
+    w[0] = 0.5
+    cur, old = phi[:-1], prev[:-1]
+    q = math.fsum(w * (cur.imag * old.real - cur.real * old.imag))
+    return q / step_t, math.fsum(w * np.abs(cur) * np.abs(old)) / step_t
+
+
+@st.composite
+def _charge_cases(draw):
+    n = draw(st.integers(3, 64))
+    unit = st.builds(cmath.rect, st.floats(0.0, 1.0),
+                     st.floats(0.0, 2.0 * math.pi))
+    phi, prev = (np.array([*draw(st.lists(unit, min_size=n - 1,
+                                          max_size=n - 1)), 0j])
+                 for _ in range(2))
+    a, b, m = (draw(st.floats(0.5, 2.0)) for _ in range(3))
+    return phi, prev, a, b, m, draw(st.integers(1, 300))
+
+
+@settings(max_examples=300)
+@given(case=_charge_cases())
+def test_leapfrog_keeps_the_discrete_charge(case):
+    # the step is real-weighted in phi and symmetric in the neighbours, with
+    # the mirror row's 2 phi_1 weighted 1/2 and a zero Dirichlet end, so
+    # Q_h moves only by rounding (worst drift on these cases: 0.17 of the
+    # bound)
+    phi, prev, a, b, m, steps = case
+    q0, s0 = _discrete_charge(phi, prev, 0.05)
+    assert _leapfrog(phi, prev, steps, 0.1, 0.05, m * m, a, b,
+                     math.inf) == steps
+    q1, s1 = _discrete_charge(phi, prev, 0.05)
+    assert abs(q1 - q0) <= 4 * steps * np.finfo(float).eps * max(s0, s1)
 
 
 def test_leapfrog_allocates_no_lattice_array():

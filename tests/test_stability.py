@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 import oracles
 from kgstab import (DomainError, ModelParams, OracleDisagreementError,
                     StabilityReport, build_profile, charge, classify,
-                    d_second_sign, k1, k2, k2_prime, omega_of_alpha,
-                    sigma_closed, stability, tau_star)
+                    d_second_numeric, d_second_sign, k1, k2, k2_prime,
+                    omega_of_alpha, sigma_closed, stability, tau_star)
 from kgstab.stability import (MAX_ROWS, _ARGMAX_BRACKET, _SERIES_CUTOFF,
                               SIGN_TOL, sweep_columns)
 
@@ -129,6 +129,30 @@ def test_series_branches_join_smoothly():
         assert k2_prime(alpha) == pytest.approx(k2_prime_ref(alpha),
                                                 abs=5e-12)
         assert k1(2.0, alpha) == pytest.approx(k1_ref(alpha), rel=1e-9)
+
+
+# about 1,000 alphas log-spaced over the open unit interval, the least
+# subnormal, 1e-300 and the floats on either side of the series cutoff
+_FROZEN_ALPHAS = [*np.geomspace(1e-12, 1.0 - 1e-12, 1000).tolist(), 5e-324,
+                  1e-300, math.nextafter(_SERIES_CUTOFF, 0.0), _SERIES_CUTOFF,
+                  math.nextafter(_SERIES_CUTOFF, 1.0)]
+
+
+def test_closed_forms_equal_the_frozen_reference_bitwise():
+    # k1 and k2 share their series and direct forms with sweep_columns;
+    # oracles keeps the forms each wrote for itself before
+    for alpha in _FROZEN_ALPHAS:
+        got = k2(alpha)
+        assert type(got) is float and got.hex() == oracles.k2(alpha).hex()
+        for tau in (0.98, 1.1, 2.0):
+            if alpha * alpha < tau:
+                got = k1(tau, alpha)
+                assert type(got) is float
+                assert got.hex() == oracles.k1(tau, alpha).hex()
+    # a NumPy scalar takes the series too, with no warning from the unused
+    # direct form, which overflows at a subnormal alpha
+    for alpha in (np.float64(5e-324), np.float64(1e-310)):
+        assert k2(alpha) == 1.0 and k1(2.0, alpha) == 0.0
 
 
 def test_tau_star_value_and_maximizer():
@@ -279,6 +303,32 @@ def test_classify_oracle_check_raises_below_one(p_tau098):
     assert err.closed_sign == -1
     assert err.oracle_value > 0.0
     assert "contradicts" in str(err)
+
+
+def test_quadrature_oracle_matches_the_exact_d_second():
+    """d''(omega) = -C [F(alpha) - 2 alpha (tau - alpha^2)/(1 - alpha^2)],
+    C = a/(2 sqrt(2) b^(3/2)), F(alpha) = ln((1+alpha)/(1-alpha)) - 2 alpha,
+    written here from d' = -sigma and the closed sigma, apart from the
+    package's forms.  ``d_second_numeric`` matches it in sign and within
+    3e-5 relative (worst 2.74e-5, at tau = 0.98, k = 2) at five window
+    samples for each of six couplings.  The shipped rule sign(tau - k2)
+    disagrees with both at 11 of the 30 points; that conflict is open and
+    not asserted here.
+    """
+    for tau in (0.98, 1.005, 1.1, 1.3796, 1.5, 2.0):
+        a, b, m = 1.0, tau / 2.0, 1.0
+        p = ModelParams(a, b, m)
+        window = p.window
+        for k in range(1, 6):
+            omega = window.omega_star + k * window.width / 6.0
+            alpha = math.sqrt(2.0 * b * (m * m - omega * omega)) / a
+            f = math.log((1.0 + alpha) / (1.0 - alpha)) - 2.0 * alpha
+            a2 = alpha * alpha
+            exact = -a / (2.0 * math.sqrt(2.0) * b ** 1.5) * (
+                f - 2.0 * alpha * (tau - a2) / (1.0 - a2))
+            numeric = d_second_numeric(p, omega)
+            assert (numeric > 0.0) == (exact > 0.0)
+            assert numeric == pytest.approx(exact, rel=3e-5)
 
 
 def test_classify_oracle_check_skips_a_sample_beside_a_root(monkeypatch):
